@@ -227,15 +227,10 @@ def cmd_oracle(args):
         payload["exponent"] = oracle_mod.ma1_exponential_exponent(args.a1)
     elif case == "degenerate-ma":
         payload["parameters"] = {}
-        if args.n is not None:
-            payload["pn"] = [
-                {"n": n, "p": oracle_mod.degenerate_factorial_pn(n)}
-                for n in range(0, args.n + 1)
-            ]
-        else:
-            payload["pn"] = [
-                {"n": n, "p": oracle_mod.degenerate_factorial_pn(n)} for n in range(0, 7)
-            ]
+        n_max = 6 if args.n is None else args.n
+        payload["pn"] = [
+            {"n": n, "p": oracle_mod.degenerate_factorial_pn(n)} for n in range(0, n_max + 1)
+        ]
     elif case == "supercritical-ar":
         coeffs = _parse_floats(args.coeffs)
         payload["parameters"] = {"coeffs": coeffs}

@@ -452,9 +452,8 @@ def _ma_p0(model, seed):
         weights = grid.weights * innov.density(grid.nodes)
         return float(weights @ (1.0 - innov.cdf(-a1 * grid.nodes)))
     rng = substream(seed, "prop", "qbound-p0")
-    q = model.order
-    xi = innov.sample(rng, (2000000, q + 1))
-    z0 = xi[:, -1] + np.asarray(model.coeffs) @ xi[:, -2::-1]
+    xi = innov.sample(rng, (2000000, model.order + 1))
+    z0 = simulate_mod._ma_from_innovations(model, xi, 0)[:, 0]
     return float(np.mean(model.convention.survives(z0)))
 
 

@@ -193,9 +193,6 @@ class Exponential(InnovationDistribution):
     def exponential_decay_rate(self):
         return 1.0
 
-    def params(self):
-        return {}
-
 
 @dataclass(frozen=True)
 class Rademacher(InnovationDistribution):
@@ -226,27 +223,6 @@ class Rademacher(InnovationDistribution):
 
     def exponential_decay_rate(self):
         return math.inf
-
-    def params(self):
-        return {}
-
-
-# module-level operation aliases
-
-
-def density(dist, x):
-    """phi(x) for the law; raises RequestedDensityOfAtomicLaw for Rademacher."""
-    return dist.density(x)
-
-
-def cdf(dist, x):
-    """F(x) for the law."""
-    return dist.cdf(x)
-
-
-def sample(dist, stream, size=None):
-    """Inverse-CDF draw(s) from the law."""
-    return dist.sample(stream, size)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +304,6 @@ class StationaryAR1Gaussian(InitialDistribution):
         return {"kind": "stationary_ar1_gaussian", "a1": self.a1}
 
 
-def sample_initial(init, p, stream, size=None):
-    """Draw Z_0..Z_{p-1} from the initial law; errors on dimension mismatch."""
-    return init.sample(p, stream, size=size)
-
-
 # ---------------------------------------------------------------------------
 # survival conventions and models
 
@@ -354,6 +325,18 @@ class SurvivalConvention(Enum):
         return np.asarray(z) > 0.0
 
 
+def drift(coeffs, cols):
+    """The linear part of the transition, sum_j a_j x_{d+1-j}.
+
+    cols holds the state coordinates x_1..x_d, oldest first: scalars, or
+    arrays that broadcast against each other. The terms are added in the
+    order j = 1..d starting from zero, so every route that calls this rounds
+    the same way.
+    """
+    d = len(coeffs)
+    return sum(a * cols[d - j] for j, a in enumerate(coeffs, start=1))
+
+
 def _as_coeffs(coeffs):
     out = tuple(float(c) for c in np.atleast_1d(np.asarray(coeffs, dtype=float)))
     if len(out) == 0:
@@ -369,16 +352,10 @@ class ARModel:
     innovation: InnovationDistribution
     initial: InitialDistribution
     convention: SurvivalConvention = SurvivalConvention.NON_NEGATIVE
-    order: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-        p = len(self.coeffs) if self.order is None else int(self.order)
-        if p != len(self.coeffs):
-            raise ValueError(
-                f"declared order {p} does not match coefficient vector of length {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "order", p)
+        p = self.order
         if isinstance(self.initial, IIDInnovation) and self.initial.innovation is None:
             object.__setattr__(self, "initial", IIDInnovation(self.innovation))
         if isinstance(self.initial, PointMass) and len(self.initial.values) != p:
@@ -387,6 +364,10 @@ class ARModel:
             )
         if isinstance(self.initial, StationaryAR1Gaussian) and p != 1:
             raise ValueError("stationary AR(1) initial law requires order 1")
+
+    @property
+    def order(self):
+        return len(self.coeffs)
 
     def to_json(self):
         return {
@@ -406,16 +387,13 @@ class MAModel:
     coeffs: tuple
     innovation: InnovationDistribution
     convention: SurvivalConvention = SurvivalConvention.NON_NEGATIVE
-    order: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-        q = len(self.coeffs) if self.order is None else int(self.order)
-        if q != len(self.coeffs):
-            raise ValueError(
-                f"declared order {q} does not match coefficient vector of length {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "order", q)
+
+    @property
+    def order(self):
+        return len(self.coeffs)
 
     def to_json(self):
         return {
@@ -475,7 +453,8 @@ def model_from_json(obj):
 
     Schema: {"process": "ar"|"ma", "order": int, "coeffs": [...],
              "innovation": {"kind": ..., ...}, "initial": {...}, "convention": "ge"|"gt"}.
-    The order field is optional (inferred from coeffs), as is initial (iid).
+    The order field is optional and, when given, must equal len(coeffs);
+    initial is optional too (iid).
     """
     if not isinstance(obj, dict):
         raise ValueError("experiment description must be a JSON object")
@@ -485,12 +464,17 @@ def model_from_json(obj):
     coeffs = obj.get("coeffs")
     if coeffs is None:
         raise ValueError("experiment description is missing 'coeffs'")
+    coeffs = _as_coeffs(coeffs)
+    order = obj.get("order")
+    if order is not None and int(order) != len(coeffs):
+        raise ValueError(
+            f"declared order {int(order)} does not match coefficient vector of length {len(coeffs)}"
+        )
     innovation = innovation_from_json(obj.get("innovation"))
     convention = convention_from_json(obj.get("convention"))
-    order = obj.get("order")
     if process == "ar":
         initial = initial_from_json(obj.get("initial"), innovation)
-        return ARModel(coeffs, innovation, initial, convention, order=order)
+        return ARModel(coeffs, innovation, initial, convention)
     if "initial" in obj:
         raise ValueError("MA models take no initial law; the state is built from innovations")
-    return MAModel(coeffs, innovation, convention, order=order)
+    return MAModel(coeffs, innovation, convention)

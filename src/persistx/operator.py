@@ -8,9 +8,13 @@ assembled from exact innovation mass per grid cell (CDF differences), which
 keeps the rank-one i.i.d. case and bounded-support truncations exact.
 
 The MA operator acts on the last q innovations as
-(Kg)(x) = sum_j w_j phi(y_j) 1{y_j + sum_i a_i x_{q+1-i} > 0} g(x_2..x_q, y_j);
+(Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
 the indicator cuts one grid cell per row, and that cell's weight is rescaled
 by the fraction of its innovation mass above the cut (cut-cell correction).
+
+Both kernels take s from model.drift, the one definition of the linear part
+of the transition that every route shares: crude and splitting Monte Carlo
+and single-path simulation step with it too.
 
 An exponential tilt h(x) = exp(delta sum_j x_j) conjugates the AR kernel by a
 positive diagonal, so the spectral radius is unchanged while eigenfunction
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw
+from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, drift
 
 
 class MaxIterationsExceeded(Exception):
@@ -111,25 +115,28 @@ def default_delta(model):
     return rate / (2.0 * model.order)
 
 
-def default_grid(model, m, n, scheme="gauss"):
-    """State-axis grid for the model, clamped to the reachable set.
+def _axis_bounds(model, m):
+    """State-axis bounds at truncation M, clamped to the reachable set.
 
     AR lives on [0, min(M, sup)] where sup bounds the reachable states (for
     nonpositive coefficients and bounded innovations the new value y + s(x)
     never exceeds the innovation's upper end, so truncation there is exact).
     MA lives on the innovation support intersected with [-M, M].
     """
+    lo_s, hi_s = model.innovation.support
+    if not isinstance(model, ARModel):
+        return max(lo_s, -m), min(hi_s, m)
+    if all(c <= 0 for c in model.coeffs) and math.isfinite(hi_s):
+        return 0.0, min(m, hi_s)
+    return 0.0, m
+
+
+def default_grid(model, m, n, scheme="gauss"):
+    """State-axis grid for the model, clamped to the reachable set."""
     m = float(m)
     if m <= 0:
         raise ValueError(f"need truncation M > 0, got {m}")
-    lo_s, hi_s = model.innovation.support
-    if isinstance(model, ARModel):
-        hi = m
-        if all(c <= 0 for c in model.coeffs) and math.isfinite(hi_s):
-            hi = min(m, hi_s)
-        return build_grid(0.0, hi, n, d=model.order, scheme=scheme)
-    lo = max(lo_s, -m)
-    hi = min(hi_s, m)
+    lo, hi = _axis_bounds(model, m)
     return build_grid(lo, hi, n, d=model.order, scheme=scheme)
 
 
@@ -162,22 +169,10 @@ class DiscretizedOperator:
         subscripts = f"{letters}z,{letters[1:]}z->{letters}"
         return np.einsum(subscripts, self.kmat, g)
 
-    def dense(self):
-        """The kernel as a dense matrix (order-1 grids only)."""
-        if self.grid.d != 1:
-            raise ValueError("dense kernel matrix is only materialized for d = 1")
-        return self.kmat
 
-
-def _drift(coeffs, nodes, d):
-    """sum_j a_j x_{d+1-j} on the tensor grid, shape (n,)*d."""
-    n = len(nodes)
-    s = np.zeros((n,) * d)
-    for j, aj in enumerate(coeffs, start=1):
-        shape = [1] * d
-        shape[d - j] = n
-        s = s + aj * nodes.reshape(shape)
-    return s
+def _coordinates(grid):
+    """State coordinates x_1..x_d as node views that broadcast to (n,)*d."""
+    return [grid.nodes.reshape((-1,) + (1,) * (grid.d - 1 - k)) for k in range(grid.d)]
 
 
 def assemble_ar(model, grid, delta=0.0):
@@ -199,7 +194,7 @@ def assemble_ar(model, grid, delta=0.0):
     d = model.order
     if grid.d != d:
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
-    s = _drift(model.coeffs, grid.nodes, d)
+    s = drift(model.coeffs, _coordinates(grid))
     arg = grid.edges.reshape((1,) * d + (-1,)) - s[..., None]
     cdf_vals = model.innovation.cdf(arg)
     kmat = np.clip(cdf_vals[..., 1:] - cdf_vals[..., :-1], 0.0, None)
@@ -232,7 +227,7 @@ def assemble_ma(model, grid, cut_cell=True):
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
     n = grid.n
     base = grid.weights * model.innovation.density(grid.nodes)
-    cut = (-_drift(model.coeffs, grid.nodes, d)).reshape(-1)
+    cut = (-drift(model.coeffs, _coordinates(grid))).reshape(-1)
     kmat = np.where(grid.nodes[None, :] > cut[:, None], base[None, :], 0.0)
     if cut_cell:
         inside = (cut > grid.edges[0]) & (cut < grid.edges[-1])
@@ -368,14 +363,7 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0, cut_cell=True, tol=1e-10,
     big = default_grid(model, ms[-1], n_ref, scheme="midpoint")
     lams = []
     for m in ms:
-        if isinstance(model, ARModel):
-            lo_m, hi_m = 0.0, m
-            lo_s, hi_s = model.innovation.support
-            if all(c <= 0 for c in model.coeffs) and math.isfinite(hi_s):
-                hi_m = min(m, hi_s)
-        else:
-            lo_s, hi_s = model.innovation.support
-            lo_m, hi_m = max(lo_s, -m), min(hi_s, m)
+        lo_m, hi_m = _axis_bounds(model, m)
         keep = np.flatnonzero((big.nodes >= lo_m) & (big.nodes <= hi_m))
         if len(keep) < 2:
             raise ValueError(f"truncation M={m} keeps fewer than 2 nodes of the reference grid")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ARModel, MAModel, SurvivalConvention, substream
+from .model import ARModel, drift, substream
 
 BLOCK = 4096
 
@@ -47,11 +47,10 @@ def simulate_ar_path(model, n, stream):
     p = model.order
     if n < p:
         raise ValueError(f"need n >= order, got n={n} < p={p}")
-    coef = np.asarray(model.coeffs[::-1], dtype=float)
     z = np.empty(n + 1)
     z[:p] = model.initial.sample(p, stream)
     for i in range(p, n + 1):
-        z[i] = z[i - p:i] @ coef + model.innovation.sample(stream)
+        z[i] = drift(model.coeffs, z[i - p:i]) + model.innovation.sample(stream)
     return z
 
 
@@ -65,12 +64,10 @@ def simulate_ma_path(model, n, stream):
 
 
 def _ma_from_innovations(model, xi, n):
+    """Z_0..Z_n from innovations xi_{-q}..xi_n along the last axis."""
     q = model.order
-    a = model.coeffs
-    z = xi[..., q:q + n + 1].copy()
-    for j in range(1, q + 1):
-        z += a[j - 1] * xi[..., q - j:q - j + n + 1]
-    return z
+    cols = [xi[..., k:k + n + 1] for k in range(q)]
+    return drift(model.coeffs, cols) + xi[..., q:q + n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +79,12 @@ def _survival_counts_block(model, horizons, block_size, rng):
     n_max = int(horizons[-1])
     if isinstance(model, ARModel):
         p = model.order
-        coef = np.asarray(model.coeffs[::-1], dtype=float)
         z = np.empty((block_size, n_max + 1))
         init = model.initial.sample(p, rng, size=block_size)
         z[:, :p] = init[:, : n_max + 1]
         for i in range(p, n_max + 1):
-            z[:, i] = z[:, i - p:i] @ coef + model.innovation.sample(rng, block_size)
+            xi = model.innovation.sample(rng, block_size)
+            z[:, i] = drift(model.coeffs, z[:, i - p:i].T) + xi
     else:
         q = model.order
         xi = model.innovation.sample(rng, (block_size, n_max + q + 1))
@@ -106,7 +103,7 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
     derived stream per block; the integer count reduction is order
     independent, so any thread count reproduces the same numbers bit for bit.
     """
-    horizons = _check_horizons(model, horizons)
+    horizons = _check_horizons(horizons)
     replicates = int(replicates)
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -147,7 +144,7 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
 # multilevel splitting
 
 
-def estimate_splitting(model, horizons, particles, seed, threads=None):
+def estimate_splitting(model, horizons, particles, seed):
     """Fixed-effort splitting estimate of p_n over a horizon grid.
 
     All particles advance one transition per step; the survival fraction s_t
@@ -157,15 +154,13 @@ def estimate_splitting(model, horizons, particles, seed, threads=None):
     The per-step fractions are kept for diagnostics, and
     var(log p_n) is approximated by sum_t (1 - s_t) / (s_t P).
     """
-    del threads  # the population update is a single vectorised step
-    horizons = _check_horizons(model, horizons)
+    horizons = _check_horizons(horizons)
     particles = int(particles)
     if particles < 2:
         raise ValueError("need at least two particles")
     n_max = int(horizons[-1])
     is_ar = isinstance(model, ARModel)
     d = model.order
-    coef = np.asarray(model.coeffs[::-1], dtype=float)
     init_rng = substream(seed, "split", "init")
     if is_ar:
         state = np.asarray(model.initial.sample(d, init_rng, size=particles), dtype=float)
@@ -179,10 +174,7 @@ def estimate_splitting(model, horizons, particles, seed, threads=None):
             new_state = state
         else:
             xi = model.innovation.sample(substream(seed, "split", t), particles)
-            if is_ar:
-                z = state @ coef + xi
-            else:
-                z = xi + state @ coef
+            z = drift(model.coeffs, state.T) + xi
             new_state = np.empty_like(state)
             new_state[:, :-1] = state[:, 1:]
             new_state[:, -1] = xi if not is_ar else z
@@ -253,13 +245,12 @@ class PersistenceEstimate:
         }
 
 
-def _check_horizons(model, horizons):
+def _check_horizons(horizons):
     horizons = np.asarray(sorted(int(n) for n in np.atleast_1d(horizons)), dtype=int)
     if len(horizons) == 0 or horizons[0] < 0:
         raise ValueError("horizons must be nonnegative integers")
     if len(np.unique(horizons)) != len(horizons):
         raise ValueError("horizons must be distinct")
-    del model
     return horizons
 
 

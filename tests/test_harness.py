@@ -242,6 +242,16 @@ class TestContinuitySweep:
             harness.continuity_sweep(m, [], (0.3,), n=50)
 
 
+class TestPropertyChecks:
+    def test_qbound_at_order_two(self):
+        # Z_0 is symmetric about 0, so the Monte Carlo P(Z_0 >= 0) is near 1/2
+        case = {"process": "ma", "coeffs": [0.5, 0.5],
+                "innovation": {"kind": "gaussian", "sd": 1.0}}
+        ok, details = harness.PROPERTY_CHECKS["qbound"](case, 0)
+        assert ok
+        assert details["p0"] == pytest.approx(0.5, abs=2e-3)
+
+
 def tiny_config():
     return {
         "seed": 0,

@@ -17,11 +17,7 @@ from persistx.model import (
     StationaryAR1Gaussian,
     SurvivalConvention,
     Uniform,
-    cdf,
-    density,
     model_from_json,
-    sample,
-    sample_initial,
     substream,
 )
 
@@ -66,18 +62,18 @@ class TestDistributionValues:
         with pytest.raises(RequestedDensityOfAtomicLaw):
             Rademacher().density(0.0)
         with pytest.raises(RequestedDensityOfAtomicLaw):
-            density(Rademacher(), np.zeros(3))
+            Rademacher().density(np.zeros(3))
 
     def test_rademacher_quantile(self):
         r = Rademacher()
         assert r.quantile(0.25) == -1.0
         assert r.quantile(0.75) == 1.0
 
-    def test_module_level_aliases(self):
+    def test_uniform_density_cdf_and_sample(self):
         u = Uniform(0.0, 2.0)
-        assert density(u, 1.0) == pytest.approx(0.5)
-        assert cdf(u, 1.0) == pytest.approx(0.5)
-        x = sample(u, substream(0, "alias"), 10)
+        assert u.density(1.0) == pytest.approx(0.5)
+        assert u.cdf(1.0) == pytest.approx(0.5)
+        x = u.sample(substream(0, "alias"), 10)
         assert x.shape == (10,) and np.all((x >= 0.0) & (x <= 2.0))
 
     def test_uniform_validation(self):
@@ -181,8 +177,8 @@ class TestInitialLaws:
         with pytest.raises(ValueError):
             StationaryAR1Gaussian(1.0)
 
-    def test_sample_initial_dispatch(self):
-        got = sample_initial(PointMass((0.5,)), 1, substream(0, "x"))
+    def test_point_mass_sample(self):
+        got = PointMass((0.5,)).sample(1, substream(0, "x"))
         assert got.tolist() == [0.5]
 
 
@@ -194,10 +190,12 @@ class TestModels:
         assert m.initial.innovation == Gaussian()
 
     def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            ARModel((0.5,), Gaussian(), IIDInnovation(), order=2)
-        with pytest.raises(ValueError):
-            MAModel((0.5, 0.1), Gaussian(), order=1)
+        with pytest.raises(ValueError, match="declared order 2"):
+            model_from_json({"process": "ar", "order": 2, "coeffs": [0.5],
+                             "innovation": {"kind": "gaussian"}})
+        with pytest.raises(ValueError, match="declared order 1"):
+            model_from_json({"process": "ma", "order": 1, "coeffs": [0.5, 0.1],
+                             "innovation": {"kind": "gaussian"}})
 
     def test_point_mass_length_checked(self):
         with pytest.raises(ValueError):

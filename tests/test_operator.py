@@ -80,10 +80,9 @@ class TestAssembleAr:
         m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
         grid = op.default_grid(m, 6.0, 80)
         kop = op.assemble_ar(m, grid)
-        dense = kop.dense()
-        sums = dense.sum(axis=-1)
+        sums = kop.kmat.sum(axis=-1)
         assert np.all(sums <= 1.0 + 1e-12)
-        assert np.all(dense >= 0.0)
+        assert np.all(kop.kmat >= 0.0)
 
     def test_needs_density(self):
         from persistx.model import RequestedDensityOfAtomicLaw
@@ -131,8 +130,8 @@ class TestTilt:
     def test_tilted_matrix_is_similar(self):
         m = ARModel((0.4,), Exponential(), IIDInnovation(), GE)
         grid = op.default_grid(m, 8.0, 40)
-        k0 = op.assemble_ar(m, grid, delta=0.0).dense()
-        k1 = op.assemble_ar(m, grid, delta=0.3).dense()
+        k0 = op.assemble_ar(m, grid, delta=0.0).kmat
+        k1 = op.assemble_ar(m, grid, delta=0.3).kmat
         # K_delta[x, z] = e^{-delta x} K[x, z] e^{delta z}; undo it exactly
         h = np.exp(0.3 * grid.nodes)
         back = k1 * h[:, None] / h[None, :]

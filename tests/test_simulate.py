@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from persistx import operator as op
 from persistx import simulate as sim
 from persistx.model import (
     ARModel,
@@ -168,6 +169,32 @@ class TestSplitting:
         est = sim.estimate_splitting(m, [0, 1], 100_000, 2)
         assert est.p_hat[0] == pytest.approx(0.5, abs=0.01)
         assert est.p_hat[1] == pytest.approx(1.0 / 3.0, abs=0.01)
+
+
+# Fixed-seed values of every route. The coefficients are asymmetric, so a
+# reversed or shifted coefficient in model.drift moves every value below.
+COEFFICIENT_ORDER_CASES = [
+    (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
+     [9989, 5023, 2814, 1601, 845, 466, 257, 139, 85, 54, 30, 16, 9, 5, 3, 3, 2],
+     [0.0012883976017018205, 8.876705363780745e-09, 5.820778430605072e-14],
+     0.5521365107944121),
+    (MAModel((0.5, -0.2), Gaussian(), GE),
+     [10128, 6028, 3287, 1849, 1020, 563, 322, 182, 99, 55, 31, 13, 9, 5, 3, 1, 1],
+     [0.0016855043529172124, 1.4531336319765406e-08, 1.202842803903613e-13],
+     0.5581422033717083),
+]
+
+
+class TestCoefficientOrder:
+    @pytest.mark.parametrize("m, counts, split_p, lam", COEFFICIENT_ORDER_CASES,
+                             ids=["ar2", "ma2"])
+    def test_routes_match_pinned_values(self, m, counts, split_p, lam):
+        for threads in (1, 2):
+            est = sim.estimate_crude(m, range(17), 20_000, 3, threads=threads)
+            assert est.counts.tolist() == counts
+        est = sim.estimate_splitting(m, range(51), 2000, 3)
+        assert est.p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
+        assert op.solve_operator(m, n=80).lam == pytest.approx(lam, abs=1e-12)
 
 
 class TestFitExponent:
