@@ -439,6 +439,9 @@ def _prop_truncation(case, seed):
     return monotone, {"Ms": list(ms), "lambdas": lams}
 
 
+_P0_BLOCK = 1 << 16
+
+
 def _ma_p0(model, seed):
     """P(Z_0 >= 0) for an MA model: 1D quadrature at order 1, else Monte Carlo."""
     innov = model.innovation
@@ -452,9 +455,15 @@ def _ma_p0(model, seed):
         weights = grid.weights * innov.density(grid.nodes)
         return float(weights @ (1.0 - innov.cdf(-a1 * grid.nodes)))
     rng = substream(seed, "prop", "qbound-p0")
-    xi = innov.sample(rng, (2000000, model.order + 1))
-    z0 = simulate_mod._ma_from_innovations(model, xi, 0)[:, 0]
-    return float(np.mean(model.convention.survives(z0)))
+    # row blocks drawn in turn from one stream give the same draws as one
+    # array of all the rows, without holding them all at once
+    total = 2000000
+    survivors = 0
+    for start in range(0, total, _P0_BLOCK):
+        xi = innov.sample(rng, (min(_P0_BLOCK, total - start), model.order + 1))
+        z0 = simulate_mod._ma_from_innovations(model, xi, 0)[:, 0]
+        survivors += int(np.count_nonzero(model.convention.survives(z0)))
+    return survivors / total
 
 
 def _prop_qbound(case, seed):

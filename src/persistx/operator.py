@@ -20,16 +20,24 @@ An exponential tilt h(x) = exp(delta sum_j x_j) conjugates the AR kernel by a
 positive diagonal, so the spectral radius is unchanged while eigenfunction
 mass is confined near the origin; the spectral radius itself comes from power
 iteration with sup-norm normalization and a restart on detected 2-cycles.
+
+Cost. The Gauss-Legendre rule comes from scipy.special.roots_legendre, which
+is O(N^2) (numpy's leggauss is an O(N^3) eigen-solve). The AR kernel table is
+filled in slabs of its leading axis, so memory is the table (N^(d+1) floats)
+plus one slab. At d >= 2 one apply is a batched matrix-vector product
+(np.matmul) on a strided view of the table, not a copy of it. After each
+normalization the power iterate's subnormal entries are set to zero: they
+weigh nothing at the sup-norm scale, but they slow every later matvec
+several-fold.
 """
 
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_legendre
 
 from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, drift
 
@@ -63,6 +71,15 @@ class QuadratureGrid:
     weights: np.ndarray
     edges: np.ndarray
     scheme: str
+
+
+def leggauss(n):
+    """Gauss-Legendre nodes (ascending) and weights for n points on [-1, 1].
+
+    scipy's rule costs O(n^2); numpy's leggauss solves an n x n companion
+    eigenproblem, O(n^3), which dominated the solve at n in the thousands.
+    """
+    return roots_legendre(n)
 
 
 def build_grid(lo, hi, n, d=1, scheme="gauss"):
@@ -165,9 +182,16 @@ class DiscretizedOperator:
             raise ValueError(f"value vector has shape {g.shape}, grid wants {(self.grid.n,) * d}")
         if d == 1:
             return self.kmat @ g
-        letters = string.ascii_lowercase[:d]
-        subscripts = f"{letters}z,{letters[1:]}z->{letters}"
-        return np.einsum(subscripts, self.kmat, g)
+        # batch over the shared coordinates (x_2..x_d): a strided view, so
+        # each batch is one BLAS matrix-vector product and kmat is not copied
+        out = np.empty_like(g)
+        np.matmul(np.moveaxis(self.kmat, 0, d - 1), g[..., None],
+                  out=np.moveaxis(out, 0, d - 1)[..., None])
+        return out
+
+
+# entries per assembly slab of assemble_ar
+_SLAB = 1 << 16
 
 
 def _coordinates(grid):
@@ -194,14 +218,27 @@ def assemble_ar(model, grid, delta=0.0):
     d = model.order
     if grid.d != d:
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
-    s = drift(model.coeffs, _coordinates(grid))
-    arg = grid.edges.reshape((1,) * d + (-1,)) - s[..., None]
-    cdf_vals = model.innovation.cdf(arg)
-    kmat = np.clip(cdf_vals[..., 1:] - cdf_vals[..., :-1], 0.0, None)
+    n = grid.n
     delta = float(delta)
+    cols = _coordinates(grid)
+    edges = grid.edges.reshape((1,) * d + (-1,))
+    kmat = np.empty((n,) * d + (n,))
     if delta != 0.0:
-        kmat = kmat * np.exp(delta * grid.nodes)
-        kmat = kmat * np.exp(-delta * grid.nodes).reshape((grid.n,) + (1,) * d)
+        tilt_to = np.exp(delta * grid.nodes)
+        tilt_from = np.exp(-delta * grid.nodes).reshape((n,) + (1,) * d)
+    # fill kmat in slabs of the leading axis, about _SLAB entries each, so
+    # the temporaries stay small next to kmat
+    step = max(1, _SLAB // (n ** (d - 1) * (n + 1)))
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        s = drift(model.coeffs, [cols[0][rows]] + cols[1:])
+        cdf_vals = model.innovation.cdf(edges - s[..., None])
+        slab = kmat[rows]
+        np.subtract(cdf_vals[..., 1:], cdf_vals[..., :-1], out=slab)
+        np.clip(slab, 0.0, None, out=slab)
+        if delta != 0.0:
+            slab *= tilt_to
+            slab *= tilt_from[rows]
     return DiscretizedOperator(
         grid=grid,
         kmat=kmat,
@@ -287,6 +324,9 @@ class SpectralResult:
         }
 
 
+_TINY = np.finfo(float).tiny
+
+
 def spectral_radius(op, tol=1e-10, max_iter=50000):
     """Power iteration for the Perron root of a nonnegative operator.
 
@@ -324,6 +364,9 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
             lam_prev2 = math.inf
             continue
         v = w / lam
+        # flush subnormal entries: they carry no weight at the sup-norm scale
+        # of v but slow every later matvec several-fold
+        v[v < _TINY] = 0.0
         lam_prev2 = lam_prev
         lam_prev = lam
     lam, v, residual, it = best

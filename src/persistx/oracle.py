@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     ARModel,
@@ -93,6 +92,10 @@ def _ma1_uniform_root(a, b, tol=1e-12, step=1e-3):
     change, which brackets the largest real root; the bracket is then
     refined until the equation residual is below tol.
     """
+    # imported here so that `import persistx` does not load scipy.optimize;
+    # only the two root finders use it
+    from scipy.optimize import brentq
+
     # the tan argument hits pi/2 at lam = 2a/((a+b) pi); stay above the pole
     pole = 2.0 * a / ((a + b) * math.pi)
     lam = 1.0
@@ -272,6 +275,8 @@ def characteristic_root(coeffs):
 
     def g(rho):
         return sum(aj * rho ** -(j + 1) for j, aj in enumerate(a)) - 1.0
+
+    from scipy.optimize import brentq
 
     lo = 1.0
     hi = 2.0

@@ -251,6 +251,14 @@ class TestPropertyChecks:
         assert ok
         assert details["p0"] == pytest.approx(0.5, abs=2e-3)
 
+    @pytest.mark.parametrize("coeffs,innovation,p0", [
+        ((0.3, 0.7), Rademacher(), 0.6247475),
+        ((0.5, -0.2, 0.1), Exponential(), 0.968156),
+    ])
+    def test_monte_carlo_p0_pinned(self, coeffs, innovation, p0):
+        # drawing the innovations in row blocks keeps the one-array values
+        assert harness._ma_p0(MAModel(coeffs, innovation, GE), 0) == p0
+
 
 def tiny_config():
     return {

@@ -1,4 +1,5 @@
 import math
+import string
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from persistx.model import (
     Rademacher,
     SurvivalConvention,
     Uniform,
+    drift,
 )
 
 GE = SurvivalConvention.NON_NEGATIVE
@@ -41,6 +43,13 @@ class TestGrids:
         assert np.all(np.diff(g.nodes) > 0)
         assert g.edges[0] == lo and g.edges[-1] == pytest.approx(hi)
         assert np.all(g.nodes > g.edges[:-1]) and np.all(g.nodes < g.edges[1:])
+
+    @pytest.mark.parametrize("n", [2, 3, 150, 151, 800])
+    def test_gauss_rule_matches_numpy(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        g = op.build_grid(-1.0, 1.0, n, scheme="gauss")
+        assert np.abs(g.nodes - x).max() <= 1e-15
+        assert np.abs(g.weights - w).max() <= 1e-12
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -117,6 +126,49 @@ class TestAssembleAr:
             ).lam
         assert lam[(0.25, 0.0)] < lam[(0.25, 0.25)] < lam[(0.4, 0.25)]
         assert 0.5 < lam[(0.25, 0.0)] < 1.0
+
+
+def _one_shot_kmat(model, grid, delta):
+    """The AR kernel table built in one piece: every entry at once."""
+    d = model.order
+    cols = [grid.nodes.reshape((-1,) + (1,) * (d - 1 - k)) for k in range(d)]
+    s = drift(model.coeffs, cols)
+    cdf_vals = model.innovation.cdf(grid.edges.reshape((1,) * d + (-1,)) - s[..., None])
+    kmat = np.clip(cdf_vals[..., 1:] - cdf_vals[..., :-1], 0.0, None)
+    if delta != 0.0:
+        kmat = kmat * np.exp(delta * grid.nodes)
+        kmat = kmat * np.exp(-delta * grid.nodes).reshape((grid.n,) + (1,) * d)
+    return kmat
+
+
+class TestSlabAssembly:
+    # every size spans several assembly slabs, the last one partial
+    @pytest.mark.parametrize("coeffs,innovation,n", [
+        ((0.4,), Gaussian(), 400),
+        ((-0.7,), Exponential(), 300),
+        ((0.3, 0.2), Gaussian(), 60),
+        ((0.5, -0.3), Exponential(), 45),
+    ])
+    @pytest.mark.parametrize("delta", [0.0, 0.35])
+    def test_kmat_equals_one_shot_formula(self, coeffs, innovation, n, delta):
+        m = ARModel(coeffs, innovation, IIDInnovation(), GE)
+        grid = op.default_grid(m, 7.0, n)
+        kmat = op.assemble_ar(m, grid, delta=delta).kmat
+        assert np.array_equal(kmat, _one_shot_kmat(m, grid, delta))
+
+
+class TestApply:
+    @pytest.mark.parametrize("coeffs,n", [((0.3, 0.2), 50), ((0.3, 0.2, 0.1), 14)])
+    def test_matches_einsum(self, coeffs, n):
+        m = ARModel(coeffs, Gaussian(), IIDInnovation(), GE)
+        kop = op.assemble_ar(m, op.default_grid(m, 6.0, n), delta=0.3)
+        d = len(coeffs)
+        g = np.random.default_rng(5).random((n,) * d)
+        letters = string.ascii_lowercase[:d]
+        expected = np.einsum(f"{letters}z,{letters[1:]}z->{letters}", kop.kmat, g)
+        out = kop.apply(g)
+        assert out.shape == (n,) * d
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestTilt:
@@ -238,6 +290,16 @@ class TestPowerIteration:
         kop = op.DiscretizedOperator(grid, kmat, {"process": "ar"})
         res = op.spectral_radius(kop, tol=1e-12, max_iter=2000)
         assert res.lam == pytest.approx(1.0, abs=1e-9)
+
+    def test_slow_mixing_ma1_pinned_without_subnormals(self):
+        # MA(1) a1=-1 mixes slowly: 4,691 iterations drive the iterate's tail
+        # below the normal range, where it is flushed to zero
+        m = MAModel((-1.0,), Gaussian(), GE)
+        res = op.solve_operator(m, n=400)
+        assert res.lam == pytest.approx(0.015178141722145669, abs=1e-12)
+        assert res.iterations == 4691
+        tiny = np.finfo(float).tiny
+        assert not np.any((res.psi > 0.0) & (res.psi < tiny))
 
     def test_spectral_result_payload(self):
         m = ARModel((0.3,), Gaussian(), IIDInnovation(), GE)

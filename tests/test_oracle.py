@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from persistx import oracle
 from persistx.model import (
@@ -186,7 +191,7 @@ class TestMa1Exponential:
         lam = 1.0 + a1
         g = oracle.ma1_exponential_eigenfunction(a1)
         xs = np.linspace(0.0, 5.0, 9)
-        y, w = np.polynomial.legendre.leggauss(4000)
+        y, w = roots_legendre(4000)
         for x in xs:
             lo = max(0.0, -a1 * x)
             hi = 60.0
@@ -293,3 +298,14 @@ class TestLogConcaveConditionalMean:
         dist = Exponential()
         got = oracle.shifted_step_conditional_mean(dist, np.array([1.0]), np.array([1.0]), 0.5)
         assert got == pytest.approx(math.exp(-0.5), rel=1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the root finders import scipy.optimize when called, not at import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, persistx; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
