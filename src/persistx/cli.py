@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import harness as harness_mod
@@ -22,17 +23,16 @@ from . import oracle as oracle_mod
 from . import simulate as simulate_mod
 from .harness import ConfigError, canonical_json
 from .model import (
+    INNOVATIONS,
     ARModel,
     Exponential,
-    Gaussian,
     IIDInnovation,
     MAModel,
     PointMass,
-    Rademacher,
     RequestedDensityOfAtomicLaw,
     StationaryAR1Gaussian,
     SurvivalConvention,
-    Uniform,
+    innovation_from_json,
 )
 
 COMPUTE_ERRORS = (
@@ -52,28 +52,26 @@ def _parse_floats(text):
 
 
 def parse_innovation(text):
-    """Parse kind[:params], e.g. uniform:-1,1  gaussian:2  exponential."""
+    """Parse kind[:params], e.g. uniform:-1,1  gaussian:2  exponential.
+
+    The parameters are the law's fields in model.INNOVATIONS, all or none
+    (none keeps the defaults).
+    """
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
-    if kind == "uniform":
-        params = _parse_floats(rest) if rest else [-1.0, 1.0]
-        if len(params) != 2:
-            raise ValueError("uniform takes two parameters, lo,hi")
-        return Uniform(params[0], params[1])
-    if kind == "gaussian":
-        params = _parse_floats(rest) if rest else [1.0]
-        if len(params) != 1:
-            raise ValueError("gaussian takes one parameter, sd")
-        return Gaussian(params[0])
-    if kind == "exponential":
-        if rest:
-            raise ValueError("exponential takes no parameters")
-        return Exponential()
-    if kind == "rademacher":
-        if rest:
-            raise ValueError("rademacher takes no parameters")
-        return Rademacher()
-    raise ValueError(f"unknown innovation kind {kind!r}")
+    obj = {"kind": kind}
+    if rest and kind in INNOVATIONS:
+        names = [f.name for f in fields(INNOVATIONS[kind])]
+        values = _parse_floats(rest)
+        if len(values) != len(names):
+            raise ValueError(f"{kind} takes {','.join(names) or 'no parameters'}, got {rest!r}")
+        obj.update(zip(names, values))
+    return innovation_from_json(obj)
+
+
+def float_or_auto(text):
+    """A --delta value: a float, or 'auto' for operator.default_delta."""
+    return text if text == "auto" else float(text)
 
 
 def parse_initial(text, innovation):
@@ -140,17 +138,13 @@ def cmd_simulate(args):
         horizons = [int(tok) for tok in args.horizons.split(",")]
     else:
         horizons = list(range(0, args.n + 1))
-    t0 = time.perf_counter()
-    if args.method == "crude":
-        est = simulate_mod.estimate_crude(model, horizons, args.reps, args.seed,
-                                          threads=_threads(args))
-    else:
-        est = simulate_mod.estimate_splitting(model, horizons, args.particles, args.seed)
+    mc = {"method": args.method, "horizons": horizons, "replicates": args.reps,
+          "particles": args.particles, "threads": _threads(args)}
     if args.window:
         i0, _, i1 = args.window.partition(":")
-        lam, hw = simulate_mod.fit_exponent(est, (int(i0), int(i1)))
-        est.lambda_hat, est.half_width = lam, hw
-        est.window = (int(i0), int(i1))
+        mc["window"] = (int(i0), int(i1))
+    t0 = time.perf_counter()
+    est = harness_mod.run_mc(model, mc, args.seed)
     wall = time.perf_counter() - t0
     payload = {"model": model.to_json(), "estimate": est.to_json(), "seed": args.seed}
     if args.csv:
@@ -167,11 +161,8 @@ def cmd_simulate(args):
 
 def cmd_operator(args):
     model = build_model(args)
-    delta = args.delta
-    if delta != "auto":
-        delta = float(delta)
     res = operator_mod.solve_operator(
-        model, m=args.M, n=args.N, delta=delta, scheme=args.scheme,
+        model, m=args.M, n=args.N, delta=args.delta, scheme=args.scheme,
         cut_cell=not args.no_cut_cell, tol=args.tol, max_iter=args.max_iter,
     )
     payload = {"model": model.to_json(), "result": res.to_json()}
@@ -239,7 +230,7 @@ def cmd_oracle(args):
     elif case == "iid":
         innovation = parse_innovation(args.innovation)
         payload["parameters"] = {"innovation": innovation.to_json()}
-        payload["exponent"] = 1.0 - float(innovation.cdf(0.0))
+        payload["exponent"] = oracle_mod.iid_exponent(innovation)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown oracle case {case!r}")
     _emit(payload, args.out)
@@ -262,10 +253,8 @@ def cmd_compare(args):
         case["operator"] = {"N": args.N}
         if args.M is not None:
             case["operator"]["M"] = args.M
-        if args.delta != "0":
-            case["operator"]["delta"] = (
-                args.delta if args.delta == "auto" else float(args.delta)
-            )
+        if args.delta != 0.0:
+            case["operator"]["delta"] = args.delta
     report = harness_mod.compare(case)
     _emit(report.to_payload(), args.out)
     return 0 if report.passed else 1
@@ -293,10 +282,9 @@ def cmd_sweep(args):
     if args.kind == "convergence":
         ms = _parse_floats(args.Ms) if args.Ms else None
         ns = [int(x) for x in _parse_floats(args.Ns)] if args.Ns else None
-        delta = args.delta if args.delta == "auto" else float(args.delta)
         if ms is None or ns is None:
             raise ValueError("sweep --kind convergence requires --Ms and --Ns")
-        result = operator_mod.convergence_sweep(model, ms, ns, delta=delta,
+        result = operator_mod.convergence_sweep(model, ms, ns, delta=args.delta,
                                                 scheme=args.scheme)
         _emit(result, args.out)
         return 0
@@ -304,9 +292,8 @@ def cmd_sweep(args):
         if not args.coeff_grid:
             raise ValueError("sweep --kind monotonicity requires --coeff-grid")
         grid = [_parse_floats(tok) for tok in args.coeff_grid.split(";")]
-        delta = args.delta if args.delta == "auto" else float(args.delta)
         result = harness_mod.monotonicity_sweep(model, grid, m=args.M, n=args.N,
-                                                delta=delta, scheme=args.scheme)
+                                                delta=args.delta, scheme=args.scheme)
         _emit(result, args.out)
         return 0 if result["passed"] else 1
     if args.kind == "continuity":
@@ -314,9 +301,8 @@ def cmd_sweep(args):
             raise ValueError("sweep --kind continuity requires --path and --target")
         path = [_parse_floats(tok) for tok in args.path.split(";")]
         target = _parse_floats(args.target)
-        delta = args.delta if args.delta == "auto" else float(args.delta)
         result = harness_mod.continuity_sweep(model, path, target, m=args.M,
-                                              n=args.N, delta=delta,
+                                              n=args.N, delta=args.delta,
                                               scheme=args.scheme)
         _emit(result, args.out)
         return 0 if result["passed"] else 1
@@ -353,7 +339,8 @@ def build_parser():
     add_model_arguments(p)
     p.add_argument("--M", type=float, help="state truncation (default: innovation tails)")
     p.add_argument("--N", type=int, default=400, help="nodes per axis")
-    p.add_argument("--delta", default="0", help="AR tilt rate, a float or 'auto'")
+    p.add_argument("--delta", type=float_or_auto, default="0",
+                   help="AR tilt rate, a float or 'auto'")
     p.add_argument("--scheme", choices=["gauss", "midpoint"], default="gauss")
     p.add_argument("--no-cut-cell", action="store_true",
                    help="disable the MA boundary-cell correction")
@@ -390,7 +377,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--M", type=float)
     p.add_argument("--N", type=int, default=400)
-    p.add_argument("--delta", default="0")
+    p.add_argument("--delta", type=float_or_auto, default="0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -405,7 +392,7 @@ def build_parser():
     p.add_argument("--target", help="target coefficient vector")
     p.add_argument("--M", type=float)
     p.add_argument("--N", type=int, default=200)
-    p.add_argument("--delta", default="0")
+    p.add_argument("--delta", type=float_or_auto, default="0")
     p.add_argument("--scheme", choices=["gauss", "midpoint"], default="gauss")
     p.add_argument("--config", help="suite JSON config")
     p.add_argument("--out-dir", help="suite report directory")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -76,17 +76,14 @@ class InnovationDistribution:
         """A rate r with density(x) <= C exp(-r|x|); inf for compact support."""
         raise NotImplementedError
 
-    def params(self):
-        return {}
-
     def to_json(self):
-        return {"kind": self.kind, **self.params()}
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
 class Uniform(InnovationDistribution):
-    lo: float
-    hi: float
+    lo: float = -1.0
+    hi: float = 1.0
 
     kind = "uniform"
 
@@ -116,9 +113,6 @@ class Uniform(InnovationDistribution):
 
     def exponential_decay_rate(self):
         return math.inf
-
-    def params(self):
-        return {"lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -160,9 +154,6 @@ class Gaussian(InnovationDistribution):
 
     def exponential_decay_rate(self):
         return 1.0 / self.sd
-
-    def params(self):
-        return {"sd": self.sd}
 
 
 @dataclass(frozen=True)
@@ -223,6 +214,12 @@ class Rademacher(InnovationDistribution):
 
     def exponential_decay_rate(self):
         return math.inf
+
+
+# kind -> law. The dataclass fields of a law are the parameters of its kind,
+# in the order the command line lists them, with their defaults; the JSON
+# schema and the command-line grammar both read them from here.
+INNOVATIONS = {cls.kind: cls for cls in (Uniform, Gaussian, Exponential, Rademacher)}
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +410,10 @@ def innovation_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"innovation description must be an object with a 'kind' field, got {obj!r}")
     kind = obj["kind"]
-    if kind == "uniform":
-        return Uniform(float(obj["lo"]), float(obj["hi"]))
-    if kind == "gaussian":
-        return Gaussian(float(obj.get("sd", 1.0)))
-    if kind == "exponential":
-        return Exponential()
-    if kind == "rademacher":
-        return Rademacher()
-    raise ValueError(f"unknown innovation kind {kind!r}")
+    cls = INNOVATIONS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown innovation kind {kind!r}")
+    return cls(**{f.name: float(obj[f.name]) for f in fields(cls) if f.name in obj})
 
 
 def initial_from_json(obj, default_innovation):

@@ -286,7 +286,14 @@ def assemble_ma(model, grid, cut_cell=True):
 
 
 def assemble(model, grid, delta=0.0, cut_cell=True):
+    """The model's operator on the grid; delta="auto" means default_delta.
+
+    Every route to an operator (solve_operator, convergence_sweep,
+    truncation_lambdas) passes through here, so "auto" is resolved once.
+    """
     if isinstance(model, ARModel):
+        if delta == "auto":
+            delta = default_delta(model)
         return assemble_ar(model, grid, delta=delta)
     return assemble_ma(model, grid, cut_cell=cut_cell)
 
@@ -382,8 +389,6 @@ def solve_operator(model, m=None, n=400, delta=0.0, scheme="gauss", cut_cell=Tru
     """One-call operator route: grid defaults, assembly, power iteration."""
     if m is None:
         m = default_truncation(model.innovation)
-    if delta == "auto":
-        delta = default_delta(model) if isinstance(model, ARModel) else 0.0
     grid = default_grid(model, m, n, scheme=scheme)
     op = assemble(model, grid, delta=delta, cut_cell=cut_cell)
     return spectral_radius(op, tol=tol, max_iter=max_iter)

@@ -1,11 +1,11 @@
 """Closed-form persistence exponents and exact probabilities for concrete cases.
 
 Everything here is an independent ground truth for the operator and Monte
-Carlo routes: AR(1) with uniform or exponential innovations, MA(1) with
-uniform, symmetric, Rademacher, or exponential innovations, the degenerate
-moving average with factorially decaying probabilities, and regime
-classification (degenerate / contractive / nonpositive / supercritical with
-its characteristic root).
+Carlo routes: iid sequences, AR(1) with uniform or exponential innovations,
+MA(1) with uniform, symmetric, Rademacher, or exponential innovations, the
+degenerate moving average with factorially decaying probabilities, and
+regime classification (degenerate / contractive / nonpositive /
+supercritical with its characteristic root).
 """
 
 from __future__ import annotations
@@ -29,6 +29,15 @@ class BracketNotFound(Exception):
 
 
 # ---------------------------------------------------------------------------
+# iid sequences (every coefficient zero)
+
+
+def iid_exponent(innovation):
+    """Exponent 1 - F(0) of an iid sequence: each step survives independently."""
+    return 1.0 - float(innovation.cdf(0.0))
+
+
+# ---------------------------------------------------------------------------
 # AR(1) cases
 
 
@@ -42,31 +51,29 @@ def ar1_uniform_exponent(a, b):
     return 2.0 * b / (math.pi * (a + b))
 
 
-def ar1_exponential_prefactor(a1, initial):
-    """E[exp(a1 Z0); Z0 >= 0] for the supported initial laws."""
-    if isinstance(initial, PointMass):
-        if len(initial.values) != 1:
-            raise ValueError("closed form needs an order-1 initial state")
-        x0 = initial.values[0]
-        return math.exp(a1 * x0) if x0 >= 0 else 0.0
-    if isinstance(initial, IIDInnovation) and isinstance(initial.innovation, Exponential):
-        # int_0^inf e^{a1 z} e^{-z} dz
-        return 1.0 / (1.0 - a1)
-    raise ValueError(
-        "closed form available for point-mass or standard-exponential initial laws only"
-    )
-
-
 def ar1_exponential_pn(a1, n, initial):
     """Exact p_n for AR(1), a1 < 0, standard exponential innovations, n >= 1.
 
-    p_n = (1/(1-a1))^(n-1) * E[exp(a1 Z0); Z0 >= 0].
+    p_n = (1/(1-a1))^(n-1) * E[exp(a1 Z0); Z0 >= 0], where the prefactor is
+    known for point-mass and standard-exponential initial laws.
     """
     if not a1 < 0:
         raise ValueError(f"need a1 < 0, got {a1}")
     if n < 1:
         raise ValueError(f"the closed form holds for n >= 1, got n={n}")
-    return (1.0 / (1.0 - a1)) ** (n - 1) * ar1_exponential_prefactor(a1, initial)
+    if isinstance(initial, PointMass):
+        if len(initial.values) != 1:
+            raise ValueError("closed form needs an order-1 initial state")
+        x0 = initial.values[0]
+        prefactor = math.exp(a1 * x0) if x0 >= 0 else 0.0
+    elif isinstance(initial, IIDInnovation) and isinstance(initial.innovation, Exponential):
+        # int_0^inf e^{a1 z} e^{-z} dz
+        prefactor = 1.0 / (1.0 - a1)
+    else:
+        raise ValueError(
+            "closed form available for point-mass or standard-exponential initial laws only"
+        )
+    return (1.0 / (1.0 - a1)) ** (n - 1) * prefactor
 
 
 def ar1_exponential_exponent(a1):
@@ -157,13 +164,6 @@ def ma1_symmetric_series(c, terms=200):
 def ma1_symmetric_exponent():
     """Exponent 2/pi of MA(1) with a1 = 1 and any symmetric innovation density."""
     return 2.0 / math.pi
-
-
-def bivariate_gaussian_orthant(corr):
-    """P(X >= 0, Y >= 0) for standard bivariate normal with correlation corr."""
-    if not -1.0 <= corr <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {corr}")
-    return 0.25 + math.asin(corr) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,29 @@ class NonPositiveProbabilityInWindow(Exception):
 
 
 # ---------------------------------------------------------------------------
-# single-path simulation
+# path sampling
+
+
+def sample_paths(model, n, size, rng):
+    """Z_0..Z_n of `size` independent paths, shape (size, n + 1).
+
+    This is the one AR/MA path recursion: crude blocks, single paths and
+    the MA sample of the qbound check all call it. An AR path takes its
+    first p values from the initial law, then one innovation per path at
+    each step; an MA path is built from one (size, n + q + 1) draw of
+    xi_{-q}..xi_n.
+    """
+    if isinstance(model, ARModel):
+        p = model.order
+        z = np.empty((size, n + 1))
+        z[:, :p] = model.initial.sample(p, rng, size=size)[:, : n + 1]
+        for i in range(p, n + 1):
+            z[:, i] = drift(model.coeffs, z[:, i - p:i].T) + model.innovation.sample(rng, size)
+        return z
+    q = model.order
+    xi = model.innovation.sample(rng, (size, n + q + 1))
+    cols = [xi[:, k:k + n + 1] for k in range(q)]
+    return drift(model.coeffs, cols) + xi[:, q:q + n + 1]
 
 
 def simulate_ar_path(model, n, stream):
@@ -47,27 +69,14 @@ def simulate_ar_path(model, n, stream):
     p = model.order
     if n < p:
         raise ValueError(f"need n >= order, got n={n} < p={p}")
-    z = np.empty(n + 1)
-    z[:p] = model.initial.sample(p, stream)
-    for i in range(p, n + 1):
-        z[i] = drift(model.coeffs, z[i - p:i]) + model.innovation.sample(stream)
-    return z
+    return sample_paths(model, n, 1, stream)[0]
 
 
 def simulate_ma_path(model, n, stream):
     """One MA path Z_0..Z_n built from draws xi_{-q}..xi_n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    q = model.order
-    xi = model.innovation.sample(stream, n + q + 1)
-    return _ma_from_innovations(model, xi, n)
-
-
-def _ma_from_innovations(model, xi, n):
-    """Z_0..Z_n from innovations xi_{-q}..xi_n along the last axis."""
-    q = model.order
-    cols = [xi[..., k:k + n + 1] for k in range(q)]
-    return drift(model.coeffs, cols) + xi[..., q:q + n + 1]
+    return sample_paths(model, n, 1, stream)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +85,7 @@ def _ma_from_innovations(model, xi, n):
 
 def _survival_counts_block(model, horizons, block_size, rng):
     """Survival counts at each horizon for one block of independent paths."""
-    n_max = int(horizons[-1])
-    if isinstance(model, ARModel):
-        p = model.order
-        z = np.empty((block_size, n_max + 1))
-        init = model.initial.sample(p, rng, size=block_size)
-        z[:, :p] = init[:, : n_max + 1]
-        for i in range(p, n_max + 1):
-            xi = model.innovation.sample(rng, block_size)
-            z[:, i] = drift(model.coeffs, z[:, i - p:i].T) + xi
-    else:
-        q = model.order
-        xi = model.innovation.sample(rng, (block_size, n_max + q + 1))
-        z = _ma_from_innovations(model, xi, n_max)
+    z = sample_paths(model, int(horizons[-1]), block_size, rng)
     running_min = np.minimum.accumulate(z, axis=1)
     alive = model.convention.survives(running_min)
     return alive[:, horizons].sum(axis=0, dtype=np.int64)

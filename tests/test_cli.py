@@ -1,9 +1,15 @@
 import json
 import math
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from persistx import cli
+from persistx import cli, operator
+from persistx.model import INNOVATIONS, innovation_from_json
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, argv):
@@ -36,6 +42,16 @@ class TestParsing:
         for bad in ("uniform:1", "gaussian:1,2", "exponential:3", "cauchy:1"):
             with pytest.raises(ValueError):
                 cli.parse_innovation(bad)
+
+    @pytest.mark.parametrize("kind", sorted(INNOVATIONS))
+    def test_flag_and_json_build_the_same_law(self, kind):
+        names = [f.name for f in fields(INNOVATIONS[kind])]
+        values = [0.5 + i for i in range(len(names))]
+        flag = kind + (":" + ",".join(map(str, values)) if names else "")
+        law = cli.parse_innovation(flag)
+        assert law == innovation_from_json({"kind": kind, **dict(zip(names, values))})
+        assert law.to_json() == {"kind": kind, **dict(zip(names, values))}
+        assert cli.parse_innovation(kind) == innovation_from_json({"kind": kind})
 
     def test_bad_innovation_is_computation_failure(self, capsys):
         code, out, err = run(capsys, [
@@ -170,6 +186,7 @@ class TestCompareCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["lambda_oracle"] == pytest.approx(1.0 / math.pi)
+        assert "delta" not in payload["case"]["operator"]
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "case.json"
@@ -203,6 +220,15 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["table"]) == 4
+
+    def test_convergence_auto_delta(self, capsys):
+        argv = ["sweep", "--kind", "convergence", "--process", "ar", "--coeffs", "0.4",
+                "--innovation", "gaussian:2", "--Ms", "6,8", "--Ns", "40,60"]
+        code, out, _ = run(capsys, argv + ["--delta", "auto"])
+        assert code == 0
+        model = cli.build_model(cli.build_parser().parse_args(argv))
+        _, ref, _ = run(capsys, argv + ["--delta", repr(operator.default_delta(model))])
+        assert json.loads(out)["table"] == json.loads(ref)["table"]
 
     def test_continuity(self, capsys):
         code, out, _ = run(capsys, [
@@ -254,3 +280,16 @@ class TestRoundTrip:
                                     "--a", "1", "--b", "3"])
         payload = json.loads(out)
         assert payload["exponent"] == 0.8993316389440023
+
+
+class TestReadme:
+    def test_documented_command_lines_parse(self):
+        # every `persistx ...` line of README.md, continuations joined
+        text = README.read_text().replace("\\\n", " ")
+        lines = [line.strip() for line in text.splitlines() if line.strip().startswith("persistx ")]
+        assert len(lines) >= 9
+        parser = cli.build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            if getattr(args, "process", None):
+                cli.build_model(args)

@@ -180,7 +180,6 @@ class TestCompare:
         report = harness.compare(case)
         text = harness.canonical_json(report.to_payload())
         assert "wall" not in text
-        assert report.wall_times  # measured, just not serialized
 
 
 class TestMonotonicitySweep:
@@ -250,6 +249,13 @@ class TestPropertyChecks:
         ok, details = harness.PROPERTY_CHECKS["qbound"](case, 0)
         assert ok
         assert details["p0"] == pytest.approx(0.5, abs=2e-3)
+
+    def test_nonnegativity_takes_auto_delta(self):
+        # "auto" is resolved by operator.assemble, as in compare cases
+        case = {"process": "ar", "coeffs": [0.5], "innovation": {"kind": "gaussian"},
+                "operator": {"N": 60, "delta": "auto"}}
+        ok, _ = harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
+        assert ok
 
     @pytest.mark.parametrize("coeffs,innovation,p0", [
         ((0.3, 0.7), Rademacher(), 0.6247475),

@@ -131,12 +131,6 @@ class TestMa1SymmetricSeries:
         assert ratio == pytest.approx(2.0 / math.pi, abs=1e-3)
         assert oracle.ma1_symmetric_exponent() == pytest.approx(2.0 / math.pi, abs=1e-15)
 
-    def test_orthant_cross_check(self):
-        # the two-constraint value is the orthant probability of a
-        # correlation-1/2 Gaussian pair
-        assert oracle.bivariate_gaussian_orthant(0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert oracle.bivariate_gaussian_orthant(0.0) == pytest.approx(0.25, abs=1e-15)
-
 
 class TestRademacher:
     def test_strict_small_n_brute_force(self):

@@ -39,6 +39,27 @@ class TestPaths:
         assert z[2] == pytest.approx(0.5 * 1.0 + 0.25 * 1.0, abs=1e-7)
         assert z[3] == pytest.approx(0.5 * z[2] + 0.25 * z[1], abs=1e-7)
 
+    # Z_0..Z_5 at substream(5, "path"), pinned: a change in the order in
+    # which a path consumes its stream moves every value
+    @pytest.mark.parametrize("coeffs, innovation, initial, expected", [
+        ((0.4,), Gaussian(), IIDInnovation(),
+         [-0.14082972677712058, 0.10144076959792095, 0.6944054442524106,
+          0.11086801363382923, 2.1990818828279624, 1.207134897761386]),
+        ((0.4,), Gaussian(), PointMass((0.3,)),
+         [0.3, -0.020829726777120583, 0.14944076959792096, 0.7136054442524107,
+          0.1185480136338293, 2.2021538828279623]),
+        ((0.4,), Gaussian(), StationaryAR1Gaussian(0.4),
+         [-0.15365782929907246, 0.0963095285891402, 0.6923529478488983,
+          0.11004701507242434, 2.1987534834034004, 1.2070035379915613]),
+        ((0.5, -0.3), Exponential(), IIDInnovation(),
+         [0.5869909942023351, 0.8270947252352214, 1.5976442328111145,
+          1.119372087871926, 4.241434905399198, 2.7747245355178505]),
+    ], ids=["iid", "point", "stationary", "ar2_iid"])
+    def test_ar_path_pinned(self, coeffs, innovation, initial, expected):
+        m = ARModel(coeffs, innovation, initial, GE)
+        z = sim.simulate_ar_path(m, 5, substream(5, "path"))
+        assert z.tolist() == pytest.approx(expected, rel=1e-12)
+
     def test_ar_path_needs_horizon_at_least_order(self):
         m = ARModel((0.5, 0.25), Gaussian(), IIDInnovation(), GE)
         with pytest.raises(ValueError):
