@@ -26,12 +26,10 @@ from .model import (
     INNOVATIONS,
     ARModel,
     Exponential,
-    IIDInnovation,
     MAModel,
-    PointMass,
     RequestedDensityOfAtomicLaw,
-    StationaryAR1Gaussian,
     SurvivalConvention,
+    initial_from_json,
     innovation_from_json,
 )
 
@@ -75,21 +73,24 @@ def float_or_auto(text):
 
 
 def parse_initial(text, innovation):
+    """Map iid | point:v1,... | stationary:a1 onto a JSON initial law and build it."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "iid":
-        return IIDInnovation(innovation)
-    if kind == "point":
+        obj = {"kind": "iid"}
+    elif kind == "point":
         values = _parse_floats(rest)
         if not values:
             raise ValueError("point initial law needs values, e.g. point:0.0")
-        return PointMass(values)
-    if kind == "stationary":
+        obj = {"kind": "point_mass", "values": values}
+    elif kind == "stationary":
         params = _parse_floats(rest)
         if len(params) != 1:
             raise ValueError("stationary initial law takes one parameter, a1")
-        return StationaryAR1Gaussian(params[0])
-    raise ValueError(f"unknown initial law {kind!r}")
+        obj = {"kind": "stationary_ar1_gaussian", "a1": params[0]}
+    else:
+        raise ValueError(f"unknown initial law {kind!r}")
+    return initial_from_json(obj, innovation)
 
 
 def build_model(args):
@@ -161,10 +162,7 @@ def cmd_simulate(args):
 
 def cmd_operator(args):
     model = build_model(args)
-    res = operator_mod.solve_operator(
-        model, m=args.M, n=args.N, delta=args.delta, scheme=args.scheme,
-        cut_cell=not args.no_cut_cell, tol=args.tol, max_iter=args.max_iter,
-    )
+    res = operator_mod.solve_operator(model, m=args.M, n=args.N, delta=args.delta)
     payload = {"model": model.to_json(), "result": res.to_json()}
     if args.eigenfunction:
         if res.grid.d != 1:
@@ -239,7 +237,7 @@ def cmd_oracle(args):
 
 def cmd_compare(args):
     if args.config:
-        case = harness_mod._load_config(args.config)
+        case = harness_mod.load_config(args.config)
     else:
         model = build_model(args)
         case = model.to_json()
@@ -284,8 +282,7 @@ def cmd_sweep(args):
         ns = [int(x) for x in _parse_floats(args.Ns)] if args.Ns else None
         if ms is None or ns is None:
             raise ValueError("sweep --kind convergence requires --Ms and --Ns")
-        result = operator_mod.convergence_sweep(model, ms, ns, delta=args.delta,
-                                                scheme=args.scheme)
+        result = operator_mod.convergence_sweep(model, ms, ns, delta=args.delta)
         _emit(result, args.out)
         return 0
     if args.kind == "monotonicity":
@@ -293,7 +290,7 @@ def cmd_sweep(args):
             raise ValueError("sweep --kind monotonicity requires --coeff-grid")
         grid = [_parse_floats(tok) for tok in args.coeff_grid.split(";")]
         result = harness_mod.monotonicity_sweep(model, grid, m=args.M, n=args.N,
-                                                delta=args.delta, scheme=args.scheme)
+                                                delta=args.delta)
         _emit(result, args.out)
         return 0 if result["passed"] else 1
     if args.kind == "continuity":
@@ -302,8 +299,7 @@ def cmd_sweep(args):
         path = [_parse_floats(tok) for tok in args.path.split(";")]
         target = _parse_floats(args.target)
         result = harness_mod.continuity_sweep(model, path, target, m=args.M,
-                                              n=args.N, delta=args.delta,
-                                              scheme=args.scheme)
+                                              n=args.N, delta=args.delta)
         _emit(result, args.out)
         return 0 if result["passed"] else 1
     raise ValueError(f"unknown sweep kind {args.kind!r}")  # pragma: no cover
@@ -341,11 +337,6 @@ def build_parser():
     p.add_argument("--N", type=int, default=400, help="nodes per axis")
     p.add_argument("--delta", type=float_or_auto, default="0",
                    help="AR tilt rate, a float or 'auto'")
-    p.add_argument("--scheme", choices=["gauss", "midpoint"], default="gauss")
-    p.add_argument("--no-cut-cell", action="store_true",
-                   help="disable the MA boundary-cell correction")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50000)
     p.add_argument("--eigenfunction", help="write x,psi CSV (1D grids only)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_operator)
@@ -393,7 +384,6 @@ def build_parser():
     p.add_argument("--M", type=float)
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--delta", type=float_or_auto, default="0")
-    p.add_argument("--scheme", choices=["gauss", "midpoint"], default="gauss")
     p.add_argument("--config", help="suite JSON config")
     p.add_argument("--out-dir", help="suite report directory")
     p.add_argument("--threads", type=int)

@@ -204,6 +204,22 @@ class ComparisonReport:
 
 
 DEFAULT_TOLERANCES = {"oracle_operator": 2e-3, "oracle_mc": 5e-3, "operator_mc": 5e-3}
+# the largest final gap a continuity sweep passes with
+CONTINUITY_GAP_TOL = 1e-3
+# the keys of a case's "operator" section; the solver rule itself is fixed
+_OPERATOR_KEYS = ("M", "N", "delta", "skip")
+
+
+def _operator_section(case):
+    """A case's "operator" section; a key outside _OPERATOR_KEYS is a ConfigError."""
+    section = case.get("operator", {})
+    if not isinstance(section, dict):
+        raise ConfigError("the 'operator' section must be an object")
+    unknown = sorted(set(section) - set(_OPERATOR_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown operator key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(_OPERATOR_KEYS)}")
+    return section
 
 
 def run_mc(model, cfg, seed):
@@ -258,19 +274,16 @@ def compare(case):
     report.oracle_info = info
     report.label = label
 
-    opcfg = case.get("operator", {})
-    if opcfg.get("skip") or not model.innovation.has_density:
-        report.operator_result = None
-    else:
+    opcfg = _operator_section(case)
+    # the truncated kernel's spectral radius is not the exponent of a supercritical
+    # AR (mass escapes [0, M] to +inf) nor of a degenerate MA (no positive exponent)
+    exponent_is_spectral = info.get("regime") != "supercritical" and label != DEGENERATE_LABEL
+    if exponent_is_spectral and model.innovation.has_density and not opcfg.get("skip"):
         res = operator_mod.solve_operator(
             model,
             m=opcfg.get("M"),
             n=int(opcfg.get("N", 400)),
             delta=opcfg.get("delta", 0.0),
-            scheme=opcfg.get("scheme", "gauss"),
-            cut_cell=bool(opcfg.get("cut_cell", True)),
-            tol=float(opcfg.get("tol", 1e-10)),
-            max_iter=int(opcfg.get("max_iter", 50000)),
         )
         report.operator_result = res.to_json()
 
@@ -306,14 +319,13 @@ def compare(case):
 # sweeps
 
 
-def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto",
-                       scheme="gauss", tol=1e-10, threshold=1e-5):
+def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto", threshold=1e-5):
     """Tilted-operator exponents along a componentwise increasing AR family.
 
     Requires a totally ordered grid of nonnegative coefficient vectors with
     sum below one (the regime where strict monotonicity is proven) and a
-    log-concave innovation density. Passes when every consecutive increment
-    exceeds the grid threshold.
+    log-concave innovation density with mass below zero. Passes when every
+    consecutive increment exceeds the grid threshold.
     """
     if not isinstance(model, ARModel):
         raise ValueError("the monotonicity sweep is for AR families")
@@ -330,9 +342,11 @@ def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto",
             raise ValueError("coefficient grid must increase componentwise")
     if not isinstance(model.innovation, (Gaussian, Exponential, Uniform)):
         raise ValueError("monotonicity sweep needs a log-concave innovation density")
+    if not model.innovation.cdf(0.0) > 0.0:
+        raise ValueError("monotonicity sweep needs innovation mass below zero: without "
+                         "it every path with a >= 0 survives and lambda = 1 throughout")
     results = [
-        operator_mod.solve_operator(replace(model, coeffs=vec), m=m, n=n, delta=delta,
-                                    scheme=scheme, tol=tol)
+        operator_mod.solve_operator(replace(model, coeffs=vec), m=m, n=n, delta=delta)
         for vec in grid_vecs
     ]
     lams = [res.lam for res in results]
@@ -349,13 +363,11 @@ def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto",
     }
 
 
-def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200,
-                     delta=0.0, scheme="gauss", cut_cell=True, tol=1e-10,
-                     final_gap_tol=1e-3):
+def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0):
     """Exponent gaps along a coefficient path approaching a target.
 
     Passes when the gaps |lambda(a_k) - lambda(a)| are nonincreasing along
-    the path and the final gap is below the tolerance.
+    the path and the final gap is below CONTINUITY_GAP_TOL.
     """
     target = tuple(float(c) for c in np.atleast_1d(target_coeffs))
     path = [tuple(float(c) for c in np.atleast_1d(v)) for v in path_coeffs]
@@ -363,16 +375,13 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200,
         raise ValueError("empty coefficient path")
 
     def lam_of(vec):
-        return operator_mod.solve_operator(
-            replace(model, coeffs=vec), m=m, n=n, delta=delta, scheme=scheme,
-            cut_cell=cut_cell, tol=tol
-        ).lam
+        return operator_mod.solve_operator(replace(model, coeffs=vec), m=m, n=n, delta=delta).lam
 
     lam_target = lam_of(target)
     lams = [lam_of(vec) for vec in path]
     gaps = [abs(l - lam_target) for l in lams]
     nonincreasing = all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
-    passed = nonincreasing and gaps[-1] < final_gap_tol
+    passed = nonincreasing and gaps[-1] < CONTINUITY_GAP_TOL
     return {
         "path": [list(v) for v in path],
         "target": list(target),
@@ -381,7 +390,7 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200,
         "gaps": gaps,
         "nonincreasing": nonincreasing,
         "final_gap": gaps[-1],
-        "final_gap_tol": final_gap_tol,
+        "final_gap_tol": CONTINUITY_GAP_TOL,
         "passed": passed,
     }
 
@@ -392,7 +401,7 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200,
 
 def _prop_nonnegativity(case, seed):
     model = model_from_json(case)
-    opcfg = case.get("operator", {})
+    opcfg = _operator_section(case)
     m = opcfg.get("M") or operator_mod.default_truncation(model.innovation)
     grid = operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
@@ -409,7 +418,7 @@ def _prop_conjugation(case, seed):
     model = model_from_json(case)
     if not isinstance(model, ARModel):
         raise ConfigError("conjugation invariance is an AR property")
-    opcfg = case.get("operator", {})
+    opcfg = _operator_section(case)
     deltas = case.get("deltas", [0.0, 0.1, 0.5])
     m = opcfg.get("M") or operator_mod.default_truncation(model.innovation)
     grid = operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
@@ -424,7 +433,7 @@ def _prop_conjugation(case, seed):
 def _prop_truncation(case, seed):
     del seed
     model = model_from_json(case)
-    opcfg = case.get("operator", {})
+    opcfg = _operator_section(case)
     ms = case.get("Ms") or [2.0, 4.0, 6.0]
     n_ref = int(opcfg.get("N", 400))
     ms, lams = operator_mod.truncation_lambdas(model, ms, n_ref)
@@ -510,7 +519,8 @@ class SuiteResult:
     out_dir: str
 
 
-def _load_config(config):
+def load_config(config):
+    """A suite config or compare case: a dict as it is, else parsed from a JSON file."""
     if isinstance(config, dict):
         return config
     text = Path(config).read_text()
@@ -533,13 +543,14 @@ def _validate_case(case, index):
                 f"unknown property check {check!r} in case {index} "
                 f"(known: {sorted(PROPERTY_CHECKS)})"
             )
-    elif ctype == "compare":
-        try:
-            model_from_json(case)
-        except ValueError as e:
-            raise ConfigError(f"case {index}: {e}") from e
-    else:
+    elif ctype != "compare":
         raise ConfigError(f"unknown case type {ctype!r} in case {index}")
+    try:
+        _operator_section(case)
+        if ctype == "compare":
+            model_from_json(case)
+    except (ConfigError, ValueError) as e:
+        raise ConfigError(f"case {index}: {e}") from e
     return ctype
 
 
@@ -549,7 +560,7 @@ def run_suite(config, out_dir, threads=None):
     Produces one canonical JSON file per case plus summary.csv under out_dir.
     The returned SuiteResult carries any_failed for the caller's exit status.
     """
-    cfg = _load_config(config)
+    cfg = load_config(config)
     if not isinstance(cfg, dict) or "cases" not in cfg:
         raise ConfigError("config must be an object with a 'cases' list")
     cases = cfg["cases"]

@@ -16,6 +16,11 @@ Both kernels take s from model.drift, the one definition of the linear part
 of the transition that every route shares: crude and splitting Monte Carlo
 and single-path simulation step with it too.
 
+Each solver setting is a parameter only of the layer that owns it, and every
+layer above takes its default: the grid's scheme (solves use Gauss-Legendre;
+truncation_lambdas needs nested midpoint cells), assemble_ma's cut cell (the
+plain indicator rule is its test reference), spectral_radius's tol and max_iter.
+
 An exponential tilt h(x) = exp(delta sum_j x_j) conjugates the AR kernel by a
 positive diagonal, so the spectral radius is unchanged while eigenfunction
 mass is confined near the origin; the spectral radius itself comes from power
@@ -34,7 +39,7 @@ several-fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -285,7 +290,7 @@ def assemble_ma(model, grid, cut_cell=True):
     )
 
 
-def assemble(model, grid, delta=0.0, cut_cell=True):
+def assemble(model, grid, delta=0.0):
     """The model's operator on the grid; delta="auto" means default_delta.
 
     Every route to an operator (solve_operator, convergence_sweep,
@@ -295,7 +300,7 @@ def assemble(model, grid, delta=0.0, cut_cell=True):
         if delta == "auto":
             delta = default_delta(model)
         return assemble_ar(model, grid, delta=delta)
-    return assemble_ma(model, grid, cut_cell=cut_cell)
+    return assemble_ma(model, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +389,20 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
     )
 
 
-def solve_operator(model, m=None, n=400, delta=0.0, scheme="gauss", cut_cell=True,
-                   tol=1e-10, max_iter=50000):
+def solve_operator(model, m=None, n=400, delta=0.0):
     """One-call operator route: grid defaults, assembly, power iteration."""
     if m is None:
         m = default_truncation(model.innovation)
-    grid = default_grid(model, m, n, scheme=scheme)
-    op = assemble(model, grid, delta=delta, cut_cell=cut_cell)
-    return spectral_radius(op, tol=tol, max_iter=max_iter)
+    grid = default_grid(model, m, n)
+    op = assemble(model, grid, delta=delta)
+    return spectral_radius(op)
 
 
 # ---------------------------------------------------------------------------
 # convergence sweeps
 
 
-def truncation_lambdas(model, ms, n_ref, delta=0.0, cut_cell=True, tol=1e-10,
-                       max_iter=50000):
+def truncation_lambdas(model, ms, n_ref, delta=0.0):
     """Spectral radii on a nested family of truncations of one big grid.
 
     A midpoint grid is built for the largest truncation and each smaller M
@@ -416,23 +419,21 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0, cut_cell=True, tol=1e-10,
         if len(keep) < 2:
             raise ValueError(f"truncation M={m} keeps fewer than 2 nodes of the reference grid")
         i0, i1 = keep[0], keep[-1] + 1
-        sub = QuadratureGrid(
-            d=big.d,
+        sub = replace(
+            big,
             lo=float(big.edges[i0]),
             hi=float(big.edges[i1]),
             n=int(i1 - i0),
             nodes=big.nodes[i0:i1],
             weights=big.weights[i0:i1],
             edges=big.edges[i0:i1 + 1],
-            scheme="midpoint",
         )
-        op = assemble(model, sub, delta=delta, cut_cell=cut_cell)
-        lams.append(spectral_radius(op, tol=tol, max_iter=max_iter).lam)
+        op = assemble(model, sub, delta=delta)
+        lams.append(spectral_radius(op).lam)
     return ms, lams
 
 
-def convergence_sweep(model, ms, ns, delta=0.0, scheme="gauss", cut_cell=True,
-                      tol=1e-10, max_iter=50000):
+def convergence_sweep(model, ms, ns, delta=0.0):
     """Factorial table of lambda over truncations and grid sizes.
 
     Reports Cauchy differences against the finest (M, N) cell, plus a nested
@@ -445,17 +446,13 @@ def convergence_sweep(model, ms, ns, delta=0.0, scheme="gauss", cut_cell=True,
     table = {}
     for m in ms:
         for n in ns:
-            grid = default_grid(model, m, n, scheme=scheme)
-            op = assemble(model, grid, delta=delta, cut_cell=cut_cell)
-            table[(m, n)] = spectral_radius(op, tol=tol, max_iter=max_iter).lam
+            table[(m, n)] = solve_operator(model, m=m, n=n, delta=delta).lam
     lam_ref = table[(ms[-1], ns[-1])]
     rows = [
         {"M": m, "N": n, "lambda": lam, "diff": abs(lam - lam_ref)}
         for (m, n), lam in table.items()
     ]
-    trunc_ms, trunc_lams = truncation_lambdas(
-        model, ms, ns[-1], delta=delta, cut_cell=cut_cell, tol=tol, max_iter=max_iter
-    )
+    trunc_ms, trunc_lams = truncation_lambdas(model, ms, ns[-1], delta=delta)
     monotone = all(
         later - earlier >= -1e-9 for earlier, later in zip(trunc_lams, trunc_lams[1:])
     )

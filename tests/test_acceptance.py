@@ -85,7 +85,7 @@ def test_criterion_02_ar1_exponential_monte_carlo():
 
 def test_criterion_03_ma1_symmetric():
     m = MAModel((1.0,), Gaussian(), GE)
-    res = op.solve_operator(m, m=8.0, n=800, cut_cell=True)
+    res = op.solve_operator(m, m=8.0, n=800)
     err_op = abs(res.lam - 2.0 / math.pi)
     err_series = abs(oracle.ma1_symmetric_series(2, terms=200) - 1.0 / 3.0)
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from persistx import cli, operator
-from persistx.model import INNOVATIONS, innovation_from_json
+from persistx.model import INNOVATIONS, initial_from_json, innovation_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,6 +54,29 @@ class TestParsing:
         assert law == innovation_from_json({"kind": kind, **dict(zip(names, values))})
         assert law.to_json() == {"kind": kind, **dict(zip(names, values))}
         assert cli.parse_innovation(kind) == innovation_from_json({"kind": kind})
+
+    @pytest.mark.parametrize("flag, obj", [
+        ("iid", {"kind": "iid"}),
+        ("point:0.5,-1", {"kind": "point_mass", "values": [0.5, -1.0]}),
+        ("stationary:0.3", {"kind": "stationary_ar1_gaussian", "a1": 0.3}),
+    ])
+    def test_init_flag_and_json_build_the_same_law(self, flag, obj):
+        innovation = cli.parse_innovation("gaussian:2")
+        law = cli.parse_initial(flag, innovation)
+        assert law == initial_from_json(obj, innovation)
+
+    @pytest.mark.parametrize("argv", [
+        ["operator", "--scheme", "midpoint"],
+        ["operator", "--no-cut-cell"],
+        ["operator", "--tol", "1e-8"],
+        ["operator", "--max-iter", "10"],
+        ["sweep", "--kind", "convergence", "--Ms", "4", "--Ns", "50", "--scheme", "gauss"],
+    ])
+    def test_removed_solver_flags_are_usage_errors(self, capsys, argv):
+        model = ["--process", "ar", "--coeffs", "0.4", "--innovation", "gaussian:1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + model)
+        assert exc.value.code == 2
 
     def test_bad_innovation_is_computation_failure(self, capsys):
         code, out, err = run(capsys, [
@@ -201,6 +226,25 @@ class TestCompareCommand:
         assert payload["operator"]["lambda"] == pytest.approx(0.5, abs=1e-3)
         assert payload["mc"] is None
 
+    def test_config_with_unknown_operator_key(self, capsys, tmp_path):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"method": "none"}, "operator": {"N": 80, "cut_cell": False},
+        }))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1
+        assert "ConfigError" in err and "cut_cell" in err
+        assert out == ""
+
+    def test_supercritical_case_passes_without_operator(self, capsys):
+        code, out, _ = run(capsys, [
+            "compare", "--process", "ar", "--coeffs", "1.2",
+            "--innovation", "gaussian:1", "--method", "none", "--N", "100"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["operator"] is None and payload["passed"] is True
+
 
 class TestSweepCommand:
     def test_monotonicity(self, capsys):
@@ -293,3 +337,15 @@ class TestReadme:
             args = parser.parse_args(shlex.split(line)[1:])
             if getattr(args, "process", None):
                 cli.build_model(args)
+
+    def test_documented_flags_exist(self):
+        # every --flag named in README's "Command line" section, code or prose
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+        assert {"--process", "--init", "--threads"} <= flags
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        known = {opt for sub in subparsers.choices.values()
+                 for opt in sub._option_string_actions}
+        assert sorted(flags - known) == []

@@ -170,6 +170,40 @@ class TestCompare:
         assert report.lambda_oracle == pytest.approx(0.5)
         assert "oracle_mc" in report.checks and report.passed
 
+    def test_supercritical_ar_skips_operator(self):
+        # the kernel truncated to [0, M] drops the mass escaping to +inf, so
+        # its spectral radius (about 0.728 here) is not the exponent 1
+        case = {
+            "process": "ar", "coeffs": [1.2],
+            "innovation": {"kind": "gaussian", "sd": 1.0},
+            "mc": {"method": "none"}, "operator": {"N": 100},
+        }
+        report = harness.compare(case)
+        assert report.lambda_oracle == 1.0
+        assert report.operator_result is None
+        assert report.checks == {} and report.passed
+
+    def test_degenerate_ma_skips_operator(self):
+        case = {
+            "process": "ma", "coeffs": [-0.5, -0.5],
+            "innovation": {"kind": "gaussian", "sd": 1.0},
+            "mc": {"method": "none"}, "operator": {"N": 40},
+        }
+        report = harness.compare(case)
+        assert report.label == harness.DEGENERATE_LABEL
+        assert report.operator_result is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("cut_cell", False), ("scheme", "midpoint"), ("tol", 1e-8), ("max_iter", 10)])
+    def test_unknown_operator_key_rejected(self, key, value):
+        case = {
+            "process": "ar", "coeffs": [0.3],
+            "innovation": {"kind": "gaussian", "sd": 1.0},
+            "mc": {"method": "none"}, "operator": {"N": 80, key: value},
+        }
+        with pytest.raises(harness.ConfigError, match=key):
+            harness.compare(case)
+
     def test_payload_has_no_wall_times(self):
         case = {
             "process": "ar", "coeffs": [0.0],
@@ -208,6 +242,13 @@ class TestMonotonicitySweep:
         with pytest.raises(ValueError):
             harness.monotonicity_sweep(
                 MAModel((0.5,), Gaussian(), GE), [(0.0,), (0.2,)], n=50)
+
+    @pytest.mark.parametrize("innovation", [Exponential(), Uniform(0.0, 2.0)])
+    def test_rejects_law_without_mass_below_zero(self, innovation):
+        # every path with a >= 0 survives: lambda = 1 on the whole grid
+        m = ARModel((0.0,), innovation, IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="mass below zero"):
+            harness.monotonicity_sweep(m, [(0.0,), (0.1,), (0.2,)], n=50)
 
     def test_rejects_atomic_innovation(self):
         m = ARModel((0.0,), Rademacher(), IIDInnovation(), GE)
@@ -346,6 +387,12 @@ class TestRunSuite:
         bad.write_text('{"cases": [\n  {"name" "missing-colon"}\n]}')
         with pytest.raises(harness.ConfigError, match="line 2"):
             harness.run_suite(bad, tmp_path / "o")
+
+    def test_unknown_operator_key_named(self, tmp_path):
+        config = tiny_config()
+        config["cases"][0]["operator"] = {"N": 80, "cut_cell": False}
+        with pytest.raises(harness.ConfigError, match="case 0.*cut_cell"):
+            harness.run_suite(config, tmp_path / "o")
 
     def test_config_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

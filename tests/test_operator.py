@@ -209,8 +209,9 @@ class TestAssembleMa:
 
     def test_cut_cell_improves_symmetric_case(self):
         m = MAModel((1.0,), Gaussian(), GE)
-        lam_plain = op.solve_operator(m, m=8.0, n=200, cut_cell=False).lam
-        lam_cut = op.solve_operator(m, m=8.0, n=200, cut_cell=True).lam
+        grid = op.default_grid(m, 8.0, 200)
+        lam_plain = op.spectral_radius(op.assemble_ma(m, grid, cut_cell=False)).lam
+        lam_cut = op.solve_operator(m, m=8.0, n=200).lam
         target = 2.0 / math.pi
         assert abs(lam_cut - target) < abs(lam_plain - target)
         assert abs(lam_cut - target) < 5e-4
@@ -275,7 +276,8 @@ class TestPowerIteration:
     def test_max_iterations_carries_best_result(self):
         m = MAModel((-1.0,), Gaussian(), GE)
         with pytest.raises(op.MaxIterationsExceeded) as exc:
-            op.solve_operator(m, m=6.0, n=100, tol=1e-14, max_iter=3)
+            op.spectral_radius(op.assemble_ma(m, op.default_grid(m, 6.0, 100)),
+                               tol=1e-14, max_iter=3)
         best = exc.value.result
         assert best is not None
         assert best.iterations == 3
