@@ -77,6 +77,8 @@ def parse_initial(text, innovation):
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "iid":
+        if rest.strip():
+            raise ValueError(f"iid initial law takes no parameters, got {rest.strip()!r}")
         obj = {"kind": "iid"}
     elif kind == "point":
         values = _parse_floats(rest)

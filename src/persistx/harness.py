@@ -206,19 +206,25 @@ class ComparisonReport:
 DEFAULT_TOLERANCES = {"oracle_operator": 2e-3, "oracle_mc": 5e-3, "operator_mc": 5e-3}
 # the largest final gap a continuity sweep passes with
 CONTINUITY_GAP_TOL = 1e-3
-# the keys of a case's "operator" section; the solver rule itself is fixed
-_OPERATOR_KEYS = ("M", "N", "delta", "skip")
+# the keys each optional section of a case may hold; the operator's solver
+# rule itself is fixed
+_SECTION_KEYS = {
+    "operator": ("M", "N", "delta", "skip"),
+    "mc": ("method", "horizons", "replicates", "particles", "threads", "window"),
+    "tolerances": tuple(DEFAULT_TOLERANCES),
+}
 
 
-def _operator_section(case):
-    """A case's "operator" section; a key outside _OPERATOR_KEYS is a ConfigError."""
-    section = case.get("operator", {})
+def _section(case, name):
+    """A case's `name` section; a key outside _SECTION_KEYS[name] is a ConfigError."""
+    section = case.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError("the 'operator' section must be an object")
-    unknown = sorted(set(section) - set(_OPERATOR_KEYS))
+        raise ConfigError(f"the '{name}' section must be an object")
+    known = _SECTION_KEYS[name]
+    unknown = sorted(set(section) - set(known))
     if unknown:
-        raise ConfigError(f"unknown operator key(s) {', '.join(unknown)}; "
-                          f"known: {', '.join(_OPERATOR_KEYS)}")
+        raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(known)}")
     return section
 
 
@@ -266,7 +272,9 @@ def compare(case):
     model = model_from_json(case)
     seed = int(case.get("seed", 0))
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(case.get("tolerances", {}))
+    tolerances.update(_section(case, "tolerances"))
+    mccfg = _section(case, "mc")
+    opcfg = _section(case, "operator")
     report = ComparisonReport(case=case, tolerances=tolerances)
 
     lam_oracle, info, label = detect_oracle(model)
@@ -274,7 +282,6 @@ def compare(case):
     report.oracle_info = info
     report.label = label
 
-    opcfg = _operator_section(case)
     # the truncated kernel's spectral radius is not the exponent of a supercritical
     # AR (mass escapes [0, M] to +inf) nor of a degenerate MA (no positive exponent)
     exponent_is_spectral = info.get("regime") != "supercritical" and label != DEGENERATE_LABEL
@@ -287,7 +294,7 @@ def compare(case):
         )
         report.operator_result = res.to_json()
 
-    est = run_mc(model, case.get("mc", {}), seed)
+    est = run_mc(model, mccfg, seed)
     if est is not None:
         report.mc_result = est.to_json()
 
@@ -401,7 +408,7 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
 
 def _prop_nonnegativity(case, seed):
     model = model_from_json(case)
-    opcfg = _operator_section(case)
+    opcfg = _section(case, "operator")
     m = opcfg.get("M") or operator_mod.default_truncation(model.innovation)
     grid = operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
@@ -418,7 +425,7 @@ def _prop_conjugation(case, seed):
     model = model_from_json(case)
     if not isinstance(model, ARModel):
         raise ConfigError("conjugation invariance is an AR property")
-    opcfg = _operator_section(case)
+    opcfg = _section(case, "operator")
     deltas = case.get("deltas", [0.0, 0.1, 0.5])
     m = opcfg.get("M") or operator_mod.default_truncation(model.innovation)
     grid = operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
@@ -433,7 +440,7 @@ def _prop_conjugation(case, seed):
 def _prop_truncation(case, seed):
     del seed
     model = model_from_json(case)
-    opcfg = _operator_section(case)
+    opcfg = _section(case, "operator")
     ms = case.get("Ms") or [2.0, 4.0, 6.0]
     n_ref = int(opcfg.get("N", 400))
     ms, lams = operator_mod.truncation_lambdas(model, ms, n_ref)
@@ -471,7 +478,7 @@ def _prop_qbound(case, seed):
     model = model_from_json(case)
     if not isinstance(model, MAModel):
         raise ConfigError("the q-dependence bound is an MA property")
-    mccfg = dict(case.get("mc", {}))
+    mccfg = dict(_section(case, "mc"))
     mccfg.setdefault("method", "crude")
     mccfg.setdefault("horizons", list(range(0, 13)))
     est = run_mc(model, mccfg, seed)
@@ -488,7 +495,7 @@ def _prop_qbound(case, seed):
 
 def _prop_determinism(case, seed):
     model = model_from_json(case)
-    mccfg = case.get("mc", {})
+    mccfg = _section(case, "mc")
     horizons = mccfg.get("horizons", list(range(0, 9)))
     replicates = int(mccfg.get("replicates", 30000))
     payloads = []
@@ -546,7 +553,8 @@ def _validate_case(case, index):
     elif ctype != "compare":
         raise ConfigError(f"unknown case type {ctype!r} in case {index}")
     try:
-        _operator_section(case)
+        for name in _SECTION_KEYS:
+            _section(case, name)
         if ctype == "compare":
             model_from_json(case)
     except (ConfigError, ValueError) as e:

@@ -3,10 +3,14 @@
 Two estimators are provided. The crude estimator simulates full paths in
 fixed-size blocks, each block on its own derived stream, and counts nested
 survival events at every horizon; summing integer counts makes the result
-independent of the thread schedule. The splitting estimator advances a
-particle population one step at a time, records the per-step survival
-fraction, and resamples survivors back to the full population, so the
-product of fractions estimates p_n far below the reach of crude sampling.
+independent of the thread schedule. An AR block is laid out step-major: it
+draws its initial state, then all its innovations in one call, one row per
+step. Draws concatenate along a stream, so this order equals one draw per
+step and the counts are bit-identical at any thread count. The splitting
+estimator advances a particle population one step at a time, records the
+per-step survival fraction, and resamples survivors back to the full
+population, so the product of fractions estimates p_n far below the reach
+of crude sampling.
 """
 
 from __future__ import annotations
@@ -47,17 +51,23 @@ def sample_paths(model, n, size, rng):
 
     This is the one AR/MA path recursion: crude blocks, single paths and
     the MA sample of the qbound check all call it. An AR path takes its
-    first p values from the initial law, then one innovation per path at
-    each step; an MA path is built from one (size, n + q + 1) draw of
-    xi_{-q}..xi_n.
+    first p values from the initial law; the innovations of all later steps
+    then come from one (n + 1 - p, size) draw, step-major, and each step
+    adds the drift to its contiguous row. Draws concatenate along a stream,
+    so this takes the same values in the same order as one size-long draw
+    per step. The AR result is the transpose of that step-major buffer. An
+    MA path is built from one (size, n + q + 1) draw of xi_{-q}..xi_n.
     """
     if isinstance(model, ARModel):
         p = model.order
-        z = np.empty((size, n + 1))
-        z[:, :p] = model.initial.sample(p, rng, size=size)[:, : n + 1]
+        z = np.empty((n + 1, size))
+        z[:p] = model.initial.sample(p, rng, size=size)[:, : n + 1].T
+        if n >= p:
+            z[p:] = model.innovation.sample(rng, (n + 1 - p, size))
         for i in range(p, n + 1):
-            z[:, i] = drift(model.coeffs, z[:, i - p:i].T) + model.innovation.sample(rng, size)
-        return z
+            # xi_i + drift rounds as drift + xi_i: addition commutes exactly
+            z[i] += drift(model.coeffs, z[i - p:i])
+        return z.T
     q = model.order
     xi = model.innovation.sample(rng, (size, n + q + 1))
     cols = [xi[:, k:k + n + 1] for k in range(q)]
@@ -84,11 +94,19 @@ def simulate_ma_path(model, n, stream):
 
 
 def _survival_counts_block(model, horizons, block_size, rng):
-    """Survival counts at each horizon for one block of independent paths."""
-    z = sample_paths(model, int(horizons[-1]), block_size, rng)
-    running_min = np.minimum.accumulate(z, axis=1)
-    alive = model.convention.survives(running_min)
-    return alive[:, horizons].sum(axis=0, dtype=np.int64)
+    """Survival counts at each horizon for one block of independent paths.
+
+    The paths are read step-major, one row per step (contiguous for AR):
+    a mask of the paths still alive is narrowed row by row and counted, so
+    no block-sized running-minimum table is built.
+    """
+    steps = sample_paths(model, int(horizons[-1]), block_size, rng).T
+    alive = np.ones(block_size, dtype=bool)
+    survivors = np.empty(len(steps), dtype=np.int64)
+    for t, row in enumerate(steps):
+        alive &= model.convention.survives(row)
+        survivors[t] = np.count_nonzero(alive)
+    return survivors[horizons]
 
 
 def estimate_crude(model, horizons, replicates, seed, threads=None):

@@ -65,6 +65,19 @@ class TestParsing:
         law = cli.parse_initial(flag, innovation)
         assert law == initial_from_json(obj, innovation)
 
+    @pytest.mark.parametrize("flag", ["iid:0.5", "iid:3,4", "iid: 1"])
+    def test_iid_init_takes_no_parameters(self, flag):
+        with pytest.raises(ValueError, match="iid initial law takes no parameters"):
+            cli.parse_initial(flag, cli.parse_innovation("gaussian:1"))
+
+    def test_iid_init_parameter_fails_the_command(self, capsys):
+        code, out, err = run(capsys, [
+            "simulate", "--process", "ar", "--coeffs", "0.5", "--innovation", "gaussian:1",
+            "--init", "iid:0.5", "--n", "2", "--reps", "100"])
+        assert code == 1
+        assert "iid initial law takes no parameters" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ["operator", "--scheme", "midpoint"],
         ["operator", "--no-cut-cell"],
@@ -235,6 +248,21 @@ class TestCompareCommand:
         code, out, err = run(capsys, ["compare", "--config", str(cfg)])
         assert code == 1
         assert "ConfigError" in err and "cut_cell" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("section, typo, key", [
+        ("mc", {"method": "crude", "replicate": 1000}, "replicate"),
+        ("tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
+    ])
+    def test_config_with_unknown_section_key(self, capsys, tmp_path, section, typo, key):
+        case = {"process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+                "mc": {"method": "none"}, "operator": {"skip": True}}
+        case[section] = typo
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(case))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1
+        assert "ConfigError" in err and key in err
         assert out == ""
 
     def test_supercritical_case_passes_without_operator(self, capsys):

@@ -204,6 +204,20 @@ class TestCompare:
         with pytest.raises(harness.ConfigError, match=key):
             harness.compare(case)
 
+    @pytest.mark.parametrize("section, typo, key", [
+        ("mc", {"method": "crude", "replicate": 1000}, "replicate"),
+        ("tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
+    ])
+    def test_unknown_section_key_rejected(self, section, typo, key):
+        case = {
+            "process": "ar", "coeffs": [0.3],
+            "innovation": {"kind": "gaussian", "sd": 1.0},
+            "mc": {"method": "none"}, "operator": {"skip": True},
+        }
+        case[section] = typo
+        with pytest.raises(harness.ConfigError, match=f"unknown {section} key.*{key}"):
+            harness.compare(case)
+
     def test_payload_has_no_wall_times(self):
         case = {
             "process": "ar", "coeffs": [0.0],
@@ -393,6 +407,19 @@ class TestRunSuite:
         config["cases"][0]["operator"] = {"N": 80, "cut_cell": False}
         with pytest.raises(harness.ConfigError, match="case 0.*cut_cell"):
             harness.run_suite(config, tmp_path / "o")
+
+    @pytest.mark.parametrize("index, section, typo, key", [
+        (0, "mc", {"method": "crude", "replicate": 1000}, "replicate"),
+        (0, "tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
+        (2, "mc", {"replicate": 20_000}, "replicate"),
+    ])
+    def test_unknown_section_key_named_before_any_case_runs(self, tmp_path, index, section,
+                                                            typo, key):
+        config = tiny_config()
+        config["cases"][index][section] = typo
+        with pytest.raises(harness.ConfigError, match=f"case {index}.*{key}"):
+            harness.run_suite(config, tmp_path / "o")
+        assert not any((tmp_path / "o").iterdir())
 
     def test_config_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

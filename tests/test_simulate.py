@@ -152,6 +152,101 @@ class TestCrude:
             sim.estimate_crude(m, [-1, 2], 1000, 0)
 
 
+# Crude counts at seed 7 with 10,001 replicates (two full blocks and a
+# one-path partial block), pinned from the path-major layout that drew one
+# innovation per step; the step-major layout must take the same draws.
+# (model, horizons, counts)
+DRAW_ORDER_CASES = {
+    "ar1_gauss_iid": (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
+                      [5019, 3126, 1989, 778, 146]),
+    "ar1_gauss_point": (ARModel((0.4,), Gaussian(), PointMass((0.3,)), GE), [0, 1, 2, 4, 8],
+                        [10001, 5473, 3433, 1361, 256]),
+    "ar1_gauss_stationary": (ARModel((0.4,), Gaussian(), StationaryAR1Gaussian(0.4), GE),
+                             [0, 1, 2, 4, 8], [5019, 3184, 2029, 793, 151]),
+    "ar1_unif_iid": (ARModel((0.4,), Uniform(-1.0, 1.0), IIDInnovation(), GE), [0, 1, 2, 4, 8],
+                     [5019, 3015, 1842, 665, 106]),
+    "ar1_unif_point": (ARModel((0.4,), Uniform(-1.0, 1.0), PointMass((0.3,)), GE),
+                       [0, 1, 2, 4, 8], [10001, 5611, 3432, 1258, 214]),
+    "ar1_unif_stationary": (ARModel((0.4,), Uniform(-1.0, 1.0), StationaryAR1Gaussian(0.4), GE),
+                            [0, 1, 2, 4, 8], [5019, 3384, 2146, 803, 131]),
+    "ar1_exp_iid": (ARModel((-0.5,), Exponential(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
+                    [10001, 6619, 4386, 1950, 363]),
+    "ar1_exp_point": (ARModel((-0.5,), Exponential(), PointMass((0.3,)), GE), [0, 1, 2, 4, 8],
+                      [10001, 8597, 5731, 2490, 468]),
+    "ar1_exp_stationary": (ARModel((-0.5,), Exponential(), StationaryAR1Gaussian(-0.5), GE),
+                           [0, 1, 2, 4, 8], [5019, 3318, 2219, 977, 172]),
+    "ar2_gauss": (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
+                  [5013, 2496, 1628, 741, 189]),
+    "ar3_unif_point": (ARModel((0.3, -0.2, 0.1), Uniform(-1.0, 1.0), PointMass((0.1, 0.2, 0.3)),
+                               GE), [0, 2, 3, 7], [10001, 10001, 5322, 435]),
+    # horizons shorter than the order: the block draws its initial state only
+    "ar3_short": (ARModel((0.3, -0.2, 0.1), Gaussian(), IIDInnovation(), GE), [0, 1],
+                  [4942, 2431]),
+    "ar1_sparse_unsorted": (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [9, 0, 5],
+                            [5019, 495, 91]),
+    "ar1_rademacher_gt": (ARModel((0.5,), Rademacher(), IIDInnovation(), GT), [0, 1, 2, 3],
+                          [5019, 2518, 1219, 569]),
+    "ma1_gauss": (MAModel((1.0,), Gaussian(), GE), [0, 1, 2, 4, 8],
+                  [4989, 3302, 2059, 831, 140]),
+    "ma2_exp": (MAModel((-0.5, 0.3), Exponential(), GE), [0, 1, 2, 4, 8],
+                [7887, 5831, 4260, 2382, 766]),
+    "ma1_rademacher_gt": (MAModel((1.0,), Rademacher(), GT), [0, 1, 2, 3],
+                          [2464, 1219, 593, 312]),
+}
+
+
+def per_step_paths(model, n, size, rng):
+    """Reference recursion: path-major, one size-long innovation draw per step."""
+    z = np.empty((size, n + 1))
+    if isinstance(model, ARModel):
+        p = model.order
+        z[:, :p] = model.initial.sample(p, rng, size=size)[:, :n + 1]
+        for i in range(p, n + 1):
+            z[:, i] = (sum(a * z[:, i - j] for j, a in enumerate(model.coeffs, start=1))
+                       + model.innovation.sample(rng, size))
+        return z
+    q = model.order
+    xi = model.innovation.sample(rng, (size, n + q + 1))
+    for i in range(n + 1):
+        z[:, i] = (sum(a * xi[:, q + i - j] for j, a in enumerate(model.coeffs, start=1))
+                   + xi[:, q + i])
+    return z
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
+    def test_crude_counts_pinned(self, name, threads):
+        m, horizons, counts = DRAW_ORDER_CASES[name]
+        est = sim.estimate_crude(m, horizons, 10_001, 7, threads=threads)
+        assert est.counts.tolist() == counts
+        assert np.array_equal(est.p_hat, np.asarray(counts) / 10_001)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
+    @pytest.mark.parametrize("size", [1, 5, 4096])
+    @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
+    def test_sample_paths_match_per_step_reference(self, name, size, n):
+        m = DRAW_ORDER_CASES[name][0]
+        z = sim.sample_paths(m, n, size, substream(2, "ref", n, size))
+        ref = per_step_paths(m, n, size, substream(2, "ref", n, size))
+        assert z.shape == (size, n + 1)
+        assert np.array_equal(z, ref)
+
+    # two paths Z_0..Z_3 at substream(5, "block"), pinned from the
+    # path-major layout
+    @pytest.mark.parametrize("m, expected", [
+        (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE),
+         [[-0.008443990098901049, 0.6025345932547507, -0.31344229147067326, 1.4279189935628103],
+          [2.1168530974261595, -0.3103323135626886, -0.643838151268432, -0.9677668234168891]]),
+        (MAModel((-0.5, 0.3), Exponential(), GE),
+         [[3.624101359249777, -1.1691834955519196, 1.3552103169421055, 0.1364576493764539],
+          [3.1197738800333736, 2.5036638538978906, -1.0118093913625874, 2.9286770351150935]]),
+    ], ids=["ar2", "ma2"])
+    def test_block_paths_pinned(self, m, expected):
+        z = sim.sample_paths(m, 3, 2, substream(5, "block"))
+        assert z.tolist() == expected
+
+
 class TestSplitting:
     def test_iid_deep_tail(self):
         # 51 independent half-probability constraints at n = 50
