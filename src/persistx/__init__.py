@@ -63,7 +63,6 @@ from .oracle import (
     rademacher_pn,
 )
 from .harness import (
-    ComparisonReport,
     ConfigError,
     canonical_json,
     compare,
@@ -88,7 +87,7 @@ __all__ = [
     "ma1_uniform_exponent", "ma1_symmetric_series", "rademacher_pn",
     "ma1_exponential_exponent", "degenerate_factorial_pn", "characteristic_root",
     "classify_regime",
-    "ComparisonReport", "ConfigError", "canonical_json", "compare",
+    "ConfigError", "canonical_json", "compare",
     "monotonicity_sweep", "continuity_sweep", "run_suite",
     "__version__",
 ]

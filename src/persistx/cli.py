@@ -24,6 +24,7 @@ from . import simulate as simulate_mod
 from .harness import ConfigError, canonical_json
 from .model import (
     INNOVATIONS,
+    MA_TAKES_NO_INITIAL,
     ARModel,
     Exponential,
     MAModel,
@@ -100,8 +101,10 @@ def build_model(args):
     innovation = parse_innovation(args.innovation)
     convention = SurvivalConvention(args.convention)
     if args.process == "ar":
-        initial = parse_initial(args.init, innovation)
+        initial = parse_initial("iid" if args.init is None else args.init, innovation)
         return ARModel(coeffs, innovation, initial, convention)
+    if args.init is not None:
+        raise ValueError(MA_TAKES_NO_INITIAL)
     return MAModel(coeffs, innovation, convention)
 
 
@@ -111,8 +114,8 @@ def add_model_arguments(sub, process_required=True):
                      help="comma-separated coefficients a_1,...")
     sub.add_argument("--innovation", default="gaussian:1",
                      help="kind[:params], e.g. uniform:-1,1 gaussian:1 exponential rademacher")
-    sub.add_argument("--init", default="iid",
-                     help="AR initial law: iid | point:v1,... | stationary:a1")
+    sub.add_argument("--init",
+                     help="AR initial law: iid (default) | point:v1,... | stationary:a1")
     sub.add_argument("--convention", choices=["ge", "gt"], default="ge",
                      help="survival event Z >= 0 (ge) or Z > 0 (gt)")
 
@@ -256,8 +259,8 @@ def cmd_compare(args):
         if args.delta != 0.0:
             case["operator"]["delta"] = args.delta
     report = harness_mod.compare(case)
-    _emit(report.to_payload(), args.out)
-    return 0 if report.passed else 1
+    _emit(report, args.out)
+    return 0 if report["passed"] else 1
 
 
 def cmd_sweep(args):

@@ -1,7 +1,8 @@
 """Cross-validation of the three exponent routes and theorem-driven sweeps.
 
-compare() runs whichever of oracle / operator / Monte Carlo apply to a case
-and scores the pairwise differences against per-case tolerances; the sweeps
+compare() runs whichever of oracle / operator / Monte Carlo apply to a case,
+scores the pairwise differences against per-case tolerances and returns the
+report payload, the same object `persistx compare` prints; the sweeps
 check strict monotonicity in the coefficients, continuity along coefficient
 paths, and convergence in the truncation; run_suite() executes a JSON config
 of cases and property checks, writing one canonical JSON report per case and
@@ -16,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .model import (
     Gaussian,
     MAModel,
     Rademacher,
-    SurvivalConvention,
     Uniform,
     model_from_json,
     substream,
@@ -48,59 +48,44 @@ class ConfigError(Exception):
 # canonical JSON
 
 
-def _canon(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
+def _json_scalar(obj):
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+        if math.isnan(obj):
+            return '"nan"'
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return format_float(obj)
+    return "null" if obj is None else json.dumps(str(obj))
 
 
 def _write_json(obj, out, indent):
-    pad = " " * indent
+    """Append obj's canonical text to out; numpy arrays and tuples write as lists."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, key in enumerate(sorted(obj)):
-            out.append(pad + "  " + json.dumps(key) + ": ")
-            _write_json(obj[key], out, indent + 2)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(val, out, indent + 2)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj):
-            out.append('"nan"')
-        elif math.isinf(obj):
-            out.append('"inf"' if obj > 0 else '"-inf"')
-        else:
-            out.append(format_float(obj))
-    elif obj is None:
-        out.append("null")
+        brackets = "{}"
+        entries = [(json.dumps(str(k)) + ": ", v)
+                   for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        entries = [("", v) for v in obj]
     else:
-        out.append(json.dumps(str(obj)))
+        out.append(_json_scalar(obj))
+        return
+    if not entries:
+        out.append(brackets)
+        return
+    pad = " " * indent
+    out.append(brackets[0] + "\n")
+    for i, (prefix, val) in enumerate(entries):
+        out.append(pad + "  " + prefix)
+        _write_json(val, out, indent + 2)
+        out.append(",\n" if i < len(entries) - 1 else "\n")
+    out.append(pad + brackets[1])
 
 
 def format_float(x):
@@ -111,7 +96,7 @@ def format_float(x):
 def canonical_json(obj):
     """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
     out = []
-    _write_json(_canon(obj), out, 0)
+    _write_json(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
@@ -164,43 +149,6 @@ def detect_oracle(model):
 
 # ---------------------------------------------------------------------------
 # comparison reports
-
-
-@dataclass
-class ComparisonReport:
-    case: dict
-    label: str = None
-    lambda_oracle: float = None
-    oracle_info: dict = field(default_factory=dict)
-    operator_result: dict = None
-    mc_result: dict = None
-    diffs: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    passed: bool = True
-
-    @property
-    def lambda_operator(self):
-        return self.operator_result["lambda"] if self.operator_result else None
-
-    @property
-    def lambda_mc(self):
-        return self.mc_result["lambda_hat"] if self.mc_result else None
-
-    def to_payload(self):
-        """Report content without wall times (those live in the summary CSV)."""
-        return {
-            "case": self.case,
-            "label": self.label,
-            "lambda_oracle": self.lambda_oracle,
-            "oracle_info": self.oracle_info,
-            "operator": self.operator_result,
-            "mc": self.mc_result,
-            "diffs": self.diffs,
-            "checks": self.checks,
-            "tolerances": self.tolerances,
-            "passed": self.passed,
-        }
 
 
 DEFAULT_TOLERANCES = {"oracle_operator": 2e-3, "oracle_mc": 5e-3, "operator_mc": 5e-3}
@@ -267,7 +215,10 @@ def compare(case):
 
     The case dict embeds the model schema plus optional "operator", "mc",
     "tolerances", and "seed" sections; a missing oracle is not an error, it
-    just removes the corresponding cross-checks.
+    just removes the corresponding cross-checks. Returns the report payload:
+    the case, the oracle exponent with its info and label, each route's
+    result (None when it did not run), the scored diffs and checks, the
+    tolerances and the overall verdict. Wall times are not part of it.
     """
     model = model_from_json(case)
     seed = int(case.get("seed", 0))
@@ -275,51 +226,53 @@ def compare(case):
     tolerances.update(_section(case, "tolerances"))
     mccfg = _section(case, "mc")
     opcfg = _section(case, "operator")
-    report = ComparisonReport(case=case, tolerances=tolerances)
-
     lam_oracle, info, label = detect_oracle(model)
-    report.lambda_oracle = lam_oracle
-    report.oracle_info = info
-    report.label = label
 
+    operator = None
     # the truncated kernel's spectral radius is not the exponent of a supercritical
     # AR (mass escapes [0, M] to +inf) nor of a degenerate MA (no positive exponent)
     exponent_is_spectral = info.get("regime") != "supercritical" and label != DEGENERATE_LABEL
     if exponent_is_spectral and model.innovation.has_density and not opcfg.get("skip"):
-        res = operator_mod.solve_operator(
+        operator = operator_mod.solve_operator(
             model,
             m=opcfg.get("M"),
             n=int(opcfg.get("N", 400)),
             delta=opcfg.get("delta", 0.0),
-        )
-        report.operator_result = res.to_json()
+        ).to_json()
 
     est = run_mc(model, mccfg, seed)
-    if est is not None:
-        report.mc_result = est.to_json()
+    mc = est.to_json() if est is not None else None
 
-    lam_op = report.lambda_operator
-    lam_mc = report.lambda_mc
-    hw = report.mc_result["half_width"] if report.mc_result else math.nan
+    lam_op = operator["lambda"] if operator else None
+    lam_mc = mc["lambda_hat"] if mc else None
+    hw = mc["half_width"] if mc else math.nan
+    diffs = {}
     checks = {}
-    # a Monte Carlo pair is banded by its half-width too, and skipped when
-    # the fit gave no finite exponent
+    # a degenerate case has no positive exponent, so route agreement is not
+    # expected; a Monte Carlo pair is banded by its half-width too, and
+    # skipped when the fit gave no finite exponent
     for key, lam_a, lam_b in (("oracle_operator", lam_oracle, lam_op),
                               ("oracle_mc", lam_oracle, lam_mc),
                               ("operator_mc", lam_op, lam_mc)):
         mc_pair = key.endswith("_mc")
-        if lam_a is None or lam_b is None or (mc_pair and not math.isfinite(lam_b)):
+        if (label == DEGENERATE_LABEL or lam_a is None or lam_b is None
+                or (mc_pair and not math.isfinite(lam_b))):
             continue
-        diff = abs(lam_a - lam_b)
-        report.diffs[key] = diff
-        checks[key] = diff <= (max(3.0 * hw, tolerances[key]) if mc_pair else tolerances[key])
-    if label == DEGENERATE_LABEL:
-        # no positive exponent exists; route agreement is not expected
-        checks = {}
-        report.diffs = {}
-    report.checks = checks
-    report.passed = all(checks.values()) if checks else True
-    return report
+        diffs[key] = abs(lam_a - lam_b)
+        checks[key] = diffs[key] <= (max(3.0 * hw, tolerances[key]) if mc_pair
+                                     else tolerances[key])
+    return {
+        "case": case,
+        "label": label,
+        "lambda_oracle": lam_oracle,
+        "oracle_info": info,
+        "operator": operator,
+        "mc": mc,
+        "diffs": diffs,
+        "checks": checks,
+        "tolerances": tolerances,
+        "passed": all(checks.values()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +359,19 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
 # property checks
 
 
+def _check_grid(model, opcfg):
+    """The grid of the nonnegativity and conjugation checks: the truncation
+    defaults only when M is absent, as in solve_operator; N defaults to 200."""
+    m = opcfg.get("M")
+    if m is None:
+        m = operator_mod.default_truncation(model.innovation)
+    return operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
+
+
 def _prop_nonnegativity(case, seed):
     model = model_from_json(case)
     opcfg = _section(case, "operator")
-    m = opcfg.get("M") or operator_mod.default_truncation(model.innovation)
-    grid = operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
+    grid = _check_grid(model, opcfg)
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
     worst = float(op.kmat.min())
     rng = substream(seed, "prop", "nonneg")
@@ -425,10 +386,8 @@ def _prop_conjugation(case, seed):
     model = model_from_json(case)
     if not isinstance(model, ARModel):
         raise ConfigError("conjugation invariance is an AR property")
-    opcfg = _section(case, "operator")
     deltas = case.get("deltas", [0.0, 0.1, 0.5])
-    m = opcfg.get("M") or operator_mod.default_truncation(model.innovation)
-    grid = operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
+    grid = _check_grid(model, _section(case, "operator"))
     lams = []
     for delta in deltas:
         op = operator_mod.assemble_ar(model, grid, delta=float(delta))
@@ -540,6 +499,7 @@ def load_config(config):
 
 
 def _validate_case(case, index):
+    """A case's type; its sections and model are checked too, nothing is run."""
     if not isinstance(case, dict):
         raise ConfigError(f"case {index} is not an object")
     ctype = case.get("type", "compare")
@@ -555,18 +515,32 @@ def _validate_case(case, index):
     try:
         for name in _SECTION_KEYS:
             _section(case, name)
-        if ctype == "compare":
-            model_from_json(case)
+        model_from_json(case)
     except (ConfigError, ValueError) as e:
         raise ConfigError(f"case {index}: {e}") from e
     return ctype
 
 
+def _summary_numbers(record):
+    """The exponents and diffs of a compare report as CSV fields; blanks otherwise."""
+    payload = record["payload"]
+    if record["type"] != "compare" or "error" in record:
+        return [""] * 6
+    diffs = payload["diffs"]
+    values = [payload["lambda_oracle"], (payload["operator"] or {}).get("lambda"),
+              (payload["mc"] or {}).get("lambda_hat"), diffs.get("oracle_operator"),
+              diffs.get("oracle_mc"), diffs.get("operator_mc")]
+    return [format_float(x) if isinstance(x, (int, float)) else "" for x in values]
+
+
 def run_suite(config, out_dir, threads=None):
     """Run a config of compare cases and property checks; write reports.
 
-    Produces one canonical JSON file per case plus summary.csv under out_dir.
-    The returned SuiteResult carries any_failed for the caller's exit status.
+    Every case's type, sections and model are checked first: a config error
+    raises before out_dir is created or any case runs. Then the cases run,
+    and one canonical JSON file per case plus summary.csv are written under
+    out_dir. The returned SuiteResult carries any_failed for the caller's
+    exit status.
     """
     cfg = load_config(config)
     if not isinstance(cfg, dict) or "cases" not in cfg:
@@ -576,42 +550,37 @@ def run_suite(config, out_dir, threads=None):
         raise ConfigError("'cases' must be a list")
     seed = int(cfg.get("seed", 0))
     threads = threads if threads is not None else cfg.get("threads")
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
 
     prepared = []
     for i, case in enumerate(cases):
         ctype = _validate_case(case, i)
         name = str(case.get("name", f"case-{i}"))
         prepared.append((name, ctype, case))
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
 
     def run_case(item):
         name, ctype, case = item
         t0 = time.perf_counter()
-        record = {"name": name, "type": ctype}
+        case = dict(case)
         try:
             if ctype == "property":
-                case = dict(case)
                 case_seed = int(case.get("seed", seed))
                 ok, details = PROPERTY_CHECKS[case["check"]](case, case_seed)
-                record["passed"] = bool(ok)
-                record["payload"] = {
+                payload = {
                     "case": {k: v for k, v in case.items() if k != "type"},
                     "check": case["check"],
                     "details": details,
                     "passed": bool(ok),
                 }
             else:
-                case = dict(case)
                 case.setdefault("seed", seed)
-                report = compare(case)
-                record["passed"] = bool(report.passed)
-                record["payload"] = report.to_payload()
-                record["report"] = report
+                payload = compare(case)
         except Exception as e:  # surfaced per case, the suite keeps going
-            record["passed"] = False
-            record["error"] = f"{type(e).__name__}: {e}"
-            record["payload"] = {"case": case, "error": record["error"], "passed": False}
+            payload = {"case": case, "error": f"{type(e).__name__}: {e}", "passed": False}
+        record = {"name": name, "type": ctype, "passed": payload["passed"], "payload": payload}
+        if "error" in payload:
+            record["error"] = payload["error"]
         record["wall_time"] = time.perf_counter() - t0
         return record
 
@@ -633,22 +602,8 @@ def run_suite(config, out_dir, threads=None):
              "passed", "wall_time_s"]
         )
         for record in records:
-            report = record.get("report")
-            def fmt(x):
-                return format_float(x) if isinstance(x, (int, float)) and x is not None else ""
-            if report is not None:
-                row = [
-                    record["name"], record["type"],
-                    fmt(report.lambda_oracle), fmt(report.lambda_operator),
-                    fmt(report.lambda_mc),
-                    fmt(report.diffs.get("oracle_operator")),
-                    fmt(report.diffs.get("oracle_mc")),
-                    fmt(report.diffs.get("operator_mc")),
-                ]
-            else:
-                row = [record["name"], record["type"], "", "", "", "", "", ""]
-            row += [str(bool(record["passed"])).lower(), "%.3f" % record["wall_time"]]
-            writer.writerow(row)
+            writer.writerow([record["name"], record["type"], *_summary_numbers(record),
+                             str(record["passed"]).lower(), "%.3f" % record["wall_time"]])
 
     return SuiteResult(
         records=records,

@@ -440,6 +440,10 @@ def convention_from_json(tag):
     raise ValueError(f"unknown convention {tag!r} (expected 'ge' or 'gt')")
 
 
+# the schema's error for an MA model given an initial law; the CLI raises it too
+MA_TAKES_NO_INITIAL = "MA models take no initial law; the state is built from innovations"
+
+
 def model_from_json(obj):
     """Build an ARModel or MAModel from the experiment schema.
 
@@ -468,5 +472,5 @@ def model_from_json(obj):
         initial = initial_from_json(obj.get("initial"), innovation)
         return ARModel(coeffs, innovation, initial, convention)
     if "initial" in obj:
-        raise ValueError("MA models take no initial law; the state is built from innovations")
+        raise ValueError(MA_TAKES_NO_INITIAL)
     return MAModel(coeffs, innovation, convention)

@@ -24,7 +24,7 @@ plain indicator rule is its test reference), spectral_radius's tol and max_iter.
 An exponential tilt h(x) = exp(delta sum_j x_j) conjugates the AR kernel by a
 positive diagonal, so the spectral radius is unchanged while eigenfunction
 mass is confined near the origin; the spectral radius itself comes from power
-iteration with sup-norm normalization and a restart on detected 2-cycles.
+iteration with sup-norm normalization.
 
 Cost. The Gauss-Legendre rule comes from scipy.special.roots_legendre, which
 is O(N^2) (numpy's leggauss is an O(N^3) eigen-solve). The AR kernel table is
@@ -344,14 +344,12 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
 
     Starts from the all-ones vector with sup-norm normalization and stops
     when both the eigenvalue increment and the sup-norm residual fall below
-    tol. A sustained 2-cycle in the eigenvalue estimates (a periodic or
-    reducible discretization) triggers a restart from the averaged iterate.
+    tol. A periodic kernel, whose estimates cycle instead of settling, ends
+    in MaxIterationsExceeded.
     """
     v = np.ones((op.grid.n,) * op.grid.d)
     lam_prev = math.inf
-    lam_prev2 = math.inf
     best = None
-    cooldown = 0
     for it in range(1, int(max_iter) + 1):
         w = op.apply(v)
         lam = float(w.max())
@@ -363,23 +361,10 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
             best = (lam, v, residual, it)
         if residual < tol * max(1.0, lam) and abs(lam - lam_prev) < tol:
             return SpectralResult(lam, v, residual, it, True, op.grid, dict(op.meta))
-        two_cycle = (
-            math.isfinite(lam_prev2)
-            and abs(lam - lam_prev2) < 1e-12 * max(1.0, lam)
-            and abs(lam - lam_prev) > 10.0 * tol
-        )
-        if two_cycle and it >= cooldown:
-            v = 0.5 * (v + w / lam)
-            v /= v.max()
-            cooldown = it + 10
-            lam_prev = math.inf
-            lam_prev2 = math.inf
-            continue
         v = w / lam
         # flush subnormal entries: they carry no weight at the sup-norm scale
         # of v but slow every later matvec several-fold
         v[v < _TINY] = 0.0
-        lam_prev2 = lam_prev
         lam_prev = lam
     lam, v, residual, it = best
     raise MaxIterationsExceeded(

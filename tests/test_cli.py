@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from persistx import cli, operator
+from persistx import cli, harness, operator
 from persistx.model import INNOVATIONS, initial_from_json, innovation_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -136,6 +136,26 @@ class TestOracleCommand:
         code, _, err = run(capsys, ["oracle", "--case", "ma1-exponential", "--a1", "0.5"])
         assert code == 1 and "a1" in err
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--case", "ma1-symmetric", "--c", "2", "--terms", "50"],
+         '{\n  "case": "ma1-symmetric",\n  "exponent": 0.63661977236758138,\n'
+         '  "parameters": {\n    "c": 2,\n    "terms": 50\n  },\n'
+         '  "series_value": 0.3333333266909515\n}\n'),
+        (["--case", "degenerate-ma", "--n", "2"],
+         '{\n  "case": "degenerate-ma",\n  "parameters": {},\n  "pn": [\n'
+         '    {\n      "n": 0,\n      "p": 0.5\n    },\n'
+         '    {\n      "n": 1,\n      "p": 0.16666666666666666\n    },\n'
+         '    {\n      "n": 2,\n      "p": 0.041666666666666664\n    }\n  ]\n}\n'),
+        (["--case", "iid", "--innovation", "uniform:-1,2"],
+         '{\n  "case": "iid",\n  "exponent": 0.66666666666666674,\n'
+         '  "parameters": {\n    "innovation": {\n      "hi": 2,\n'
+         '      "kind": "uniform",\n      "lo": -1\n    }\n  }\n}\n'),
+    ])
+    def test_pinned_stdout(self, capsys, argv, expected):
+        code, out, _ = run(capsys, ["oracle", *argv])
+        assert code == 0
+        assert out == expected
+
 
 class TestSimulateCommand:
     def test_small_run_payload(self, capsys):
@@ -178,6 +198,28 @@ class TestSimulateCommand:
         assert payload["estimate"]["window"] == [10, 30]
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "n,p_hat,se" and len(lines) == 32
+
+    def test_explicit_horizons(self, capsys):
+        code, out, _ = run(capsys, [
+            "simulate", "--process", "ar", "--coeffs", "0.3",
+            "--horizons", "0,2,5", "--reps", "2000"])
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)["estimate"]["table"]] == [0, 2, 5]
+
+    def test_ar_default_initial_law_is_iid(self, capsys):
+        argv = ["simulate", "--process", "ar", "--coeffs", "0.3", "--n", "3",
+                "--reps", "2000"]
+        _, out_default, _ = run(capsys, argv)
+        _, out_iid, _ = run(capsys, argv + ["--init", "iid"])
+        assert out_default == out_iid
+
+    @pytest.mark.parametrize("init", ["stationary:5", "point:0,0,0", "iid"])
+    def test_initial_law_on_ma_exits_one(self, capsys, init):
+        code, out, err = run(capsys, [
+            "simulate", "--process", "ma", "--coeffs", "1", "--init", init,
+            "--n", "3", "--reps", "1000"])
+        assert code == 1 and out == ""
+        assert "MA models take no initial law" in err
 
     def test_all_paths_died_exits_one(self, capsys):
         code, _, err = run(capsys, [
@@ -274,6 +316,19 @@ class TestCompareCommand:
         assert payload["operator"] is None and payload["passed"] is True
 
 
+    def test_splitting_truncation_and_tilt_flags(self, capsys):
+        code, out, _ = run(capsys, [
+            "compare", "--process", "ar", "--coeffs", "-1.0",
+            "--innovation", "exponential", "--method", "splitting",
+            "--particles", "2000", "--M", "8", "--N", "100", "--delta", "0.2"])
+        payload = json.loads(out)
+        assert payload["case"]["mc"] == {"method": "splitting", "particles": 2000}
+        assert payload["case"]["operator"] == {"N": 100, "M": 8.0, "delta": 0.2}
+        assert payload["operator"]["delta"] == 0.2
+        assert payload["mc"]["method"] == "splitting"
+        assert code == (0 if payload["passed"] else 1)
+
+
 class TestSweepCommand:
     def test_monotonicity(self, capsys):
         code, out, _ = run(capsys, [
@@ -365,6 +420,15 @@ class TestReadme:
             args = parser.parse_args(shlex.split(line)[1:])
             if getattr(args, "process", None):
                 cli.build_model(args)
+
+    def test_suite_example_validates(self):
+        # the json block under "Suite configs" passes the suite's checks
+        section = README.read_text().split("## Suite configs", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = json.loads(block)
+        assert config["cases"]
+        for i, case in enumerate(config["cases"]):
+            harness._validate_case(case, i)
 
     def test_documented_flags_exist(self):
         # every --flag named in README's "Command line" section, code or prose

@@ -49,6 +49,68 @@ class TestCanonicalJson:
         obj = {"z": [1, 2, {"y": 0.1}], "a": None}
         assert harness.canonical_json(obj) == harness.canonical_json(obj)
 
+    def test_pinned_text(self):
+        # one payload of every kind the writer handles, against its exact text
+        class Tag:
+            def __str__(self):
+                return "tag<1>"
+
+        payload = {
+            "empty_dict": {}, "empty_list": [],
+            "nested": {"d": {}, "l": [], "t": (1, 2.5)},
+            "tuple": (1, "a", None), "arr": np.array([1.0, 0.1]),
+            "arr2": np.array([[1, 2], [3, 4]]), "flag": np.bool_(False),
+            "i": np.int64(-7), "f": np.float64(1.0 / 3.0), "nan": math.nan,
+            "inf": math.inf, "ninf": -math.inf, "none": None, 3: "int key",
+            "obj": Tag(), "b": True, "s": 'x"y',
+        }
+        expected = """{
+  "3": "int key",
+  "arr": [
+    1,
+    0.10000000000000001
+  ],
+  "arr2": [
+    [
+      1,
+      2
+    ],
+    [
+      3,
+      4
+    ]
+  ],
+  "b": true,
+  "empty_dict": {},
+  "empty_list": [],
+  "f": 0.33333333333333331,
+  "flag": false,
+  "i": -7,
+  "inf": "inf",
+  "nan": "nan",
+  "nested": {
+    "d": {},
+    "l": [],
+    "t": [
+      1,
+      2.5
+    ]
+  },
+  "ninf": "-inf",
+  "none": null,
+  "obj": "tag<1>",
+  "s": "x\\"y",
+  "tuple": [
+    1,
+    "a",
+    null
+  ]
+}
+"""
+        assert harness.canonical_json(payload) == expected
+        assert harness.canonical_json([]) == "[]\n"
+        assert harness.canonical_json({}) == "{}\n"
+
 
 class TestDetectOracle:
     def detect(self, model):
@@ -118,9 +180,9 @@ class TestCompare:
             "operator": {"N": 300},
         }
         report = harness.compare(case)
-        assert report.passed
-        assert set(report.checks) == {"oracle_operator", "oracle_mc", "operator_mc"}
-        assert report.diffs["oracle_operator"] < 2e-3
+        assert report["passed"]
+        assert set(report["checks"]) == {"oracle_operator", "oracle_mc", "operator_mc"}
+        assert report["diffs"]["oracle_operator"] < 2e-3
 
     def test_ma1_exponential_with_splitting(self):
         case = {
@@ -132,9 +194,9 @@ class TestCompare:
             "operator": {"N": 300, "M": 8.0},
         }
         report = harness.compare(case)
-        assert report.passed
-        assert abs(report.lambda_operator - 0.5) < 1e-3
-        assert abs(report.lambda_mc - 0.5) < 1e-2
+        assert report["passed"]
+        assert abs(report["operator"]["lambda"] - 0.5) < 1e-3
+        assert abs(report["mc"]["lambda_hat"] - 0.5) < 1e-2
 
     def test_degenerate_label_skips_checks(self):
         case = {
@@ -143,9 +205,9 @@ class TestCompare:
             "mc": {"method": "none"}, "operator": {"skip": True},
         }
         report = harness.compare(case)
-        assert report.label == "degenerate, beta=0"
-        assert report.lambda_oracle == 0.0
-        assert report.checks == {} and report.passed
+        assert report["label"] == "degenerate, beta=0"
+        assert report["lambda_oracle"] == 0.0
+        assert report["checks"] == {} and report["passed"]
 
     def test_unsupported_regime_is_exploratory(self):
         case = {
@@ -155,9 +217,9 @@ class TestCompare:
             "operator": {"skip": True},
         }
         report = harness.compare(case)
-        assert report.label == harness.EXPLORATORY_LABEL
-        assert report.lambda_oracle is None
-        assert report.passed  # nothing to cross-check
+        assert report["label"] == harness.EXPLORATORY_LABEL
+        assert report["lambda_oracle"] is None
+        assert report["passed"]  # nothing to cross-check
 
     def test_operator_skipped_for_atomic_innovations(self):
         case = {
@@ -166,9 +228,9 @@ class TestCompare:
             "mc": {"method": "crude", "replicates": 100_000, "horizons": list(range(0, 9))},
         }
         report = harness.compare(case)
-        assert report.operator_result is None
-        assert report.lambda_oracle == pytest.approx(0.5)
-        assert "oracle_mc" in report.checks and report.passed
+        assert report["operator"] is None
+        assert report["lambda_oracle"] == pytest.approx(0.5)
+        assert "oracle_mc" in report["checks"] and report["passed"]
 
     def test_supercritical_ar_skips_operator(self):
         # the kernel truncated to [0, M] drops the mass escaping to +inf, so
@@ -179,9 +241,9 @@ class TestCompare:
             "mc": {"method": "none"}, "operator": {"N": 100},
         }
         report = harness.compare(case)
-        assert report.lambda_oracle == 1.0
-        assert report.operator_result is None
-        assert report.checks == {} and report.passed
+        assert report["lambda_oracle"] == 1.0
+        assert report["operator"] is None
+        assert report["checks"] == {} and report["passed"]
 
     def test_degenerate_ma_skips_operator(self):
         case = {
@@ -190,8 +252,8 @@ class TestCompare:
             "mc": {"method": "none"}, "operator": {"N": 40},
         }
         report = harness.compare(case)
-        assert report.label == harness.DEGENERATE_LABEL
-        assert report.operator_result is None
+        assert report["label"] == harness.DEGENERATE_LABEL
+        assert report["operator"] is None
 
     @pytest.mark.parametrize("key, value", [
         ("cut_cell", False), ("scheme", "midpoint"), ("tol", 1e-8), ("max_iter", 10)])
@@ -226,7 +288,7 @@ class TestCompare:
             "operator": {"N": 50},
         }
         report = harness.compare(case)
-        text = harness.canonical_json(report.to_payload())
+        text = harness.canonical_json(report)
         assert "wall" not in text
 
 
@@ -312,6 +374,15 @@ class TestPropertyChecks:
         ok, _ = harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
         assert ok
 
+    @pytest.mark.parametrize("check, process", [("nonnegativity", "ma"),
+                                                ("conjugation", "ar")])
+    def test_zero_truncation_rejected(self, check, process):
+        # M = 0 is an error, as in compare, not a request for the default
+        case = {"process": process, "coeffs": [0.5], "innovation": {"kind": "gaussian"},
+                "operator": {"M": 0, "N": 40}}
+        with pytest.raises(ValueError, match="M > 0"):
+            harness.PROPERTY_CHECKS[check](case, 0)
+
     @pytest.mark.parametrize("coeffs,innovation,p0", [
         ((0.3, 0.7), Rademacher(), 0.6247475),
         ((0.5, -0.2, 0.1), Exponential(), 0.968156),
@@ -319,6 +390,13 @@ class TestPropertyChecks:
     def test_monte_carlo_p0_pinned(self, coeffs, innovation, p0):
         # drawing the innovations in row blocks keeps the one-array values
         assert harness._ma_p0(MAModel(coeffs, innovation, GE), 0) == p0
+
+
+class TestRunMc:
+    def test_splitting_default_horizons(self):
+        model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        est = harness.run_mc(model, {"method": "splitting", "particles": 300}, 0)
+        assert list(est.horizons) == list(range(0, 61))
 
 
 def tiny_config():
@@ -419,7 +497,21 @@ class TestRunSuite:
         config["cases"][index][section] = typo
         with pytest.raises(harness.ConfigError, match=f"case {index}.*{key}"):
             harness.run_suite(config, tmp_path / "o")
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("index, change, message", [
+        (1, {"innovation": {"kind": "banana"}}, "banana"),
+        (2, {"coeffs": None}, "coeffs"),
+        (1, {"process": "ma", "initial": {"kind": "iid"}}, "initial law"),
+    ])
+    def test_malformed_model_named_before_any_case_runs(self, tmp_path, index, change,
+                                                        message):
+        # property cases have their models checked as compare cases do
+        config = tiny_config()
+        config["cases"][index].update(change)
+        with pytest.raises(harness.ConfigError, match=f"case {index}.*{message}"):
+            harness.run_suite(config, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_config_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
