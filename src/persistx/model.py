@@ -423,13 +423,25 @@ def initial_from_json(obj, default_innovation):
         raise ValueError(f"initial description must be an object with a 'kind' field, got {obj!r}")
     kind = obj["kind"]
     if kind == "point_mass":
-        return PointMass(tuple(obj["values"]))
+        return _initial_field(obj, "values", lambda values: PointMass(tuple(values)))
     if kind == "iid":
         innov = obj.get("innovation")
         return IIDInnovation(default_innovation if innov is None else innovation_from_json(innov))
     if kind == "stationary_ar1_gaussian":
-        return StationaryAR1Gaussian(float(obj["a1"]))
+        return _initial_field(obj, "a1", lambda a1: StationaryAR1Gaussian(float(a1)))
     raise ValueError(f"unknown initial-law kind {kind!r}")
+
+
+def _initial_field(obj, name, build):
+    """build(obj[name]); a missing or malformed field is a ValueError naming it."""
+    if name not in obj:
+        raise ValueError(f"{obj['kind']} initial law is missing its {name!r} field")
+    try:
+        return build(obj[name])
+    except (TypeError, ValueError) as e:
+        raise ValueError(
+            f"{obj['kind']} initial law has a malformed {name!r} field {obj[name]!r}: {e}"
+        ) from e
 
 
 def convention_from_json(tag):

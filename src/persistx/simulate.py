@@ -10,7 +10,9 @@ step and the counts are bit-identical at any thread count. The splitting
 estimator advances a particle population one step at a time, records the
 per-step survival fraction, and resamples survivors back to the full
 population, so the product of fractions estimates p_n far below the reach
-of crude sampling.
+of crude sampling. Its population is a C-ordered (d, P) array, one row per
+state coordinate; each step keeps the survivors with one compress and
+resamples them with one take.
 """
 
 from __future__ import annotations
@@ -168,6 +170,10 @@ def estimate_splitting(model, horizons, particles, seed):
     product of the fractions up to n, an unbiased estimator for each horizon.
     The per-step fractions are kept for diagnostics, and
     var(log p_n) is approximated by sum_t (1 - s_t) / (s_t P).
+
+    The population is a C-ordered (d, P) array, one contiguous row per state
+    coordinate, oldest first, so the drift reads rows and the survivors are
+    kept and resampled along the particle axis in one compress and one take.
     """
     horizons = _check_horizons(horizons)
     particles = int(particles)
@@ -178,29 +184,29 @@ def estimate_splitting(model, horizons, particles, seed):
     d = model.order
     init_rng = substream(seed, "split", "init")
     if is_ar:
-        state = np.asarray(model.initial.sample(d, init_rng, size=particles), dtype=float)
+        state = model.initial.sample(d, init_rng, size=particles)
     else:
-        state = np.asarray(model.innovation.sample(init_rng, (particles, d)), dtype=float)
+        state = model.innovation.sample(init_rng, (particles, d))
+    state = np.ascontiguousarray(np.asarray(state, dtype=float).T)
 
     fractions = np.empty(n_max + 1)
     for t in range(n_max + 1):
         if is_ar and t < d:
-            z = state[:, t]
+            z = state[t]
             new_state = state
         else:
             xi = model.innovation.sample(substream(seed, "split", t), particles)
-            z = drift(model.coeffs, state.T) + xi
+            z = drift(model.coeffs, state) + xi
             new_state = np.empty_like(state)
-            new_state[:, :-1] = state[:, 1:]
-            new_state[:, -1] = xi if not is_ar else z
+            new_state[:-1] = state[1:]
+            new_state[-1] = xi if not is_ar else z
         alive = model.convention.survives(z)
-        n_alive = int(alive.sum())
+        n_alive = np.count_nonzero(alive)
         fractions[t] = n_alive / particles
         if n_alive == 0:
             raise PopulationExtinct(t)
-        survivors = new_state[alive]
         idx = substream(seed, "resample", t).integers(0, n_alive, size=particles)
-        state = survivors[idx]
+        state = np.compress(alive, new_state, axis=1).take(idx, axis=1)
 
     log_p = np.cumsum(np.log(fractions))
     p_hat = np.exp(log_p[horizons])

@@ -307,6 +307,22 @@ class TestCompareCommand:
         assert "ConfigError" in err and key in err
         assert out == ""
 
+    @pytest.mark.parametrize("initial, field", [
+        ({"kind": "point_mass"}, "values"),
+        ({"kind": "stationary_ar1_gaussian"}, "a1"),
+        ({"kind": "point_mass", "values": 3}, "values"),
+    ], ids=["point_mass_without_values", "stationary_without_a1", "point_mass_scalar_values"])
+    def test_config_with_malformed_initial(self, capsys, tmp_path, initial, field):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "initial": initial, "mc": {"method": "none"}, "operator": {"skip": True},
+        }))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert out == ""
+
     def test_supercritical_case_passes_without_operator(self, capsys):
         code, out, _ = run(capsys, [
             "compare", "--process", "ar", "--coeffs", "1.2",

@@ -468,6 +468,18 @@ class TestRunSuite:
         with pytest.raises(harness.ConfigError, match="case 0"):
             harness.run_suite({"cases": [{"name": "x", "type": "banana"}]}, tmp_path / "o")
 
+    @pytest.mark.parametrize("initial, field", [
+        ({"kind": "point_mass"}, "values"),
+        ({"kind": "stationary_ar1_gaussian"}, "a1"),
+        ({"kind": "point_mass", "values": 3}, "values"),
+    ], ids=["point_mass_without_values", "stationary_without_a1", "point_mass_scalar_values"])
+    def test_malformed_initial_named(self, tmp_path, initial, field):
+        case = {"name": "x", "process": "ar", "coeffs": [0.5],
+                "innovation": {"kind": "gaussian"}, "initial": initial}
+        with pytest.raises(harness.ConfigError, match=f"case 0: .*'{field}'"):
+            harness.run_suite({"cases": [case]}, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_property_check_named(self, tmp_path):
         with pytest.raises(harness.ConfigError, match="qqq"):
             harness.run_suite(

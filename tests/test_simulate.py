@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -285,6 +286,43 @@ class TestSplitting:
         est = sim.estimate_splitting(m, [0, 1], 100_000, 2)
         assert est.p_hat[0] == pytest.approx(0.5, abs=0.01)
         assert est.p_hat[1] == pytest.approx(1.0 / 3.0, abs=0.01)
+
+
+# sha256 of p_hat.tobytes() + fractions.tobytes() at seed 7 over horizons
+# 0..n, pinned from the particle-major (P, d) loop that indexed survivors
+# with a boolean mask and a fancy gather. (model, {P: (n, digest)})
+SPLIT_PINS = {
+    "ar1_gauss_0.9": (ARModel((0.9,), Gaussian(), IIDInnovation(), GE), {
+        65_536: (8, "94d1f80126165f294a26b4b47fe4b953464ad7646c09469765221112fbb60d89"),
+        2000: (30, "b547c71049cb673a47b20ab81b42f53bb311cea81af437dd0933a3d749b78e87")}),
+    "ar2_gauss": (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE), {
+        65_536: (8, "6828837dc0092e5f1788cf8a21f1f13802858d61d21288178cf174a4220a3636"),
+        2000: (30, "71c218cdf22a75acb4fa690192139e065d87a36ec142441b63364b1437d9a360")}),
+    "ma1_exp_m0.5": (MAModel((-0.5,), Exponential(), GE), {
+        65_536: (8, "b8f41f9099a67c3a3f5e9711a6e23ff38bb91d9ec6e0e0b629fd8ae13233ad09"),
+        2000: (30, "3a0429c0bcbf5ca6dbf44b14706970d56782a3ddcd6416ec65d995f46eaebd60")}),
+    "ma2_rademacher_gt": (MAModel((0.5, 0.5), Rademacher(), GT), {
+        65_536: (8, "0e75d193de46dfbd8f690738967dec8d0608de48526b886ecc2efa069e92160c"),
+        2000: (30, "fd986805439e293d0a298bd102423460606c66bd1ba14795f88054fbf042e386")}),
+}
+
+
+class TestSplittingLoop:
+    @pytest.mark.parametrize("particles", [65_536, 2000])
+    @pytest.mark.parametrize("name", sorted(SPLIT_PINS))
+    def test_bytes_pinned(self, name, particles):
+        m, pins = SPLIT_PINS[name]
+        n, digest = pins[particles]
+        est = sim.estimate_splitting(m, range(n + 1), particles, 7)
+        got = hashlib.sha256(est.p_hat.tobytes() + est.fractions.tobytes()).hexdigest()
+        assert got == digest
+
+    def test_extinct_after_first_step(self):
+        # Z_0 = 1 survives; Z_1 = -10 + xi < -9 kills every particle
+        m = ARModel((-10.0,), Uniform(-1.0, 1.0), PointMass((1.0,)), GE)
+        with pytest.raises(sim.PopulationExtinct) as exc:
+            sim.estimate_splitting(m, range(5), 2000, 0)
+        assert exc.value.step == 1
 
 
 # Fixed-seed values of every route. The coefficients are asymmetric, so a
