@@ -36,8 +36,6 @@ from .simulate import (
     estimate_crude,
     estimate_splitting,
     fit_exponent,
-    simulate_ar_path,
-    simulate_ma_path,
 )
 from .operator import (
     MaxIterationsExceeded,
@@ -78,8 +76,7 @@ __all__ = [
     "PointMass", "IIDInnovation", "StationaryAR1Gaussian", "SurvivalConvention",
     "RequestedDensityOfAtomicLaw", "model_from_json", "substream",
     "AllPathsDied", "PopulationExtinct", "NonPositiveProbabilityInWindow",
-    "PersistenceEstimate", "simulate_ar_path", "simulate_ma_path",
-    "estimate_crude", "estimate_splitting", "fit_exponent",
+    "PersistenceEstimate", "estimate_crude", "estimate_splitting", "fit_exponent",
     "QuadratureGrid", "SpectralResult", "MaxIterationsExceeded", "build_grid",
     "assemble_ar", "assemble_ma", "spectral_radius", "solve_operator",
     "convergence_sweep",

@@ -360,12 +360,9 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
 
 
 def _check_grid(model, opcfg):
-    """The grid of the nonnegativity and conjugation checks: the truncation
-    defaults only when M is absent, as in solve_operator; N defaults to 200."""
-    m = opcfg.get("M")
-    if m is None:
-        m = operator_mod.default_truncation(model.innovation)
-    return operator_mod.default_grid(model, m, int(opcfg.get("N", 200)))
+    """The grid of the nonnegativity and conjugation checks: an absent M is
+    default_grid's default truncation, as in solve_operator; N defaults to 200."""
+    return operator_mod.default_grid(model, opcfg.get("M"), int(opcfg.get("N", 200)))
 
 
 def _prop_nonnegativity(case, seed):
@@ -402,9 +399,8 @@ def _prop_truncation(case, seed):
     opcfg = _section(case, "operator")
     ms = case.get("Ms") or [2.0, 4.0, 6.0]
     n_ref = int(opcfg.get("N", 400))
-    ms, lams = operator_mod.truncation_lambdas(model, ms, n_ref)
-    monotone = all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
-    return monotone, {"Ms": list(ms), "lambdas": lams}
+    family = operator_mod.truncation_lambdas(model, ms, n_ref)
+    return family.pop("monotone"), family
 
 
 _P0_BLOCK = 1 << 16
@@ -417,7 +413,7 @@ def _ma_p0(model, seed):
         m = operator_mod.default_truncation(innov, eps=1e-14, safety=1.0)
         lo = max(innov.support[0], -m)
         hi = min(innov.support[1], m)
-        grid = operator_mod.build_grid(lo, hi, 2000, scheme="gauss")
+        grid = operator_mod.build_grid(lo, hi, 2000)
         a1 = model.coeffs[0]
         # P(xi_0 + a1 xi_{-1} >= 0) = E[1 - F(-a1 xi_{-1})]
         weights = grid.weights * innov.density(grid.nodes)

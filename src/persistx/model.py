@@ -291,8 +291,7 @@ class StationaryAR1Gaussian(InitialDistribution):
             raise ValueError(f"stationary AR(1) initial law is order-1 only, model order is {p}")
         sd = 1.0 / math.sqrt(1.0 - self.a1 * self.a1)
         shape = None if size is None else (size, 1)
-        u = stream.random(shape)
-        out = sd * ndtri(u)
+        out = Gaussian(sd).sample(stream, shape)
         if size is None:
             return np.atleast_1d(out)
         return out
@@ -335,7 +334,15 @@ def drift(coeffs, cols):
 
 
 def _as_coeffs(coeffs):
-    out = tuple(float(c) for c in np.atleast_1d(np.asarray(coeffs, dtype=float)))
+    """A number or a flat list of numbers as a tuple of floats; anything else
+    is a ValueError naming the field."""
+    try:
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"malformed 'coeffs' field {coeffs!r}: {e}") from e
+    if arr.ndim > 1:
+        raise ValueError(f"malformed 'coeffs' field {coeffs!r}: need a number or a flat list")
+    out = tuple(float(c) for c in arr)
     if len(out) == 0:
         raise ValueError("coefficient vector must be nonempty")
     return out
@@ -413,7 +420,8 @@ def innovation_from_json(obj):
     cls = INNOVATIONS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown innovation kind {kind!r}")
-    return cls(**{f.name: float(obj[f.name]) for f in fields(cls) if f.name in obj})
+    return cls(**{f.name: _field(obj, f.name, float, "innovation") for f in fields(cls)
+                  if f.name in obj})
 
 
 def initial_from_json(obj, default_innovation):
@@ -423,24 +431,25 @@ def initial_from_json(obj, default_innovation):
         raise ValueError(f"initial description must be an object with a 'kind' field, got {obj!r}")
     kind = obj["kind"]
     if kind == "point_mass":
-        return _initial_field(obj, "values", lambda values: PointMass(tuple(values)))
+        return _field(obj, "values", lambda values: PointMass(tuple(values)), "initial law")
     if kind == "iid":
         innov = obj.get("innovation")
         return IIDInnovation(default_innovation if innov is None else innovation_from_json(innov))
     if kind == "stationary_ar1_gaussian":
-        return _initial_field(obj, "a1", lambda a1: StationaryAR1Gaussian(float(a1)))
+        return _field(obj, "a1", lambda a1: StationaryAR1Gaussian(float(a1)), "initial law")
     raise ValueError(f"unknown initial-law kind {kind!r}")
 
 
-def _initial_field(obj, name, build):
-    """build(obj[name]); a missing or malformed field is a ValueError naming it."""
+def _field(obj, name, build, law):
+    """build(obj[name]) for a law object; a missing or malformed field is a
+    ValueError naming it."""
     if name not in obj:
-        raise ValueError(f"{obj['kind']} initial law is missing its {name!r} field")
+        raise ValueError(f"{obj['kind']} {law} is missing its {name!r} field")
     try:
         return build(obj[name])
     except (TypeError, ValueError) as e:
         raise ValueError(
-            f"{obj['kind']} initial law has a malformed {name!r} field {obj[name]!r}: {e}"
+            f"{obj['kind']} {law} has a malformed {name!r} field {obj[name]!r}: {e}"
         ) from e
 
 

@@ -14,12 +14,12 @@ by the fraction of its innovation mass above the cut (cut-cell correction).
 
 Both kernels take s from model.drift, the one definition of the linear part
 of the transition that every route shares: crude and splitting Monte Carlo
-and single-path simulation step with it too.
+step with it too.
 
-Each solver setting is a parameter only of the layer that owns it, and every
-layer above takes its default: the grid's scheme (solves use Gauss-Legendre;
-truncation_lambdas needs nested midpoint cells), assemble_ma's cut cell (the
-plain indicator rule is its test reference), spectral_radius's tol and max_iter.
+Every grid comes from build_grid's Gauss-Legendre rule. Each solver setting
+is a parameter only of the layer that owns it, and every layer above takes
+its default: assemble_ma's cut cell (the plain indicator rule is its test
+reference), spectral_radius's tol and max_iter.
 
 An exponential tilt h(x) = exp(delta sum_j x_j) conjugates the AR kernel by a
 positive diagonal, so the spectral radius is unchanged while eigenfunction
@@ -63,9 +63,11 @@ class MaxIterationsExceeded(Exception):
 class QuadratureGrid:
     """Tensorized per-axis quadrature rule on [lo, hi]^d.
 
-    Edges partition [lo, hi] into one cell per node (cumulative weights for
-    Gauss-Legendre, uniform cells for midpoint); each node lies inside its
-    cell, which the cut-cell logic of the MA assembly relies on.
+    build_grid makes a Gauss-Legendre rule; truncation_lambdas restricts one
+    to a run of its consecutive cells, so that the smaller operators are
+    principal submatrices of the solve's. Edges partition [lo, hi] into one
+    cell per node by cumulative weights; each node lies inside its cell,
+    which the cut-cell logic of the MA assembly relies on.
     """
 
     d: int
@@ -75,7 +77,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     edges: np.ndarray
-    scheme: str
 
 
 def leggauss(n):
@@ -87,8 +88,8 @@ def leggauss(n):
     return roots_legendre(n)
 
 
-def build_grid(lo, hi, n, d=1, scheme="gauss"):
-    """Per-axis quadrature rule with n nodes on [lo, hi], tensorized to d axes."""
+def build_grid(lo, hi, n, d=1):
+    """Per-axis Gauss-Legendre rule with n nodes on [lo, hi], tensorized to d axes."""
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
@@ -99,16 +100,9 @@ def build_grid(lo, hi, n, d=1, scheme="gauss"):
     if d < 1:
         raise ValueError(f"need dimension >= 1, got {d}")
     length = hi - lo
-    if scheme == "gauss":
-        x, w = leggauss(n)
-        nodes = lo + (x + 1.0) * 0.5 * length
-        weights = w * 0.5 * length
-    elif scheme == "midpoint":
-        h = length / n
-        nodes = lo + h * (np.arange(n) + 0.5)
-        weights = np.full(n, h)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r} (expected 'gauss' or 'midpoint')")
+    x, w = leggauss(n)
+    nodes = lo + (x + 1.0) * 0.5 * length
+    weights = w * 0.5 * length
     edges = np.concatenate(([lo], lo + np.cumsum(weights)))
     edges[-1] = hi
     if abs(weights.sum() - length) > 1e-10 * max(1.0, length):
@@ -117,7 +111,7 @@ def build_grid(lo, hi, n, d=1, scheme="gauss"):
         raise AssertionError("quadrature nodes are not strictly increasing")
     if np.any(nodes <= edges[:-1]) or np.any(nodes >= edges[1:]):
         raise AssertionError("a quadrature node fell outside its cell")
-    return QuadratureGrid(int(d), lo, hi, n, nodes, weights, edges, scheme)
+    return QuadratureGrid(int(d), lo, hi, n, nodes, weights, edges)
 
 
 def default_truncation(innovation, eps=1e-10, safety=1.5):
@@ -153,13 +147,14 @@ def _axis_bounds(model, m):
     return 0.0, m
 
 
-def default_grid(model, m, n, scheme="gauss"):
-    """State-axis grid for the model, clamped to the reachable set."""
-    m = float(m)
+def default_grid(model, m, n):
+    """State-axis grid for the model at truncation m, clamped to the reachable
+    set; m=None means default_truncation of the innovation."""
+    m = default_truncation(model.innovation) if m is None else float(m)
     if m <= 0:
         raise ValueError(f"need truncation M > 0, got {m}")
     lo, hi = _axis_bounds(model, m)
-    return build_grid(lo, hi, n, d=model.order, scheme=scheme)
+    return build_grid(lo, hi, n, d=model.order)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +242,7 @@ def assemble_ar(model, grid, delta=0.0):
     return DiscretizedOperator(
         grid=grid,
         kmat=kmat,
-        meta={"process": "ar", "coeffs": list(model.coeffs), "delta": delta},
+        meta={"coeffs": list(model.coeffs), "delta": delta},
     )
 
 
@@ -286,7 +281,7 @@ def assemble_ma(model, grid, cut_cell=True):
     return DiscretizedOperator(
         grid=grid,
         kmat=kmat.reshape((n,) * d + (n,)),
-        meta={"process": "ma", "coeffs": list(model.coeffs), "cut_cell": bool(cut_cell)},
+        meta={"coeffs": list(model.coeffs), "cut_cell": bool(cut_cell)},
     )
 
 
@@ -330,9 +325,8 @@ class SpectralResult:
                 "hi": self.grid.hi,
                 "n": self.grid.n,
                 "d": self.grid.d,
-                "scheme": self.grid.scheme,
             },
-            **{k: v for k, v in self.meta.items() if k != "process"},
+            **self.meta,
         }
 
 
@@ -376,8 +370,6 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
 
 def solve_operator(model, m=None, n=400, delta=0.0):
     """One-call operator route: grid defaults, assembly, power iteration."""
-    if m is None:
-        m = default_truncation(model.innovation)
     grid = default_grid(model, m, n)
     op = assemble(model, grid, delta=delta)
     return spectral_radius(op)
@@ -388,15 +380,17 @@ def solve_operator(model, m=None, n=400, delta=0.0):
 
 
 def truncation_lambdas(model, ms, n_ref, delta=0.0):
-    """Spectral radii on a nested family of truncations of one big grid.
+    """Spectral radii on a nested family of truncations of the solve grid.
 
-    A midpoint grid is built for the largest truncation and each smaller M
-    keeps the nodes inside its own clamped axis, so every smaller operator is
-    literally a principal submatrix of the largest one and the exact
-    monotonicity of the Perron root in the truncation is preserved.
+    The grid is the one solve_operator builds at (largest M, n_ref); each
+    smaller M keeps the nodes inside its own clamped axis. Every smaller
+    operator is then a principal submatrix of the largest one, so the Perron
+    root cannot decrease along the family, and the largest member is the
+    (largest M, n_ref) solve itself. Returns {"Ms", "lambdas", "monotone"},
+    where monotone checks that nondecrease up to a 1e-9 slack.
     """
     ms = sorted(float(m) for m in ms)
-    big = default_grid(model, ms[-1], n_ref, scheme="midpoint")
+    big = default_grid(model, ms[-1], n_ref)
     lams = []
     for m in ms:
         lo_m, hi_m = _axis_bounds(model, m)
@@ -415,7 +409,8 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0):
         )
         op = assemble(model, sub, delta=delta)
         lams.append(spectral_radius(op).lam)
-    return ms, lams
+    monotone = all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
+    return {"Ms": ms, "lambdas": lams, "monotone": monotone}
 
 
 def convergence_sweep(model, ms, ns, delta=0.0):
@@ -437,14 +432,10 @@ def convergence_sweep(model, ms, ns, delta=0.0):
         {"M": m, "N": n, "lambda": lam, "diff": abs(lam - lam_ref)}
         for (m, n), lam in table.items()
     ]
-    trunc_ms, trunc_lams = truncation_lambdas(model, ms, ns[-1], delta=delta)
-    monotone = all(
-        later - earlier >= -1e-9 for earlier, later in zip(trunc_lams, trunc_lams[1:])
-    )
     return {
         "table": rows,
         "lambda_ref": lam_ref,
         "M_ref": ms[-1],
         "N_ref": ns[-1],
-        "truncation": {"Ms": trunc_ms, "lambdas": trunc_lams, "monotone": monotone},
+        "truncation": truncation_lambdas(model, ms, ns[-1], delta=delta),
     }

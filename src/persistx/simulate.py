@@ -51,14 +51,14 @@ class NonPositiveProbabilityInWindow(Exception):
 def sample_paths(model, n, size, rng):
     """Z_0..Z_n of `size` independent paths, shape (size, n + 1).
 
-    This is the one AR/MA path recursion: crude blocks, single paths and
-    the MA sample of the qbound check all call it. An AR path takes its
-    first p values from the initial law; the innovations of all later steps
-    then come from one (n + 1 - p, size) draw, step-major, and each step
-    adds the drift to its contiguous row. Draws concatenate along a stream,
-    so this takes the same values in the same order as one size-long draw
-    per step. The AR result is the transpose of that step-major buffer. An
-    MA path is built from one (size, n + q + 1) draw of xi_{-q}..xi_n.
+    This is the one AR/MA path recursion: crude blocks and the MA sample of
+    the qbound check both call it. An AR path takes its first p values from
+    the initial law; the innovations of all later steps then come from one
+    (n + 1 - p, size) draw, step-major, and each step adds the drift to its
+    contiguous row. Draws concatenate along a stream, so this takes the same
+    values in the same order as one size-long draw per step. The AR result
+    is the transpose of that step-major buffer. An MA path is built from one
+    (size, n + q + 1) draw of xi_{-q}..xi_n.
     """
     if isinstance(model, ARModel):
         p = model.order
@@ -74,21 +74,6 @@ def sample_paths(model, n, size, rng):
     xi = model.innovation.sample(rng, (size, n + q + 1))
     cols = [xi[:, k:k + n + 1] for k in range(q)]
     return drift(model.coeffs, cols) + xi[:, q:q + n + 1]
-
-
-def simulate_ar_path(model, n, stream):
-    """One AR path Z_0..Z_n; the first p entries come from the initial law."""
-    p = model.order
-    if n < p:
-        raise ValueError(f"need n >= order, got n={n} < p={p}")
-    return sample_paths(model, n, 1, stream)[0]
-
-
-def simulate_ma_path(model, n, stream):
-    """One MA path Z_0..Z_n built from draws xi_{-q}..xi_n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return sample_paths(model, n, 1, stream)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,22 @@ class TestCompareCommand:
         assert err.startswith("error: ") and f"'{field}'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("change, field", [
+        ({"innovation": {"kind": "gaussian", "sd": [1]}}, "sd"),
+        ({"innovation": {"kind": "gaussian", "sd": None}}, "sd"),
+        ({"coeffs": [[1]]}, "coeffs"),
+    ], ids=["sd_list", "sd_null", "coeffs_nested"])
+    def test_config_with_malformed_number(self, capsys, tmp_path, change, field):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"method": "none"}, "operator": {"skip": True}, **change,
+        }))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert out == ""
+
     def test_supercritical_case_passes_without_operator(self, capsys):
         code, out, _ = run(capsys, [
             "compare", "--process", "ar", "--coeffs", "1.2",

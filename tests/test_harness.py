@@ -480,6 +480,18 @@ class TestRunSuite:
             harness.run_suite({"cases": [case]}, tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("change, field", [
+        ({"innovation": {"kind": "gaussian", "sd": [1]}}, "sd"),
+        ({"innovation": {"kind": "gaussian", "sd": None}}, "sd"),
+        ({"coeffs": [[1]]}, "coeffs"),
+    ], ids=["sd_list", "sd_null", "coeffs_nested"])
+    def test_malformed_number_named(self, tmp_path, change, field):
+        case = {"name": "x", "process": "ar", "coeffs": [0.5],
+                "innovation": {"kind": "gaussian"}, **change}
+        with pytest.raises(harness.ConfigError, match=f"case 0: .*'{field}'"):
+            harness.run_suite({"cases": [case]}, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_property_check_named(self, tmp_path):
         with pytest.raises(harness.ConfigError, match="qqq"):
             harness.run_suite(

@@ -209,6 +209,10 @@ class TestModels:
         with pytest.raises(ValueError):
             ARModel((), Gaussian(), IIDInnovation())
 
+    def test_scalar_coeffs_accepted(self):
+        m = model_from_json({"process": "ar", "coeffs": 1, "innovation": {"kind": "gaussian"}})
+        assert m.coeffs == (1.0,)
+
     def test_survival_conventions(self):
         z = np.array([-1.0, 0.0, 1.0])
         assert SurvivalConvention.NON_NEGATIVE.survives(z).tolist() == [False, True, True]

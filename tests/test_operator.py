@@ -25,20 +25,15 @@ GE = SurvivalConvention.NON_NEGATIVE
 
 class TestGrids:
     def test_two_point_gauss_nodes(self):
-        g = op.build_grid(0.0, 1.0, 2, scheme="gauss")
+        g = op.build_grid(0.0, 1.0, 2)
         assert g.nodes == pytest.approx([0.2113248654051871, 0.7886751345948129], abs=1e-12)
         assert g.weights == pytest.approx([0.5, 0.5], abs=1e-15)
 
-    def test_midpoint_nodes(self):
-        g = op.build_grid(0.0, 1.0, 4, scheme="midpoint")
-        assert g.nodes == pytest.approx([0.125, 0.375, 0.625, 0.875])
-        assert g.weights == pytest.approx([0.25, 0.25, 0.25, 0.25])
-
-    @given(st.integers(2, 60), st.sampled_from(["gauss", "midpoint"]))
+    @given(st.integers(2, 60))
     @settings(max_examples=40, deadline=None)
-    def test_grid_invariants(self, n, scheme):
+    def test_grid_invariants(self, n):
         lo, hi = -1.5, 2.5
-        g = op.build_grid(lo, hi, n, scheme=scheme)
+        g = op.build_grid(lo, hi, n)
         assert g.weights.sum() == pytest.approx(hi - lo, rel=1e-12)
         assert np.all(np.diff(g.nodes) > 0)
         assert g.edges[0] == lo and g.edges[-1] == pytest.approx(hi)
@@ -47,7 +42,7 @@ class TestGrids:
     @pytest.mark.parametrize("n", [2, 3, 150, 151, 800])
     def test_gauss_rule_matches_numpy(self, n):
         x, w = np.polynomial.legendre.leggauss(n)
-        g = op.build_grid(-1.0, 1.0, n, scheme="gauss")
+        g = op.build_grid(-1.0, 1.0, n)
         assert np.abs(g.nodes - x).max() <= 1e-15
         assert np.abs(g.weights - w).max() <= 1e-12
 
@@ -75,6 +70,18 @@ class TestGrids:
         mg = MAModel((1.0,), Gaussian(), GE)
         g3 = op.default_grid(mg, 6.0, 16)
         assert g3.lo == pytest.approx(-6.0) and g3.hi == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("model", [
+        ARModel((0.5,), Gaussian(), IIDInnovation(), GE),
+        ARModel((-1.0,), Uniform(-1.0, 1.0), IIDInnovation(), GE),
+        MAModel((-0.5,), Exponential(), GE),
+    ], ids=["ar1_gauss", "ar1_uniform", "ma1_exp"])
+    def test_default_grid_defaults_truncation(self, model):
+        g = op.default_grid(model, None, 40)
+        ref = op.default_grid(model, op.default_truncation(model.innovation), 40)
+        assert (g.lo, g.hi, g.n, g.d) == (ref.lo, ref.hi, ref.n, ref.d)
+        for a, b in ((g.nodes, ref.nodes), (g.weights, ref.weights), (g.edges, ref.edges)):
+            assert np.array_equal(a, b)
 
 
 class TestAssembleAr:
@@ -349,10 +356,27 @@ class TestReferenceValues:
 class TestSweeps:
     def test_truncation_lambdas_monotone(self):
         m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
-        ms, lams = op.truncation_lambdas(m, [2.0, 4.0, 6.0], 400)
+        family = op.truncation_lambdas(m, [2.0, 4.0, 6.0], 400)
+        ms, lams = family["Ms"], family["lambdas"]
         assert list(ms) == [2.0, 4.0, 6.0]
         assert all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
+        assert family["monotone"] is True
         assert lams[-1] == pytest.approx(0.69224, abs=1e-3)
+
+    @pytest.mark.parametrize("model, ms, n_ref, delta", [
+        (MAModel((-0.5,), Exponential(), GE), [2.0, 4.0, 9.0], 400, 0.0),
+        (MAModel((1.0,), Gaussian(), GE), [2.0, 4.0, 6.0], 400, 0.0),
+        (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE), [2.0, 4.0], 60, "auto"),
+    ], ids=["ma1_exp_m0.5", "ma1_gauss_1", "ar2_gauss_auto_delta"])
+    def test_truncation_lambdas_monotone_more_models(self, model, ms, n_ref, delta):
+        # the family restricts the solve grid, so its largest member is the
+        # (largest M, n_ref) solve itself, bit for bit
+        family = op.truncation_lambdas(model, ms, n_ref, delta=delta)
+        lams = family["lambdas"]
+        assert family["Ms"] == ms
+        assert all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
+        assert family["monotone"] is True
+        assert lams[-1] == op.solve_operator(model, m=ms[-1], n=n_ref, delta=delta).lam
 
     def test_bounded_support_saturates(self):
         # once the box covers the reachable states, growing it changes nothing
@@ -381,3 +405,9 @@ class TestSweeps:
         ref_row = [r for r in res["table"] if r["M"] == 6.0 and r["N"] == 200][0]
         assert ref_row["diff"] == 0.0
         assert res["truncation"]["monotone"] is True
+
+    def test_truncation_family_ends_at_reference_cell(self):
+        m = ARModel((0.4,), Gaussian(), IIDInnovation(), GE)
+        res = op.convergence_sweep(m, [4.0, 6.0], [100, 200])
+        assert res["truncation"]["Ms"] == [4.0, 6.0]
+        assert res["truncation"]["lambdas"][-1] == res["lambda_ref"]

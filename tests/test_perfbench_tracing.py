@@ -1,0 +1,35 @@
+"""The traced benchmark wraps persistx functions by name; a rename or removal
+in the package shows up here, not only as a LookupError in a traced run."""
+
+import importlib.util
+from pathlib import Path
+
+from persistx import cli, harness, model, operator, oracle, simulate
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    # by file path, so sys.path stays as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_finds_every_wrapped_name():
+    tracing = load_tracing()
+    modules = (cli, harness, model, operator, oracle, simulate)
+    before = [dict(vars(mod)) for mod in modules] + [dict(harness.PROPERTY_CHECKS)]
+    original = operator.solve_operator
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        assert operator.solve_operator is not original
+    finally:
+        tracer.restore()
+    assert operator.solve_operator is original
+    after = [dict(vars(mod)) for mod in modules] + [dict(harness.PROPERTY_CHECKS)]
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        assert all(old[k] is new[k] for k in old)

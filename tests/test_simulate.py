@@ -27,7 +27,7 @@ GT = SurvivalConvention.STRICTLY_POSITIVE
 class TestPaths:
     def test_ar_path_recursion(self):
         m = ARModel((0.75,), Uniform(-1e-9, 1e-9), PointMass((1.0,)), GE)
-        z = sim.simulate_ar_path(m, 4, substream(0, "p"))
+        z = sim.sample_paths(m, 4, 1, substream(0, "p"))[0]
         # with near-zero noise the path is the deterministic skeleton
         assert z[0] == pytest.approx(1.0)
         for i in range(1, 5):
@@ -35,7 +35,7 @@ class TestPaths:
 
     def test_ar2_path_skeleton(self):
         m = ARModel((0.5, 0.25), Uniform(-1e-9, 1e-9), PointMass((1.0, 1.0)), GE)
-        z = sim.simulate_ar_path(m, 3, substream(0, "p"))
+        z = sim.sample_paths(m, 3, 1, substream(0, "p"))[0]
         assert z[0] == pytest.approx(1.0) and z[1] == pytest.approx(1.0)
         assert z[2] == pytest.approx(0.5 * 1.0 + 0.25 * 1.0, abs=1e-7)
         assert z[3] == pytest.approx(0.5 * z[2] + 0.25 * z[1], abs=1e-7)
@@ -58,18 +58,13 @@ class TestPaths:
     ], ids=["iid", "point", "stationary", "ar2_iid"])
     def test_ar_path_pinned(self, coeffs, innovation, initial, expected):
         m = ARModel(coeffs, innovation, initial, GE)
-        z = sim.simulate_ar_path(m, 5, substream(5, "path"))
+        z = sim.sample_paths(m, 5, 1, substream(5, "path"))[0]
         assert z.tolist() == pytest.approx(expected, rel=1e-12)
-
-    def test_ar_path_needs_horizon_at_least_order(self):
-        m = ARModel((0.5, 0.25), Gaussian(), IIDInnovation(), GE)
-        with pytest.raises(ValueError):
-            sim.simulate_ar_path(m, 1, substream(0, "p"))
 
     def test_ma_path_telescoping_sum(self):
         # with a_1 = -1, partial sums telescope: sum_0^n Z_i = xi_n - xi_{-1}
         m = MAModel((-1.0,), Gaussian(), GE)
-        z = sim.simulate_ma_path(m, 50, substream(3, "tele"))
+        z = sim.sample_paths(m, 50, 1, substream(3, "tele"))[0]
         draws = m.innovation.sample(substream(3, "tele"), 52)
         assert z.shape == (51,)
         assert z.sum() == pytest.approx(draws[-1] - draws[0], abs=1e-10)
@@ -77,7 +72,7 @@ class TestPaths:
     def test_ma_path_matches_direct_formula(self):
         m = MAModel((0.4, -0.3), Exponential(), GE)
         stream = substream(1, "ma")
-        z = sim.simulate_ma_path(m, 6, stream)
+        z = sim.sample_paths(m, 6, 1, stream)[0]
         draws = m.innovation.sample(substream(1, "ma"), 9)  # xi_{-2}..xi_6
         for i in range(7):
             expected = draws[i + 2] + 0.4 * draws[i + 1] - 0.3 * draws[i]
