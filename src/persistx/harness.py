@@ -370,7 +370,8 @@ def _prop_nonnegativity(case, seed):
     opcfg = _section(case, "operator")
     grid = _check_grid(model, opcfg)
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
-    worst = float(op.kmat.min())
+    # the MA kernel's entries are base and coef, or structural zeros
+    worst = float(op.kmat.min() if op.kmat is not None else min(op.base.min(), op.coef.min()))
     rng = substream(seed, "prop", "nonneg")
     for _ in range(4):
         g = rng.random((grid.n,) * grid.d)

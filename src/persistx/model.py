@@ -88,6 +88,9 @@ class Uniform(InnovationDistribution):
     kind = "uniform"
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"uniform law needs a finite {name!r}, got {getattr(self, name)}")
         if not self.lo < self.hi:
             raise ValueError(f"uniform law needs lo < hi, got ({self.lo}, {self.hi})")
 
@@ -129,8 +132,8 @@ class Gaussian(InnovationDistribution):
     kind = "gaussian"
 
     def __post_init__(self):
-        if not self.sd > 0:
-            raise ValueError(f"gaussian law needs sd > 0, got {self.sd}")
+        if not 0 < self.sd < math.inf:
+            raise ValueError(f"gaussian law needs a finite 'sd' > 0, got {self.sd}")
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -342,6 +345,8 @@ def _as_coeffs(coeffs):
         raise ValueError(f"malformed 'coeffs' field {coeffs!r}: {e}") from e
     if arr.ndim > 1:
         raise ValueError(f"malformed 'coeffs' field {coeffs!r}: need a number or a flat list")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"malformed 'coeffs' field {coeffs!r}: need finite numbers")
     out = tuple(float(c) for c in arr)
     if len(out) == 0:
         raise ValueError("coefficient vector must be nonempty")
@@ -420,8 +425,12 @@ def innovation_from_json(obj):
     cls = INNOVATIONS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown innovation kind {kind!r}")
-    return cls(**{f.name: _field(obj, f.name, float, "innovation") for f in fields(cls)
-                  if f.name in obj})
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in obj if key != "kind" and key not in names]
+    if unknown:
+        raise ValueError(f"{kind} innovation has unknown field {unknown[0]!r}; "
+                         f"it takes {', '.join(map(repr, names)) or 'no parameters'}")
+    return cls(**{name: _field(obj, name, float, "innovation") for name in names if name in obj})
 
 
 def initial_from_json(obj, default_innovation):

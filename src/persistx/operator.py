@@ -11,6 +11,9 @@ The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
 the indicator cuts one grid cell per row, and that cell's weight is rescaled
 by the fraction of its innovation mass above the cut (cut-cell correction).
+Every row is the nodal weight above its cut plus that one cell, so the MA
+operator is stored per state (first node above the cut, cut cell, cut-cell
+weight) and never as a table.
 
 Both kernels take s from model.drift, the one definition of the linear part
 of the transition that every route shares: crude and splitting Monte Carlo
@@ -29,11 +32,14 @@ iteration with sup-norm normalization.
 Cost. The Gauss-Legendre rule comes from scipy.special.roots_legendre, which
 is O(N^2) (numpy's leggauss is an O(N^3) eigen-solve). The AR kernel table is
 filled in slabs of its leading axis, so memory is the table (N^(d+1) floats)
-plus one slab. At d >= 2 one apply is a batched matrix-vector product
-(np.matmul) on a strided view of the table, not a copy of it. After each
-normalization the power iterate's subnormal entries are set to zero: they
-weigh nothing at the sup-norm scale, but they slow every later matvec
-several-fold.
+plus one slab. At d >= 2 one AR apply is a batched matrix-vector product
+(np.matmul) on a strided view of the table, not a copy of it. MA memory is
+O(N^d): one MA apply is a suffix sum of the weighted iterate along the new
+coordinate plus a gather of each state's suffix, O(N^d) time. Power iteration
+forms its residual and its next iterate in place, so each step allocates only
+the apply's result. After each normalization the iterate's subnormal entries
+are set to zero: they weigh nothing at the sup-norm scale, but they slow
+every later matvec several-fold.
 """
 
 from __future__ import annotations
@@ -163,23 +169,61 @@ def default_grid(model, m, n):
 
 @dataclass(eq=False)
 class DiscretizedOperator:
-    """Kernel factor table over (state, new coordinate) with a matrix-free apply.
+    """A kernel over (state, new coordinate) with a matrix-free apply.
 
-    kmat has shape (n,)*d + (n,); entry [x_1..x_d, z] is the quadrature
-    weight carried from state (x_1..x_d) to state (x_2..x_d, z). The image
-    state reuses d-1 source coordinates, so one apply costs O(n^d * n); the
-    full n^d x n^d matrix is never formed.
+    The image of state (x_1..x_d) weighs g over the new coordinate z at the
+    state (x_2..x_d, z), which reuses d-1 source coordinates, so the full
+    n^d x n^d matrix is never formed. The kernel is held in one of two forms.
+
+    AR: kmat has shape (n,)*d + (n,); entry [x_1..x_d, z] is the quadrature
+    weight carried from state (x_1..x_d) to state (x_2..x_d, z). One apply
+    costs O(n^d * n).
+
+    MA: the row of state x is base[j] at every node j >= start[x], plus
+    coef[x] at node cell[x], the cut cell (coef is 0 on a row without one).
+    One apply multiplies g by base along the new coordinate, takes its
+    suffix sums, gathers each state's suffix from start[x] and adds
+    coef[x] * g at cell[x]: O(n^d) in time and in memory. Its work buffers
+    belong to the operator, so one operator serves one caller at a time.
     """
 
     grid: QuadratureGrid
-    kmat: np.ndarray
+    kmat: np.ndarray = None
     meta: dict = field(default_factory=dict)
+    base: np.ndarray = None
+    start: np.ndarray = None
+    cell: np.ndarray = None
+    coef: np.ndarray = None
+
+    def __post_init__(self):
+        if self.kmat is not None:
+            return
+        n, d = self.grid.n, self.grid.d
+        # g viewed as rows (x_2..x_d) by the new coordinate; the suffix table
+        # holds, per row, the sums of its last 0..n weighted entries
+        row = np.arange(n ** d) % n ** (d - 1)
+        self._at_suffix = row * (n + 1) + (n - self.start.reshape(-1))
+        self._at_cell = row * n + self.cell.reshape(-1)
+        self._coef = self.coef.reshape(-1)
+        self._weighted = np.empty((n ** (d - 1), n))
+        self._suffix = np.zeros((n ** (d - 1), n + 1))
+        self._at_cut = np.empty(n ** d)
 
     def apply(self, g):
         d = self.grid.d
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,) * d:
             raise ValueError(f"value vector has shape {g.shape}, grid wants {(self.grid.n,) * d}")
+        if self.kmat is None:
+            # suffix sums run from the last node down: the terms are
+            # nonnegative, so nothing cancels
+            weighted = np.multiply(g.reshape(self._weighted.shape), self.base, out=self._weighted)
+            np.add.accumulate(weighted[:, ::-1], axis=1, out=self._suffix[:, 1:])
+            out = self._suffix.take(self._at_suffix)
+            at_cut = g.take(self._at_cell, out=self._at_cut, mode="clip")
+            at_cut *= self._coef
+            out += at_cut
+            return out.reshape(g.shape)
         if d == 1:
             return self.kmat @ g
         # batch over the shared coordinates (x_2..x_d): a strided view, so
@@ -249,9 +293,11 @@ def assemble_ar(model, grid, delta=0.0):
 def assemble_ma(model, grid, cut_cell=True):
     """Discretize the MA persistence operator on the grid.
 
-    Row x keeps the nodal rule w_j phi(y_j) above the survival cut
-    y > -sum_i a_i x_{q+1-i}; with the correction on, the one cell straddling
-    the cut keeps the fraction of its innovation mass that lies above it.
+    Row x keeps the nodal rule base[j] = w_j phi(y_j) above the survival cut
+    y > -sum_i a_i x_{q+1-i}, so it is stored as the first node above the cut
+    (start). With the correction on, the one cell k straddling the cut keeps
+    the fraction of its innovation mass that lies above it: start is k + 1
+    and coef is base[k] times that fraction. Nothing of size n^(d+1) is built.
     """
     if not isinstance(model, MAModel):
         raise ValueError("assemble_ma expects an MA model")
@@ -265,7 +311,9 @@ def assemble_ma(model, grid, cut_cell=True):
     n = grid.n
     base = grid.weights * model.innovation.density(grid.nodes)
     cut = (-drift(model.coeffs, _coordinates(grid))).reshape(-1)
-    kmat = np.where(grid.nodes[None, :] > cut[:, None], base[None, :], 0.0)
+    start = np.searchsorted(grid.nodes, cut, side="right")
+    cell = np.zeros_like(start)
+    coef = np.zeros(cut.shape)
     if cut_cell:
         inside = (cut > grid.edges[0]) & (cut < grid.edges[-1])
         rows = np.flatnonzero(inside)
@@ -277,11 +325,17 @@ def assemble_ma(model, grid, cut_cell=True):
             mass = f_hi - f_lo
             with np.errstate(divide="ignore", invalid="ignore"):
                 frac = np.where(mass > 0.0, (f_hi - f_cut) / np.where(mass > 0, mass, 1.0), 0.0)
-            kmat[rows, k] = base[k] * np.clip(frac, 0.0, 1.0)
+            start[rows] = k + 1
+            cell[rows] = k
+            coef[rows] = base[k] * np.clip(frac, 0.0, 1.0)
+    shape = (n,) * d
     return DiscretizedOperator(
         grid=grid,
-        kmat=kmat.reshape((n,) * d + (n,)),
         meta={"coeffs": list(model.coeffs), "cut_cell": bool(cut_cell)},
+        base=base,
+        start=start.reshape(shape),
+        cell=cell.reshape(shape),
+        coef=coef.reshape(shape),
     )
 
 
@@ -339,9 +393,14 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
     Starts from the all-ones vector with sup-norm normalization and stops
     when both the eigenvalue increment and the sup-norm residual fall below
     tol. A periodic kernel, whose estimates cycle instead of settling, ends
-    in MaxIterationsExceeded.
+    in MaxIterationsExceeded. op.apply must return a new array on every call:
+    the iterate is normalized in place.
     """
     v = np.ones((op.grid.n,) * op.grid.d)
+    # residual and subnormal-mask buffers; each apply returns a fresh w, which
+    # is normalized in place into the next iterate, so best keeps its own v
+    r = np.empty_like(v)
+    tiny = np.empty(v.shape, dtype=bool)
     lam_prev = math.inf
     best = None
     for it in range(1, int(max_iter) + 1):
@@ -350,15 +409,18 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
         if lam <= 0.0:
             # the operator annihilates the cone on this grid
             return SpectralResult(0.0, v, 0.0, it, True, op.grid, dict(op.meta))
-        residual = float(np.abs(w - lam * v).max())
+        np.multiply(v, lam, out=r)
+        np.subtract(w, r, out=r)
+        residual = float(np.abs(r, out=r).max())
         if best is None or residual < best[2]:
             best = (lam, v, residual, it)
         if residual < tol * max(1.0, lam) and abs(lam - lam_prev) < tol:
             return SpectralResult(lam, v, residual, it, True, op.grid, dict(op.meta))
-        v = w / lam
+        v = np.divide(w, lam, out=w)
         # flush subnormal entries: they carry no weight at the sup-norm scale
         # of v but slow every later matvec several-fold
-        v[v < _TINY] = 0.0
+        np.less(v, _TINY, out=tiny)
+        np.putmask(v, tiny, 0.0)
         lam_prev = lam
     lam, v, residual, it = best
     raise MaxIterationsExceeded(

@@ -98,6 +98,16 @@ class TestParsing:
         assert code == 1
         assert "cauchy" in err
 
+    @pytest.mark.parametrize("innovation, field", [("gaussian:inf", "sd"),
+                                                   ("uniform:-1,inf", "hi")])
+    def test_nonfinite_innovation_flag_is_named(self, capsys, innovation, field):
+        code, out, err = run(capsys, [
+            "operator", "--process", "ma", "--coeffs", "0.5",
+            "--innovation", innovation, "--N", "40"])
+        assert code == 1
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert out == ""
+
 
 class TestOracleCommand:
     def test_ma1_exponential_value(self, capsys):
@@ -327,7 +337,14 @@ class TestCompareCommand:
         ({"innovation": {"kind": "gaussian", "sd": [1]}}, "sd"),
         ({"innovation": {"kind": "gaussian", "sd": None}}, "sd"),
         ({"coeffs": [[1]]}, "coeffs"),
-    ], ids=["sd_list", "sd_null", "coeffs_nested"])
+        ({"coeffs": [math.nan]}, "coeffs"),
+        ({"coeffs": [math.inf]}, "coeffs"),
+        ({"innovation": {"kind": "gaussian", "sd": math.inf}}, "sd"),
+        ({"innovation": {"kind": "uniform", "lo": -1.0, "hi": math.inf}}, "hi"),
+        ({"innovation": {"kind": "gaussian", "sdd": 2.0}}, "sdd"),
+        ({"innovation": {"kind": "exponential", "rate": 2.0}}, "rate"),
+    ], ids=["sd_list", "sd_null", "coeffs_nested", "coeffs_nan", "coeffs_inf", "sd_inf",
+            "uniform_hi_inf", "sd_typo", "exponential_rate"])
     def test_config_with_malformed_number(self, capsys, tmp_path, change, field):
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({

@@ -17,6 +17,7 @@ from persistx.model import (
     StationaryAR1Gaussian,
     SurvivalConvention,
     Uniform,
+    innovation_from_json,
     model_from_json,
     substream,
 )
@@ -254,6 +255,28 @@ class TestJsonSchema:
         with pytest.raises(ValueError, match="geq"):
             model_from_json({"process": "ar", "coeffs": [0.5],
                              "innovation": {"kind": "gaussian"}, "convention": "geq"})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: model_from_json({"process": "ar", "coeffs": [math.nan],
+                                  "innovation": {"kind": "gaussian"}}), "coeffs"),
+        (lambda: model_from_json({"process": "ma", "coeffs": [math.inf],
+                                  "innovation": {"kind": "gaussian"}}), "coeffs"),
+        (lambda: ARModel((0.5, -math.inf), Gaussian(), IIDInnovation(),
+                         SurvivalConvention.NON_NEGATIVE), "coeffs"),
+        (lambda: MAModel((math.nan,), Gaussian(), SurvivalConvention.NON_NEGATIVE), "coeffs"),
+        (lambda: Gaussian(math.inf), "sd"),
+        (lambda: Uniform(-1.0, math.inf), "hi"),
+        (lambda: Uniform(math.nan, 1.0), "lo"),
+        (lambda: innovation_from_json({"kind": "gaussian", "sd": math.inf}), "sd"),
+        (lambda: innovation_from_json({"kind": "uniform", "lo": -1.0, "hi": math.inf}), "hi"),
+        (lambda: innovation_from_json({"kind": "gaussian", "sdd": 2.0}), "sdd"),
+        (lambda: innovation_from_json({"kind": "exponential", "rate": 2.0}), "rate"),
+    ], ids=["ar_coeff_nan", "ma_coeff_inf", "ar_ctor_inf", "ma_ctor_nan", "gaussian_sd_inf",
+            "uniform_hi_inf", "uniform_lo_nan", "json_sd_inf", "json_hi_inf",
+            "gaussian_unknown_field", "exponential_unknown_field"])
+    def test_nonfinite_or_unknown_field_is_named(self, build, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            build()
 
     def test_extra_keys_ignored(self):
         m = model_from_json({"process": "ma", "coeffs": [1.0],

@@ -1,5 +1,6 @@
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,12 @@ def _one_shot_kmat(model, grid, delta):
     return kmat
 
 
+def _dense_apply(kmat, g):
+    """(Kg)(x_1..x_d) = sum_z kmat[x_1..x_d, z] g(x_2..x_d, z), from the table."""
+    letters = string.ascii_lowercase[:g.ndim]
+    return np.einsum(f"{letters}z,{letters[1:]}z->{letters}", kmat, g)
+
+
 class TestSlabAssembly:
     # every size spans several assembly slabs, the last one partial
     @pytest.mark.parametrize("coeffs,innovation,n", [
@@ -171,8 +178,7 @@ class TestApply:
         kop = op.assemble_ar(m, op.default_grid(m, 6.0, n), delta=0.3)
         d = len(coeffs)
         g = np.random.default_rng(5).random((n,) * d)
-        letters = string.ascii_lowercase[:d]
-        expected = np.einsum(f"{letters}z,{letters[1:]}z->{letters}", kop.kmat, g)
+        expected = _dense_apply(kop.kmat, g)
         out = kop.apply(g)
         assert out.shape == (n,) * d
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -210,9 +216,11 @@ class TestAssembleMa:
         m = MAModel((-0.9,), Exponential(), GE)
         grid = op.build_grid(0.0, 10.0, 50)
         kop = op.assemble_ma(m, grid, cut_cell=False)
-        assert kop.kmat.shape == (50, 50)
+        # row sums are the image of the constant function
+        sums = kop.apply(np.ones(50))
+        assert sums.shape == (50,)
         # large x forces y > 0.9 x: the row loses most of its mass
-        assert kop.kmat[-1].sum() < kop.kmat[0].sum()
+        assert sums[-1] < sums[0]
 
     def test_cut_cell_improves_symmetric_case(self):
         m = MAModel((1.0,), Gaussian(), GE)
@@ -227,7 +235,6 @@ class TestAssembleMa:
         m = MAModel((0.4, 0.2), Gaussian(), GE)
         grid = op.build_grid(-5.0, 5.0, 10, d=2)
         kop = op.assemble_ma(m, grid)
-        assert kop.kmat.shape == (10, 10, 10)
         out = kop.apply(np.ones((10, 10)))
         assert out.shape == (10, 10)
         assert np.all(out >= 0.0) and out.max() <= 1.0 + 1e-12
@@ -248,6 +255,129 @@ class TestAssembleMa:
         grid = op.build_grid(-1.0, 1.0, 8)
         with pytest.raises(RequestedDensityOfAtomicLaw):
             op.assemble_ma(m, grid)
+
+
+def _dense_ma_kmat(model, grid, cut_cell):
+    """The MA kernel as a table, entry by entry from its rule: base[j] =
+    w_j phi(y_j) at every node above the cut; with the correction, the cell
+    [e_k, e_k+1) holding a cut strictly inside (lo, hi) carries base[k] times
+    the fraction of its innovation mass above the cut."""
+    d = model.order
+    base = grid.weights * model.innovation.density(grid.nodes)
+    cols = [grid.nodes.reshape((-1,) + (1,) * (d - 1 - k)) for k in range(d)]
+    cut = np.broadcast_to(-drift(model.coeffs, cols), (grid.n,) * d)
+    kmat = np.where(grid.nodes > cut[..., None], base, 0.0)
+    if cut_cell:
+        cdf = model.innovation.cdf
+        for x in np.ndindex(cut.shape):
+            c = float(cut[x])
+            if not grid.edges[0] < c < grid.edges[-1]:
+                continue
+            k = int(np.searchsorted(grid.edges, c, side="right")) - 1
+            mass = cdf(grid.edges[k + 1]) - cdf(grid.edges[k])
+            frac = (cdf(grid.edges[k + 1]) - cdf(c)) / mass if mass > 0 else 0.0
+            kmat[x + (k,)] = base[k] * min(max(frac, 0.0), 1.0)
+    return kmat
+
+
+def _midpoint_grid(lo, hi, n):
+    """n equal cells on [lo, hi] with nodes at their midpoints: dyadic
+    bounds make every node and edge exact, so cuts can land on them."""
+    edges = np.linspace(lo, hi, n + 1)
+    return op.QuadratureGrid(1, lo, hi, n, 0.5 * (edges[:-1] + edges[1:]), np.diff(edges), edges)
+
+
+class TestMatrixFreeMa:
+    @pytest.mark.parametrize("coeffs,innovation,n", [
+        ((1.0,), Gaussian(), 200),
+        ((-1.0,), Gaussian(), 200),
+        ((-0.99,), Gaussian(), 150),
+        ((-0.5,), Exponential(), 150),
+        ((0.5,), Uniform(-1.0, 2.0), 120),
+        ((0.5, -0.2), Gaussian(), 30),
+        ((0.5, 0.5), Gaussian(), 30),
+        ((0.3, 0.3, 0.3), Gaussian(), 9),
+    ], ids=["ma1_gauss_1", "ma1_gauss_m1", "ma1_gauss_m0.99", "ma1_exp_m0.5", "ma1_unif",
+            "ma2_0.5_m0.2", "ma2_0.5_0.5", "ma3_0.3"])
+    @pytest.mark.parametrize("cut_cell", [True, False])
+    def test_apply_matches_dense_kernel(self, coeffs, innovation, n, cut_cell):
+        m = MAModel(coeffs, innovation, GE)
+        grid = op.default_grid(m, None, n)
+        kop = op.assemble_ma(m, grid, cut_cell=cut_cell)
+        kmat = _dense_ma_kmat(m, grid, cut_cell)
+        rng = np.random.default_rng(11)
+        for g in (np.ones((n,) * m.order), rng.random((n,) * m.order)):
+            expected = _dense_apply(kmat, g)
+            out = kop.apply(g)
+            assert out.shape == g.shape
+            assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("a1", [-1.0, -2.0, -8.0],
+                             ids=["cut_on_node", "cut_on_edge", "cut_on_lo_and_hi"])
+    @pytest.mark.parametrize("cut_cell", [True, False])
+    def test_cuts_on_nodes_edges_and_bounds(self, a1, cut_cell):
+        # on [-1, 1] with 8 cells, cut = -a1 x lands on nodes (a1 = -1), on
+        # edges and beyond both bounds (a1 = -2), or on lo and hi exactly (-8)
+        m = MAModel((a1,), Uniform(-1.0, 1.0), GE)
+        grid = _midpoint_grid(-1.0, 1.0, 8)
+        cut = -a1 * grid.nodes
+        hits = {-1.0: grid.nodes, -2.0: grid.edges, -8.0: grid.edges[[0, -1]]}[a1]
+        assert np.isin(cut, hits).sum() >= 2
+        kop = op.assemble_ma(m, grid, cut_cell=cut_cell)
+        kmat = _dense_ma_kmat(m, grid, cut_cell)
+        g = np.random.default_rng(3).random(8)
+        assert np.abs(kop.apply(g) - kmat @ g).max() <= 1e-15
+        row_sums = kop.apply(np.ones(8))
+        assert np.all(row_sums[cut >= grid.hi] == 0.0)
+        assert np.all(row_sums[cut <= grid.lo] == kop.base.sum())
+
+    def test_cuts_below_support(self):
+        # exponential support with a positive coefficient: every cut lies
+        # below lo = 0, so every row keeps all of its nodal weight
+        m = MAModel((0.5,), Exponential(), GE)
+        grid = op.default_grid(m, None, 60)
+        kop = op.assemble_ma(m, grid)
+        assert np.all(kop.start == 0) and np.all(kop.coef == 0.0)
+        assert kop.apply(np.ones(60)) == pytest.approx(np.full(60, kop.base.sum()), rel=1e-14)
+        g = np.random.default_rng(4).random(60)
+        kmat = _dense_ma_kmat(m, grid, True)
+        assert np.abs(kop.apply(g) - kmat @ g).max() <= 1e-14 * np.abs(kmat @ g).max()
+
+    # lambda and iterations of the table-based apply this form replaced
+    @pytest.mark.parametrize("coeffs,innovation,n,lam,iterations", [
+        ((1.0,), Gaussian(), 400, 0.6365503548414224, 23),
+        ((-0.99,), Gaussian(), 400, 0.01559607409157369, 12935),
+        ((-0.5,), Exponential(), 400, 0.49999980049948956, 33),
+        ((0.5, -0.2), Gaussian(), 100, 0.5583245207760867, 29),
+        ((0.5, 0.5), Gaussian(), 100, 0.6801429268434205, 29),
+        ((0.3, 0.3, 0.3), Gaussian(), 20, 0.6779448128950532, 39),
+    ], ids=["ma1_gauss_1", "ma1_gauss_m0.99", "ma1_exp_m0.5", "ma2_0.5_m0.2", "ma2_0.5_0.5",
+            "ma3_0.3"])
+    def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, lam, iterations):
+        res = op.solve_operator(MAModel(coeffs, innovation, GE), n=n)
+        assert res.lam == pytest.approx(lam, abs=1e-13)
+        assert res.iterations == iterations
+
+    def test_ma2_memory_is_linear_in_states(self):
+        # a kernel table at N = 300 alone would take 300^3 * 8 B = 216 MB
+        m = MAModel((0.5, 0.5), Gaussian(), GE)
+        tracemalloc.start()
+        try:
+            res = op.solve_operator(m, n=300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 50e6
+
+    def test_apply_returns_a_fresh_array(self):
+        m = MAModel((0.5,), Gaussian(), GE)
+        kop = op.assemble_ma(m, op.default_grid(m, None, 40))
+        g = np.ones(40)
+        first = kop.apply(g)
+        kept = first.copy()
+        second = kop.apply(2.0 * g)
+        assert second is not first and np.array_equal(first, kept)
 
 
 class TestPowerIteration:

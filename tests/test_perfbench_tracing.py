@@ -33,3 +33,24 @@ def test_instrument_finds_every_wrapped_name():
     for old, new in zip(before, after):
         assert old.keys() == new.keys()
         assert all(old[k] is new[k] for k in old)
+
+
+def test_every_apply_is_traced():
+    # one operator.apply span per power iteration, for both kernel forms
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    cases = (
+        model.MAModel((-0.5,), model.Gaussian(), model.SurvivalConvention.NON_NEGATIVE),
+        model.ARModel((0.4,), model.Gaussian(), model.IIDInnovation(),
+                      model.SurvivalConvention.NON_NEGATIVE),
+    )
+    try:
+        tracing.instrument(tracer)
+        for m in cases:
+            seen = len(tracer.spans)
+            res = operator.solve_operator(m, n=40)
+            applies = [s for s in tracer.spans[seen:] if s.name == "operator.apply"]
+            assert res.iterations > 1
+            assert len(applies) == res.iterations
+    finally:
+        tracer.restore()
