@@ -161,6 +161,18 @@ _SECTION_KEYS = {
     "mc": ("method", "horizons", "replicates", "particles", "threads", "window"),
     "tolerances": tuple(DEFAULT_TOLERANCES),
 }
+# the top-level keys a case may hold: the runner's, the model schema's, the
+# sections, and the lists the property checks take
+_CASE_KEYS = ("name", "type", "check", "seed", "process", "order", "coeffs", "innovation",
+              "initial", "convention", *_SECTION_KEYS, "Ms", "deltas", "threads")
+
+
+def _check_keys(obj, known, where):
+    """A key of obj outside known is a ConfigError that names it."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(known)}")
 
 
 def _section(case, name):
@@ -168,11 +180,7 @@ def _section(case, name):
     section = case.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"the '{name}' section must be an object")
-    known = _SECTION_KEYS[name]
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}; "
-                          f"known: {', '.join(known)}")
+    _check_keys(section, _SECTION_KEYS[name], name)
     return section
 
 
@@ -214,12 +222,14 @@ def compare(case):
     """Run every applicable route for one case and score the differences.
 
     The case dict embeds the model schema plus optional "operator", "mc",
-    "tolerances", and "seed" sections; a missing oracle is not an error, it
-    just removes the corresponding cross-checks. Returns the report payload:
-    the case, the oracle exponent with its info and label, each route's
-    result (None when it did not run), the scored diffs and checks, the
-    tolerances and the overall verdict. Wall times are not part of it.
+    "tolerances", and "seed" sections; a top-level key outside _CASE_KEYS is
+    a ConfigError. A missing oracle is not an error, it just removes the
+    corresponding cross-checks. Returns the report payload: the case, the
+    oracle exponent with its info and label, each route's result (None when
+    it did not run), the scored diffs and checks, the tolerances and the
+    overall verdict. Wall times are not part of it.
     """
+    _check_keys(case, _CASE_KEYS, "case")
     model = model_from_json(case)
     seed = int(case.get("seed", 0))
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -359,16 +369,12 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
 # property checks
 
 
-def _check_grid(model, opcfg):
-    """The grid of the nonnegativity and conjugation checks: an absent M is
-    default_grid's default truncation, as in solve_operator; N defaults to 200."""
-    return operator_mod.default_grid(model, opcfg.get("M"), int(opcfg.get("N", 200)))
-
-
 def _prop_nonnegativity(case, seed):
     model = model_from_json(case)
     opcfg = _section(case, "operator")
-    grid = _check_grid(model, opcfg)
+    # N defaults to 200 here and in the conjugation check; an absent M is
+    # default_grid's default truncation, as in solve_operator
+    grid = operator_mod.default_grid(model, opcfg.get("M"), int(opcfg.get("N", 200)))
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
     # the MA kernel's entries are base and coef, or structural zeros
     worst = float(op.kmat.min() if op.kmat is not None else min(op.base.min(), op.coef.min()))
@@ -385,11 +391,10 @@ def _prop_conjugation(case, seed):
     if not isinstance(model, ARModel):
         raise ConfigError("conjugation invariance is an AR property")
     deltas = case.get("deltas", [0.0, 0.1, 0.5])
-    grid = _check_grid(model, _section(case, "operator"))
-    lams = []
-    for delta in deltas:
-        op = operator_mod.assemble_ar(model, grid, delta=float(delta))
-        lams.append(operator_mod.spectral_radius(op).lam)
+    opcfg = _section(case, "operator")
+    lams = [operator_mod.solve_operator(model, m=opcfg.get("M"), n=int(opcfg.get("N", 200)),
+                                        delta=float(delta)).lam
+            for delta in deltas]
     spread = max(lams) - min(lams)
     return spread <= 1e-8, {"deltas": list(deltas), "lambdas": lams, "spread": spread}
 
@@ -496,7 +501,8 @@ def load_config(config):
 
 
 def _validate_case(case, index):
-    """A case's type; its sections and model are checked too, nothing is run."""
+    """A case's type; its top-level keys, sections and model are checked too,
+    nothing is run."""
     if not isinstance(case, dict):
         raise ConfigError(f"case {index} is not an object")
     ctype = case.get("type", "compare")
@@ -510,6 +516,7 @@ def _validate_case(case, index):
     elif ctype != "compare":
         raise ConfigError(f"unknown case type {ctype!r} in case {index}")
     try:
+        _check_keys(case, _CASE_KEYS, "case")
         for name in _SECTION_KEYS:
             _section(case, name)
         model_from_json(case)
@@ -533,11 +540,11 @@ def _summary_numbers(record):
 def run_suite(config, out_dir, threads=None):
     """Run a config of compare cases and property checks; write reports.
 
-    Every case's type, sections and model are checked first: a config error
-    raises before out_dir is created or any case runs. Then the cases run,
-    and one canonical JSON file per case plus summary.csv are written under
-    out_dir. The returned SuiteResult carries any_failed for the caller's
-    exit status.
+    Every case's type, top-level keys, sections and model are checked first:
+    a config error raises before out_dir is created or any case runs. Then
+    the cases run, and one canonical JSON file per case plus summary.csv are
+    written under out_dir. The returned SuiteResult carries any_failed for
+    the caller's exit status.
     """
     cfg = load_config(config)
     if not isinstance(cfg, dict) or "cases" not in cfg:

@@ -230,11 +230,8 @@ INNOVATIONS = {cls.kind: cls for cls in (Uniform, Gaussian, Exponential, Rademac
 
 
 class InitialDistribution:
-    def sample(self, p, stream, size=None):
-        """Draw the initial state vector (Z_0 .. Z_{p-1}).
-
-        With size=None returns shape (p,), otherwise shape (size, p).
-        """
+    def sample(self, p, stream, size):
+        """Draw size initial state vectors (Z_0 .. Z_{p-1}), shape (size, p)."""
         raise NotImplementedError
 
     def to_json(self):
@@ -248,15 +245,12 @@ class PointMass(InitialDistribution):
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
-    def sample(self, p, stream, size=None):
+    def sample(self, p, stream, size):
         if len(self.values) != p:
             raise ValueError(
                 f"point-mass initial state has length {len(self.values)}, model order is {p}"
             )
-        v = np.array(self.values, dtype=float)
-        if size is None:
-            return v
-        return np.tile(v, (size, 1))
+        return np.tile(np.array(self.values, dtype=float), (size, 1))
 
     def to_json(self):
         return {"kind": "point_mass", "values": list(self.values)}
@@ -268,11 +262,9 @@ class IIDInnovation(InitialDistribution):
 
     innovation: InnovationDistribution = None
 
-    def sample(self, p, stream, size=None):
+    def sample(self, p, stream, size):
         if self.innovation is None:
             raise ValueError("initial law has no distribution bound to it yet")
-        if size is None:
-            return self.innovation.sample(stream, p)
         return self.innovation.sample(stream, (size, p))
 
     def to_json(self):
@@ -289,15 +281,11 @@ class StationaryAR1Gaussian(InitialDistribution):
         if not abs(self.a1) < 1.0:
             raise ValueError(f"stationary AR(1) initial law needs |a1| < 1, got {self.a1}")
 
-    def sample(self, p, stream, size=None):
+    def sample(self, p, stream, size):
         if p != 1:
             raise ValueError(f"stationary AR(1) initial law is order-1 only, model order is {p}")
         sd = 1.0 / math.sqrt(1.0 - self.a1 * self.a1)
-        shape = None if size is None else (size, 1)
-        out = Gaussian(sd).sample(stream, shape)
-        if size is None:
-            return np.atleast_1d(out)
-        return out
+        return Gaussian(sd).sample(stream, (size, 1))
 
     def to_json(self):
         return {"kind": "stationary_ar1_gaussian", "a1": self.a1}

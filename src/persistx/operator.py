@@ -54,11 +54,7 @@ from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, drift
 
 
 class MaxIterationsExceeded(Exception):
-    """Power iteration hit its budget; .result carries the best iterate."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
+    """Power iteration hit its budget; the message gives the last residual and lambda."""
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +388,17 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
 
     Starts from the all-ones vector with sup-norm normalization and stops
     when both the eigenvalue increment and the sup-norm residual fall below
-    tol. A periodic kernel, whose estimates cycle instead of settling, ends
-    in MaxIterationsExceeded. op.apply must return a new array on every call:
-    the iterate is normalized in place.
+    tol. A kernel that does not settle within max_iter steps (a periodic one
+    cycles) ends in MaxIterationsExceeded, whose message reports the last
+    step's residual and lambda. op.apply must return a new array on every
+    call: the iterate is normalized in place.
     """
     v = np.ones((op.grid.n,) * op.grid.d)
     # residual and subnormal-mask buffers; each apply returns a fresh w, which
-    # is normalized in place into the next iterate, so best keeps its own v
+    # is normalized in place into the next iterate
     r = np.empty_like(v)
     tiny = np.empty(v.shape, dtype=bool)
-    lam_prev = math.inf
-    best = None
+    lam_prev = residual = math.inf
     for it in range(1, int(max_iter) + 1):
         w = op.apply(v)
         lam = float(w.max())
@@ -412,21 +408,20 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
         np.multiply(v, lam, out=r)
         np.subtract(w, r, out=r)
         residual = float(np.abs(r, out=r).max())
-        if best is None or residual < best[2]:
-            best = (lam, v, residual, it)
         if residual < tol * max(1.0, lam) and abs(lam - lam_prev) < tol:
-            return SpectralResult(lam, v, residual, it, True, op.grid, dict(op.meta))
+            # psi is a copy, not the iteration's last work array: that block
+            # can sit above a freed AR table and, held by the result, keep the
+            # allocator from reusing the table's space on the next assembly
+            return SpectralResult(lam, v.copy(), residual, it, True, op.grid, dict(op.meta))
         v = np.divide(w, lam, out=w)
         # flush subnormal entries: they carry no weight at the sup-norm scale
         # of v but slow every later matvec several-fold
         np.less(v, _TINY, out=tiny)
         np.putmask(v, tiny, 0.0)
         lam_prev = lam
-    lam, v, residual, it = best
     raise MaxIterationsExceeded(
         f"power iteration did not converge in {max_iter} iterations "
-        f"(best residual {residual:.3e} at lambda {lam:.6g})",
-        SpectralResult(lam, v, residual, int(max_iter), False, op.grid, dict(op.meta)),
+        f"(last residual {residual:.3e} at lambda {lam_prev:.6g})"
     )
 
 
@@ -479,17 +474,20 @@ def convergence_sweep(model, ms, ns, delta=0.0):
     """Factorial table of lambda over truncations and grid sizes.
 
     Reports Cauchy differences against the finest (M, N) cell, plus a nested
-    truncation family used to check that lambda is nondecreasing in M.
+    truncation family used to check that lambda is nondecreasing in M. The
+    family's last member is the finest cell's solve, so that cell is taken
+    from it rather than solved twice.
     """
     ms = sorted(float(m) for m in np.atleast_1d(ms))
     ns = sorted(int(n) for n in np.atleast_1d(ns))
     if not ms or not ns:
         raise ValueError("need nonempty M and N lists")
-    table = {}
-    for m in ms:
-        for n in ns:
-            table[(m, n)] = solve_operator(model, m=m, n=n, delta=delta).lam
-    lam_ref = table[(ms[-1], ns[-1])]
+    family = truncation_lambdas(model, ms, ns[-1], delta=delta)
+    lam_ref = family["lambdas"][-1]
+    finest = (ms[-1], ns[-1])
+    table = {(m, n): solve_operator(model, m=m, n=n, delta=delta).lam
+             for m in ms for n in ns if (m, n) != finest}
+    table[finest] = lam_ref
     rows = [
         {"M": m, "N": n, "lambda": lam, "diff": abs(lam - lam_ref)}
         for (m, n), lam in table.items()
@@ -499,5 +497,5 @@ def convergence_sweep(model, ms, ns, delta=0.0):
         "lambda_ref": lam_ref,
         "M_ref": ms[-1],
         "N_ref": ns[-1],
-        "truncation": truncation_lambdas(model, ms, ns[-1], delta=delta),
+        "truncation": family,
     }

@@ -299,17 +299,14 @@ def fit_exponent(estimate, window=None):
     The slope of log p_hat against n is fitted without weights; lambda_hat is
     exp(slope) and the half-width propagates the per-horizon variances of
     log p_hat through the least-squares coefficients (two standard errors).
-    The window is a (start, stop) index pair or slice into the horizon grid;
-    by default, the last half of the run of positive estimates.
+    The window is a (start, stop) index pair into the horizon grid; by
+    default, the last half of the run of positive estimates.
     """
     p_hat = np.asarray(estimate.p_hat, dtype=float)
     if window is None:
         window = default_window(p_hat)
-    if isinstance(window, slice):
-        sel = window
-    else:
-        lo, hi = window
-        sel = slice(int(lo), int(hi))
+    lo, hi = window
+    sel = slice(int(lo), int(hi))
     x = np.asarray(estimate.horizons, dtype=float)[sel]
     p = p_hat[sel]
     v = np.asarray(estimate.log_var, dtype=float)[sel]

@@ -305,6 +305,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize("section, typo, key", [
         ("mc", {"method": "crude", "replicate": 1000}, "replicate"),
         ("tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
+        ("operater", {"N": 50}, "operater"),
     ])
     def test_config_with_unknown_section_key(self, capsys, tmp_path, section, typo, key):
         case = {"process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},

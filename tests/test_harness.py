@@ -514,6 +514,9 @@ class TestRunSuite:
         (0, "mc", {"method": "crude", "replicate": 1000}, "replicate"),
         (0, "tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
         (2, "mc", {"replicate": 20_000}, "replicate"),
+        # a misspelled top-level key is refused, not skipped for the defaults
+        (0, "operater", {"N": 50}, "operater"),
+        (1, "ms", [1, 2], "ms"),
     ])
     def test_unknown_section_key_named_before_any_case_runs(self, tmp_path, index, section,
                                                             typo, key):
@@ -522,6 +525,14 @@ class TestRunSuite:
         with pytest.raises(harness.ConfigError, match=f"case {index}.*{key}"):
             harness.run_suite(config, tmp_path / "o")
         assert not (tmp_path / "o").exists()
+
+    def test_benchmark_suite_validates(self):
+        # every key of the benchmark's suite config stays known
+        suite = Path(__file__).resolve().parents[1] / "perfbench" / "suite.json"
+        config = json.loads(suite.read_text())
+        assert config["cases"]
+        for i, case in enumerate(config["cases"]):
+            harness._validate_case(case, i)
 
     @pytest.mark.parametrize("index, change, message", [
         (1, {"innovation": {"kind": "banana"}}, "banana"),

@@ -153,8 +153,8 @@ class TestSampling:
 class TestInitialLaws:
     def test_point_mass(self):
         init = PointMass((1.0, -2.0))
-        got = init.sample(2, substream(0, "i"))
-        assert got.tolist() == [1.0, -2.0]
+        got = init.sample(2, substream(0, "i"), size=1)
+        assert got.tolist() == [[1.0, -2.0]]
         got = init.sample(2, substream(0, "i"), size=3)
         assert got.shape == (3, 2) and np.all(got == [1.0, -2.0])
 
@@ -165,7 +165,7 @@ class TestInitialLaws:
 
     def test_unbound_iid_initial_refuses_to_sample(self):
         with pytest.raises(ValueError):
-            IIDInnovation().sample(2, substream(0, "i"))
+            IIDInnovation().sample(2, substream(0, "i"), size=1)
 
     def test_stationary_ar1(self):
         init = StationaryAR1Gaussian(0.6)
@@ -179,8 +179,8 @@ class TestInitialLaws:
             StationaryAR1Gaussian(1.0)
 
     def test_point_mass_sample(self):
-        got = PointMass((0.5,)).sample(1, substream(0, "x"))
-        assert got.tolist() == [0.5]
+        got = PointMass((0.5,)).sample(1, substream(0, "x"), size=2)
+        assert got.tolist() == [[0.5], [0.5]]
 
 
 class TestModels:

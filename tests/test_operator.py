@@ -410,16 +410,12 @@ class TestPowerIteration:
         res = op.spectral_radius(kop)
         assert res.lam == 0.0 and res.converged
 
-    def test_max_iterations_carries_best_result(self):
+    def test_max_iterations_names_last_residual(self):
         m = MAModel((-1.0,), Gaussian(), GE)
-        with pytest.raises(op.MaxIterationsExceeded) as exc:
+        with pytest.raises(op.MaxIterationsExceeded,
+                           match=r"in 3 iterations \(last residual \S+ at lambda \S+\)"):
             op.spectral_radius(op.assemble_ma(m, op.default_grid(m, 6.0, 100)),
                                tol=1e-14, max_iter=3)
-        best = exc.value.result
-        assert best is not None
-        assert best.iterations == 3
-        assert not best.converged
-        assert best.lam > 0.0
 
     def test_periodic_kernel_ends_in_named_error(self):
         # a permutation-like kernel drives power iteration into a 2-cycle
@@ -541,3 +537,20 @@ class TestSweeps:
         res = op.convergence_sweep(m, [4.0, 6.0], [100, 200])
         assert res["truncation"]["Ms"] == [4.0, 6.0]
         assert res["truncation"]["lambdas"][-1] == res["lambda_ref"]
+
+    def test_sweep_solves_finest_cell_once(self, monkeypatch):
+        # 8 table cells plus 3 truncation members; the finest cell is the
+        # family's last member, not a twelfth solve
+        calls = []
+        solve = op.spectral_radius
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(op, "spectral_radius", counted)
+        m = ARModel((0.4,), Gaussian(), IIDInnovation(), GE)
+        res = op.convergence_sweep(m, [4, 6, 8], [100, 200, 400])
+        assert len(calls) == 11
+        assert len(res["table"]) == 9
+        assert res["table"][-1] == {"M": 8.0, "N": 400, "lambda": res["lambda_ref"], "diff": 0.0}

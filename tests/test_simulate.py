@@ -365,8 +365,8 @@ class TestFitExponent:
         lam_tail, _ = sim.fit_exponent(est, (5, 10))
         assert lam_full == pytest.approx(lam_tail, abs=1e-12)
 
-    def test_window_slice(self):
-        lam, _ = sim.fit_exponent(self.synthetic(0.9), slice(2, 9))
+    def test_window_pair(self):
+        lam, _ = sim.fit_exponent(self.synthetic(0.9), (2, 9))
         assert lam == pytest.approx(0.9, abs=1e-12)
 
     def test_nonpositive_probability_in_window(self):
