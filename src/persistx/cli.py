@@ -147,8 +147,10 @@ def cmd_simulate(args):
     mc = {"method": args.method, "horizons": horizons, "replicates": args.reps,
           "particles": args.particles, "threads": _threads(args)}
     if args.window:
-        i0, _, i1 = args.window.partition(":")
-        mc["window"] = (int(i0), int(i1))
+        try:
+            mc["window"] = tuple(int(i) for i in args.window.split(":"))
+        except ValueError:
+            raise ValueError(f"fit window {args.window!r} is not two integers i0:i1") from None
     t0 = time.perf_counter()
     est = harness_mod.run_mc(model, mc, args.seed)
     wall = time.perf_counter() - t0

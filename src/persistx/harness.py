@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -189,32 +190,36 @@ def run_mc(model, cfg, seed):
 
     cfg keys: method (crude | splitting | none), horizons, replicates,
     particles, threads, and an optional fit window (i0, i1) that replaces
-    the default one.
+    the default one: two integers with 0 <= i0 < i1 <= len(horizons),
+    checked before anything runs.
     """
     method = cfg.get("method", "crude")
     if method == "none":
         return None
+    if method not in ("crude", "splitting"):
+        raise ConfigError(f"unknown mc method {method!r}")
     horizons = cfg.get("horizons")
-    threads = cfg.get("threads")
+    if horizons is None:
+        horizons = list(range(0, 17 if method == "crude" else 61))
+    window = cfg.get("window")
+    # estimates take a scalar horizon as a list of one
+    n_horizons = np.size(horizons)
+    if window is not None and not (isinstance(window, (list, tuple)) and len(window) == 2
+                                   and all(type(i) is int for i in window)
+                                   and 0 <= window[0] < window[1] <= n_horizons):
+        raise ValueError(f"fit window {window!r} is not a pair of integers i0, i1 "
+                         f"with 0 <= i0 < i1 <= {n_horizons}, the number of horizons")
     if method == "crude":
-        if horizons is None:
-            horizons = list(range(0, 17))
         est = simulate_mod.estimate_crude(
-            model, horizons, int(cfg.get("replicates", 200000)), seed, threads=threads
+            model, horizons, int(cfg.get("replicates", 200000)), seed, threads=cfg.get("threads")
         )
-    elif method == "splitting":
-        if horizons is None:
-            horizons = list(range(0, 61))
+    else:
         est = simulate_mod.estimate_splitting(
             model, horizons, int(cfg.get("particles", 20000)), seed
         )
-    else:
-        raise ConfigError(f"unknown mc method {method!r}")
-    window = cfg.get("window")
     if window is not None:
-        lam, hw = simulate_mod.fit_exponent(est, tuple(window))
-        est.lambda_hat, est.half_width = lam, hw
-        est.window = tuple(int(i) for i in window)
+        est.lambda_hat, est.half_width = simulate_mod.fit_exponent(est, window)
+        est.window = tuple(window)
     return est
 
 
@@ -328,7 +333,7 @@ def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto", threshold
         "increments": increments,
         "threshold": threshold,
         # the tilt the solves used, with "auto" resolved
-        "delta": results[0].meta["delta"],
+        "delta": results[0].delta,
         "passed": passed,
     }
 
@@ -417,9 +422,7 @@ def _ma_p0(model, seed):
     innov = model.innovation
     if model.order == 1 and innov.has_density:
         m = operator_mod.default_truncation(innov, eps=1e-14, safety=1.0)
-        lo = max(innov.support[0], -m)
-        hi = min(innov.support[1], m)
-        grid = operator_mod.build_grid(lo, hi, 2000)
+        grid = operator_mod.default_grid(model, m, 2000)
         a1 = model.coeffs[0]
         # P(xi_0 + a1 xi_{-1} >= 0) = E[1 - F(-a1 xi_{-1})]
         weights = grid.weights * innov.density(grid.nodes)
@@ -540,8 +543,9 @@ def _summary_numbers(record):
 def run_suite(config, out_dir, threads=None):
     """Run a config of compare cases and property checks; write reports.
 
-    Every case's type, top-level keys, sections and model are checked first:
-    a config error raises before out_dir is created or any case runs. Then
+    Every case's type, top-level keys, sections, model and name are checked
+    first: a config error raises before out_dir is created or any case runs.
+    A name must be a plain file name that no other case has. Then
     the cases run, and one canonical JSON file per case plus summary.csv are
     written under out_dir. The returned SuiteResult carries any_failed for
     the caller's exit status.
@@ -556,9 +560,16 @@ def run_suite(config, out_dir, threads=None):
     threads = threads if threads is not None else cfg.get("threads")
 
     prepared = []
+    names = set()
     for i, case in enumerate(cases):
         ctype = _validate_case(case, i)
         name = str(case.get("name", f"case-{i}"))
+        # the name is the report's file name under out_dir
+        if name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise ConfigError(f"case {i}: name {name!r} is not a plain file name")
+        if name in names:
+            raise ConfigError(f"case {i}: name {name!r} repeats an earlier case's")
+        names.add(name)
         prepared.append((name, ctype, case))
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

@@ -9,11 +9,11 @@ keeps the rank-one i.i.d. case and bounded-support truncations exact.
 
 The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
-the indicator cuts one grid cell per row, and that cell's weight is rescaled
-by the fraction of its innovation mass above the cut (cut-cell correction).
-Every row is the nodal weight above its cut plus that one cell, so the MA
-operator is stored per state (first node above the cut, cut cell, cut-cell
-weight) and never as a table.
+the indicator cuts one grid cell per row, and that cell keeps its nodal
+weight times the fraction of its innovation mass above the cut (the cut
+cell). Every row is the nodal weight above its cut cell plus that one cell,
+so the MA operator is stored per state (first node past the cut cell, the
+cut cell's weight) and never as a table. The MA kernel takes no tilt.
 
 Both kernels take s from model.drift, the one definition of the linear part
 of the transition that every route shares: crude and splitting Monte Carlo
@@ -21,8 +21,7 @@ step with it too.
 
 Every grid comes from build_grid's Gauss-Legendre rule. Each solver setting
 is a parameter only of the layer that owns it, and every layer above takes
-its default: assemble_ma's cut cell (the plain indicator rule is its test
-reference), spectral_radius's tol and max_iter.
+its default: spectral_radius's tol and max_iter.
 
 An exponential tilt h(x) = exp(delta sum_j x_j) conjugates the AR kernel by a
 positive diagonal, so the spectral radius is unchanged while eigenfunction
@@ -32,8 +31,8 @@ iteration with sup-norm normalization.
 Cost. The Gauss-Legendre rule comes from scipy.special.roots_legendre, which
 is O(N^2) (numpy's leggauss is an O(N^3) eigen-solve). The AR kernel table is
 filled in slabs of its leading axis, so memory is the table (N^(d+1) floats)
-plus one slab. At d >= 2 one AR apply is a batched matrix-vector product
-(np.matmul) on a strided view of the table, not a copy of it. MA memory is
+plus one slab. One AR apply is a batched matrix-vector product (np.matmul)
+on a strided view of the table, not a copy of it. MA memory is
 O(N^d): one MA apply is a suffix sum of the weighted iterate along the new
 coordinate plus a gather of each state's suffix, O(N^d) time. Power iteration
 forms its residual and its next iterate in place, so each step allocates only
@@ -45,7 +44,7 @@ every later matvec several-fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -169,26 +168,27 @@ class DiscretizedOperator:
 
     The image of state (x_1..x_d) weighs g over the new coordinate z at the
     state (x_2..x_d, z), which reuses d-1 source coordinates, so the full
-    n^d x n^d matrix is never formed. The kernel is held in one of two forms.
+    n^d x n^d matrix is never formed. The kernel is held in one of two forms;
+    delta is the tilt it was assembled with (always 0 for MA).
 
     AR: kmat has shape (n,)*d + (n,); entry [x_1..x_d, z] is the quadrature
     weight carried from state (x_1..x_d) to state (x_2..x_d, z). One apply
     costs O(n^d * n).
 
-    MA: the row of state x is base[j] at every node j >= start[x], plus
-    coef[x] at node cell[x], the cut cell (coef is 0 on a row without one).
-    One apply multiplies g by base along the new coordinate, takes its
-    suffix sums, gathers each state's suffix from start[x] and adds
-    coef[x] * g at cell[x]: O(n^d) in time and in memory. Its work buffers
-    belong to the operator, so one operator serves one caller at a time.
+    MA: start and coef run over the states in C order. The row of state x
+    is base[j] at every node j >= start[x], plus coef[x] at node
+    start[x] - 1, the cut cell (coef is 0 on a row without one). One apply
+    multiplies g by base along the new coordinate, takes its suffix sums,
+    gathers each state's suffix from start[x] and adds coef[x] * g at
+    start[x] - 1: O(n^d) in time and in memory. Its work buffers belong to
+    the operator, so one operator serves one caller at a time.
     """
 
     grid: QuadratureGrid
     kmat: np.ndarray = None
-    meta: dict = field(default_factory=dict)
+    delta: float = 0.0
     base: np.ndarray = None
     start: np.ndarray = None
-    cell: np.ndarray = None
     coef: np.ndarray = None
 
     def __post_init__(self):
@@ -198,9 +198,10 @@ class DiscretizedOperator:
         # g viewed as rows (x_2..x_d) by the new coordinate; the suffix table
         # holds, per row, the sums of its last 0..n weighted entries
         row = np.arange(n ** d) % n ** (d - 1)
-        self._at_suffix = row * (n + 1) + (n - self.start.reshape(-1))
-        self._at_cell = row * n + self.cell.reshape(-1)
-        self._coef = self.coef.reshape(-1)
+        self._at_suffix = row * (n + 1) + (n - self.start)
+        # the cut cell precedes start; a row without one has coef 0, and the
+        # clipped gather keeps its index in range
+        self._at_cell = row * n + self.start - 1
         self._weighted = np.empty((n ** (d - 1), n))
         self._suffix = np.zeros((n ** (d - 1), n + 1))
         self._at_cut = np.empty(n ** d)
@@ -217,13 +218,11 @@ class DiscretizedOperator:
             np.add.accumulate(weighted[:, ::-1], axis=1, out=self._suffix[:, 1:])
             out = self._suffix.take(self._at_suffix)
             at_cut = g.take(self._at_cell, out=self._at_cut, mode="clip")
-            at_cut *= self._coef
+            at_cut *= self.coef
             out += at_cut
             return out.reshape(g.shape)
-        if d == 1:
-            return self.kmat @ g
-        # batch over the shared coordinates (x_2..x_d): a strided view, so
-        # each batch is one BLAS matrix-vector product and kmat is not copied
+        # batch over x_2..x_d (one batch at d = 1) on a strided view: each
+        # batch is one BLAS matrix-vector product and kmat is not copied
         out = np.empty_like(g)
         np.matmul(np.moveaxis(self.kmat, 0, d - 1), g[..., None],
                   out=np.moveaxis(out, 0, d - 1)[..., None])
@@ -279,21 +278,17 @@ def assemble_ar(model, grid, delta=0.0):
         if delta != 0.0:
             slab *= tilt_to
             slab *= tilt_from[rows]
-    return DiscretizedOperator(
-        grid=grid,
-        kmat=kmat,
-        meta={"coeffs": list(model.coeffs), "delta": delta},
-    )
+    return DiscretizedOperator(grid=grid, kmat=kmat, delta=delta)
 
 
-def assemble_ma(model, grid, cut_cell=True):
+def assemble_ma(model, grid):
     """Discretize the MA persistence operator on the grid.
 
     Row x keeps the nodal rule base[j] = w_j phi(y_j) above the survival cut
     y > -sum_i a_i x_{q+1-i}, so it is stored as the first node above the cut
-    (start). With the correction on, the one cell k straddling the cut keeps
-    the fraction of its innovation mass that lies above it: start is k + 1
-    and coef is base[k] times that fraction. Nothing of size n^(d+1) is built.
+    (start). The one cell k straddling the cut keeps the fraction of its
+    innovation mass that lies above it: start is k + 1 and coef is base[k]
+    times that fraction. Nothing of size n^(d+1) is built.
     """
     if not isinstance(model, MAModel):
         raise ValueError("assemble_ma expects an MA model")
@@ -304,35 +299,21 @@ def assemble_ma(model, grid, cut_cell=True):
     d = model.order
     if grid.d != d:
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
-    n = grid.n
     base = grid.weights * model.innovation.density(grid.nodes)
     cut = (-drift(model.coeffs, _coordinates(grid))).reshape(-1)
     start = np.searchsorted(grid.nodes, cut, side="right")
-    cell = np.zeros_like(start)
     coef = np.zeros(cut.shape)
-    if cut_cell:
-        inside = (cut > grid.edges[0]) & (cut < grid.edges[-1])
-        rows = np.flatnonzero(inside)
-        if len(rows):
-            k = np.clip(np.searchsorted(grid.edges, cut[rows], side="right") - 1, 0, n - 1)
-            f_lo = model.innovation.cdf(grid.edges[k])
-            f_hi = model.innovation.cdf(grid.edges[k + 1])
-            f_cut = model.innovation.cdf(cut[rows])
-            mass = f_hi - f_lo
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(mass > 0.0, (f_hi - f_cut) / np.where(mass > 0, mass, 1.0), 0.0)
-            start[rows] = k + 1
-            cell[rows] = k
-            coef[rows] = base[k] * np.clip(frac, 0.0, 1.0)
-    shape = (n,) * d
-    return DiscretizedOperator(
-        grid=grid,
-        meta={"coeffs": list(model.coeffs), "cut_cell": bool(cut_cell)},
-        base=base,
-        start=start.reshape(shape),
-        cell=cell.reshape(shape),
-        coef=coef.reshape(shape),
-    )
+    # the cell k with e_k <= cut < e_k+1 of each cut strictly inside (lo, hi)
+    rows = np.flatnonzero((cut > grid.edges[0]) & (cut < grid.edges[-1]))
+    k = np.searchsorted(grid.edges, cut[rows], side="right") - 1
+    f_lo = model.innovation.cdf(grid.edges[k])
+    f_hi = model.innovation.cdf(grid.edges[k + 1])
+    f_cut = model.innovation.cdf(cut[rows])
+    mass = f_hi - f_lo
+    frac = np.where(mass > 0.0, (f_hi - f_cut) / np.where(mass > 0, mass, 1.0), 0.0)
+    start[rows] = k + 1
+    coef[rows] = base[k] * np.clip(frac, 0.0, 1.0)
+    return DiscretizedOperator(grid=grid, base=base, start=start, coef=coef)
 
 
 def assemble(model, grid, delta=0.0):
@@ -340,11 +321,14 @@ def assemble(model, grid, delta=0.0):
 
     Every route to an operator (solve_operator, convergence_sweep,
     truncation_lambdas) passes through here, so "auto" is resolved once.
+    The MA kernel takes no tilt: a delta other than 0 or "auto" is a ValueError.
     """
     if isinstance(model, ARModel):
         if delta == "auto":
             delta = default_delta(model)
         return assemble_ar(model, grid, delta=delta)
+    if delta != "auto" and delta != 0:
+        raise ValueError(f"the MA operator takes no tilt, got delta={delta!r}")
     return assemble_ma(model, grid)
 
 
@@ -354,7 +338,7 @@ def assemble(model, grid, delta=0.0):
 
 @dataclass(eq=False)
 class SpectralResult:
-    """Perron root and eigenfunction of a discretized operator."""
+    """Perron root and eigenfunction of a discretized operator of tilt delta."""
 
     lam: float
     psi: np.ndarray
@@ -362,7 +346,7 @@ class SpectralResult:
     iterations: int
     converged: bool
     grid: QuadratureGrid
-    meta: dict
+    delta: float
 
     def to_json(self):
         return {
@@ -376,7 +360,7 @@ class SpectralResult:
                 "n": self.grid.n,
                 "d": self.grid.d,
             },
-            **self.meta,
+            "delta": self.delta,
         }
 
 
@@ -404,7 +388,7 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
         lam = float(w.max())
         if lam <= 0.0:
             # the operator annihilates the cone on this grid
-            return SpectralResult(0.0, v, 0.0, it, True, op.grid, dict(op.meta))
+            return SpectralResult(0.0, v, 0.0, it, True, op.grid, op.delta)
         np.multiply(v, lam, out=r)
         np.subtract(w, r, out=r)
         residual = float(np.abs(r, out=r).max())
@@ -412,7 +396,7 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
             # psi is a copy, not the iteration's last work array: that block
             # can sit above a freed AR table and, held by the result, keep the
             # allocator from reusing the table's space on the next assembly
-            return SpectralResult(lam, v.copy(), residual, it, True, op.grid, dict(op.meta))
+            return SpectralResult(lam, v.copy(), residual, it, True, op.grid, op.delta)
         v = np.divide(w, lam, out=w)
         # flush subnormal entries: they carry no weight at the sup-norm scale
         # of v but slow every later matvec several-fold

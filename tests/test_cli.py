@@ -209,6 +209,20 @@ class TestSimulateCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "n,p_hat,se" and len(lines) == 32
 
+    @pytest.mark.parametrize("window, shown", [
+        ("-6:-1", "(-6, -1)"),
+        ("3:40", "(3, 40)"),
+        ("5:5", "(5, 5)"),
+        ("50", "(50,)"),
+        ("a:b", "'a:b'"),
+    ])
+    def test_window_outside_the_horizons_exits_one(self, capsys, window, shown):
+        code, out, err = run(capsys, [
+            "simulate", "--process", "ar", "--coeffs", "0.3", "--n", "16",
+            "--reps", "2000", f"--window={window}"])
+        assert code == 1 and out == ""
+        assert f"fit window {shown}" in err
+
     def test_explicit_horizons(self, capsys):
         code, out, _ = run(capsys, [
             "simulate", "--process", "ar", "--coeffs", "0.3",
@@ -265,6 +279,12 @@ class TestOperatorCommand:
         payload = json.loads(out)
         assert payload["result"]["delta"] == 0.5
 
+    def test_ma_tilt_exits_one(self, capsys):
+        code, out, err = run(capsys, [
+            "operator", "--process", "ma", "--coeffs", "1", "--N", "50", "--delta", "0.7"])
+        assert code == 1 and out == ""
+        assert "MA operator takes no tilt" in err
+
 
 class TestCompareCommand:
     def test_inline_flags(self, capsys):
@@ -301,6 +321,27 @@ class TestCompareCommand:
         assert code == 1
         assert "ConfigError" in err and "cut_cell" in err
         assert out == ""
+
+    def test_config_with_ma_tilt(self, capsys, tmp_path):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ma", "coeffs": [1.0], "innovation": {"kind": "gaussian"},
+            "mc": {"method": "none"}, "operator": {"N": 50, "delta": 0.7},
+        }))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert "MA operator takes no tilt" in err
+
+    @pytest.mark.parametrize("window", [5, [3, 40], [-6, -1], [2.0, 5], "0:5", [1, 2, 3]])
+    def test_config_with_bad_window(self, capsys, tmp_path, window):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"replicates": 2000, "window": window}, "operator": {"skip": True},
+        }))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert f"ValueError: fit window {window!r}" in err
 
     @pytest.mark.parametrize("section, typo, key", [
         ("mc", {"method": "crude", "replicate": 1000}, "replicate"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,21 @@ class TestPropertyChecks:
         ok, _ = harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
         assert ok
 
+    def test_nonnegativity_rejects_ma_tilt(self):
+        case = {"process": "ma", "coeffs": [0.5], "innovation": {"kind": "gaussian"},
+                "operator": {"N": 40, "delta": 0.3}}
+        with pytest.raises(ValueError, match="MA operator takes no tilt"):
+            harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
+
+    # 1D quadrature at order 1, on default_grid's axis at the 1e-14 radius
+    @pytest.mark.parametrize("coeffs,innovation,p0", [
+        ((1.0,), Gaussian(), 0.50000000000004),
+        ((-0.5,), Exponential(), 0.6666666666653087),
+        ((0.7,), Uniform(-1.0, 2.0), 0.7706349101690724),
+    ])
+    def test_quadrature_p0_pinned(self, coeffs, innovation, p0):
+        assert harness._ma_p0(MAModel(coeffs, innovation, GE), 0) == p0
+
     @pytest.mark.parametrize("check, process", [("nonnegativity", "ma"),
                                                 ("conjugation", "ar")])
     def test_zero_truncation_rejected(self, check, process):
@@ -397,6 +413,24 @@ class TestRunMc:
         model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
         est = harness.run_mc(model, {"method": "splitting", "particles": 300}, 0)
         assert list(est.horizons) == list(range(0, 61))
+
+    @pytest.mark.parametrize("window", [5, (3, 40), (-6, -1), (4, 4), (2.0, 5), (True, 5),
+                                        (1, 2, 3), "0:5"])
+    def test_window_outside_the_horizons_named(self, window, monkeypatch):
+        # 17 default crude horizons; the window is checked before anything runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("the estimate ran")
+
+        monkeypatch.setattr(harness.simulate_mod, "estimate_crude", no_run)
+        model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=re.escape(f"fit window {window!r}")):
+            harness.run_mc(model, {"window": window}, 0)
+
+    def test_window_ends_at_the_horizon_count(self):
+        model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        est = harness.run_mc(model, {"replicates": 4000, "horizons": [0, 1, 2, 3],
+                                     "window": [1, 4]}, 0)
+        assert est.window == (1, 4)
 
 
 def tiny_config():
@@ -491,6 +525,45 @@ class TestRunSuite:
         with pytest.raises(harness.ConfigError, match=f"case 0: .*'{field}'"):
             harness.run_suite({"cases": [case]}, tmp_path / "o")
         assert not (tmp_path / "o").exists()
+
+    def test_bad_window_is_a_case_error(self, tmp_path):
+        config = tiny_config()
+        config["cases"][0]["mc"]["window"] = 5
+        res = harness.run_suite(config, tmp_path / "out")
+        assert res.any_failed
+        assert res.records[0]["error"] == (
+            "ValueError: fit window 5 is not a pair of integers i0, i1 "
+            "with 0 <= i0 < i1 <= 9, the number of horizons")
+        assert [r["passed"] for r in res.records[1:]] == [True, True]
+
+    def test_ma_tilt_is_a_case_error(self, tmp_path):
+        config = {"cases": [{"name": "tilted", "process": "ma", "coeffs": [1.0],
+                             "innovation": {"kind": "gaussian"}, "mc": {"method": "none"},
+                             "operator": {"N": 50, "delta": 0.7}}]}
+        res = harness.run_suite(config, tmp_path / "out")
+        assert "MA operator takes no tilt" in res.records[0]["error"]
+
+    @pytest.mark.parametrize("names, bad", [
+        (["a", "a"], "'a'"),
+        (["case-2", "x", None], "'case-2'"),
+        (["x", None, "case-1"], "'case-1'"),
+        (["../x", "b", "c"], "'../x'"),
+        (["a", "b/c", "d"], "'b/c'"),
+        (["", "b", "c"], "''"),
+        ([".", "b", "c"], "'.'"),
+        (["a", "..", "c"], "'..'"),
+    ], ids=["repeat", "repeat_default_name", "repeat_of_a_default", "parent_dir", "subdir",
+            "empty", "dot", "dotdot"])
+    def test_case_names_checked_before_any_case_runs(self, tmp_path, names, bad):
+        config = tiny_config()
+        for case, name in zip(config["cases"], names):
+            if name is None:
+                del case["name"]
+            else:
+                case["name"] = name
+        with pytest.raises(harness.ConfigError, match=re.escape(f"name {bad}")):
+            harness.run_suite(config, tmp_path / "out" / "o")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_property_check_named(self, tmp_path):
         with pytest.raises(harness.ConfigError, match="qqq"):

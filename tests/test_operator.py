@@ -183,6 +183,18 @@ class TestApply:
         assert out.shape == (n,) * d
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
+    # lambda and iterations of the one batched apply, at d = 1 and d = 2
+    @pytest.mark.parametrize("coeffs,innovation,n,delta,lam,iterations", [
+        ((0.4,), Gaussian(), 400, 0.3, 0.647769920818495, 15),
+        ((-0.5,), Exponential(), 400, 0.3, 0.6666477485644465, 3),
+        ((0.5, -0.3), Gaussian(), 60, 0.0, 0.552143527351515, 23),
+        ((0.3, 0.2), Gaussian(), 60, "auto", 0.700536421450535, 29),
+    ], ids=["ar1_gauss_0.4", "ar1_exp_m0.5", "ar2_0.5_m0.3", "ar2_0.3_0.2_auto"])
+    def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, delta, lam, iterations):
+        res = op.solve_operator(ARModel(coeffs, innovation, IIDInnovation(), GE), n=n, delta=delta)
+        assert res.lam == pytest.approx(lam, abs=1e-13)
+        assert res.iterations == iterations
+
 
 class TestTilt:
     def test_conjugation_leaves_lambda_unchanged(self):
@@ -202,6 +214,15 @@ class TestTilt:
         back = k1 * h[:, None] / h[None, :]
         assert np.max(np.abs(back - k0)) <= 1e-10 * np.max(k0)
 
+    def test_ma_takes_no_tilt(self):
+        m = MAModel((1.0,), Gaussian(), GE)
+        grid = op.default_grid(m, None, 40)
+        for delta in (0.7, -0.1, "0.5"):
+            with pytest.raises(ValueError, match="MA operator takes no tilt"):
+                op.assemble(m, grid, delta=delta)
+        for delta in (0, 0.0, "auto"):
+            assert op.assemble(m, grid, delta=delta).delta == 0.0
+
     def test_default_delta(self):
         assert op.default_delta(ARModel((0.5,), Gaussian(2.0), IIDInnovation(), GE)) \
             == pytest.approx(0.25)
@@ -215,7 +236,7 @@ class TestAssembleMa:
         # strongly negative drift kills every cell for small states
         m = MAModel((-0.9,), Exponential(), GE)
         grid = op.build_grid(0.0, 10.0, 50)
-        kop = op.assemble_ma(m, grid, cut_cell=False)
+        kop = op.assemble_ma(m, grid)
         # row sums are the image of the constant function
         sums = kop.apply(np.ones(50))
         assert sums.shape == (50,)
@@ -225,7 +246,7 @@ class TestAssembleMa:
     def test_cut_cell_improves_symmetric_case(self):
         m = MAModel((1.0,), Gaussian(), GE)
         grid = op.default_grid(m, 8.0, 200)
-        lam_plain = op.spectral_radius(op.assemble_ma(m, grid, cut_cell=False)).lam
+        lam_plain = np.linalg.eigvals(_dense_ma_kmat(m, grid, cut_cell=False)).real.max()
         lam_cut = op.solve_operator(m, m=8.0, n=200).lam
         target = 2.0 / math.pi
         assert abs(lam_cut - target) < abs(lam_plain - target)
@@ -257,11 +278,12 @@ class TestAssembleMa:
             op.assemble_ma(m, grid)
 
 
-def _dense_ma_kmat(model, grid, cut_cell):
+def _dense_ma_kmat(model, grid, cut_cell=True):
     """The MA kernel as a table, entry by entry from its rule: base[j] =
-    w_j phi(y_j) at every node above the cut; with the correction, the cell
+    w_j phi(y_j) at every node above the cut; with the cut cell, the cell
     [e_k, e_k+1) holding a cut strictly inside (lo, hi) carries base[k] times
-    the fraction of its innovation mass above the cut."""
+    the fraction of its innovation mass above the cut. cut_cell=False gives
+    the plain indicator rule, the reference the cut cell is measured against."""
     d = model.order
     base = grid.weights * model.innovation.density(grid.nodes)
     cols = [grid.nodes.reshape((-1,) + (1,) * (d - 1 - k)) for k in range(d)]
@@ -299,12 +321,11 @@ class TestMatrixFreeMa:
         ((0.3, 0.3, 0.3), Gaussian(), 9),
     ], ids=["ma1_gauss_1", "ma1_gauss_m1", "ma1_gauss_m0.99", "ma1_exp_m0.5", "ma1_unif",
             "ma2_0.5_m0.2", "ma2_0.5_0.5", "ma3_0.3"])
-    @pytest.mark.parametrize("cut_cell", [True, False])
-    def test_apply_matches_dense_kernel(self, coeffs, innovation, n, cut_cell):
+    def test_apply_matches_dense_kernel(self, coeffs, innovation, n):
         m = MAModel(coeffs, innovation, GE)
         grid = op.default_grid(m, None, n)
-        kop = op.assemble_ma(m, grid, cut_cell=cut_cell)
-        kmat = _dense_ma_kmat(m, grid, cut_cell)
+        kop = op.assemble_ma(m, grid)
+        kmat = _dense_ma_kmat(m, grid)
         rng = np.random.default_rng(11)
         for g in (np.ones((n,) * m.order), rng.random((n,) * m.order)):
             expected = _dense_apply(kmat, g)
@@ -314,8 +335,7 @@ class TestMatrixFreeMa:
 
     @pytest.mark.parametrize("a1", [-1.0, -2.0, -8.0],
                              ids=["cut_on_node", "cut_on_edge", "cut_on_lo_and_hi"])
-    @pytest.mark.parametrize("cut_cell", [True, False])
-    def test_cuts_on_nodes_edges_and_bounds(self, a1, cut_cell):
+    def test_cuts_on_nodes_edges_and_bounds(self, a1):
         # on [-1, 1] with 8 cells, cut = -a1 x lands on nodes (a1 = -1), on
         # edges and beyond both bounds (a1 = -2), or on lo and hi exactly (-8)
         m = MAModel((a1,), Uniform(-1.0, 1.0), GE)
@@ -323,8 +343,8 @@ class TestMatrixFreeMa:
         cut = -a1 * grid.nodes
         hits = {-1.0: grid.nodes, -2.0: grid.edges, -8.0: grid.edges[[0, -1]]}[a1]
         assert np.isin(cut, hits).sum() >= 2
-        kop = op.assemble_ma(m, grid, cut_cell=cut_cell)
-        kmat = _dense_ma_kmat(m, grid, cut_cell)
+        kop = op.assemble_ma(m, grid)
+        kmat = _dense_ma_kmat(m, grid)
         g = np.random.default_rng(3).random(8)
         assert np.abs(kop.apply(g) - kmat @ g).max() <= 1e-15
         row_sums = kop.apply(np.ones(8))
@@ -340,7 +360,7 @@ class TestMatrixFreeMa:
         assert np.all(kop.start == 0) and np.all(kop.coef == 0.0)
         assert kop.apply(np.ones(60)) == pytest.approx(np.full(60, kop.base.sum()), rel=1e-14)
         g = np.random.default_rng(4).random(60)
-        kmat = _dense_ma_kmat(m, grid, True)
+        kmat = _dense_ma_kmat(m, grid)
         assert np.abs(kop.apply(g) - kmat @ g).max() <= 1e-14 * np.abs(kmat @ g).max()
 
     # lambda and iterations of the table-based apply this form replaced
@@ -384,7 +404,7 @@ class TestPowerIteration:
     def test_known_two_by_two(self):
         grid = op.build_grid(0.0, 1.0, 2)
         kmat = np.array([[0.6, 0.2], [0.1, 0.3]])
-        kop = op.DiscretizedOperator(grid, kmat, {"process": "ar"})
+        kop = op.DiscretizedOperator(grid, kmat)
         res = op.spectral_radius(kop, tol=1e-13)
         expected = max(np.linalg.eigvals(kmat).real)
         assert res.lam == pytest.approx(expected, abs=1e-10)
@@ -406,7 +426,7 @@ class TestPowerIteration:
 
     def test_zero_operator(self):
         grid = op.build_grid(0.0, 1.0, 3)
-        kop = op.DiscretizedOperator(grid, np.zeros((3, 3)), {"process": "ar"})
+        kop = op.DiscretizedOperator(grid, np.zeros((3, 3)))
         res = op.spectral_radius(kop)
         assert res.lam == 0.0 and res.converged
 
@@ -422,7 +442,7 @@ class TestPowerIteration:
         # (estimates 2, 0.5, 2, ...); that ends in an error, never a wrong lambda
         grid = op.build_grid(0.0, 1.0, 2)
         kmat = np.array([[0.0, 2.0], [0.5, 0.0]])
-        kop = op.DiscretizedOperator(grid, kmat, {"process": "ar"})
+        kop = op.DiscretizedOperator(grid, kmat)
         with pytest.raises(op.MaxIterationsExceeded):
             op.spectral_radius(kop, tol=1e-12, max_iter=200)
 
@@ -436,12 +456,17 @@ class TestPowerIteration:
         tiny = np.finfo(float).tiny
         assert not np.any((res.psi > 0.0) & (res.psi < tiny))
 
-    def test_spectral_result_payload(self):
-        m = ARModel((0.3,), Gaussian(), IIDInnovation(), GE)
-        res = op.solve_operator(m, n=60)
-        payload = res.to_json()
-        assert set(payload) >= {"lambda", "residual", "iterations", "converged", "grid"}
+    @pytest.mark.parametrize("model,delta", [
+        (ARModel((0.3,), Gaussian(), IIDInnovation(), GE), "auto"),
+        (MAModel((0.5,), Gaussian(), GE), "auto"),
+    ], ids=["ar", "ma"])
+    def test_spectral_result_payload(self, model, delta):
+        payload = op.solve_operator(model, n=60, delta=delta).to_json()
+        assert set(payload) == {"lambda", "residual", "iterations", "converged", "grid", "delta"}
+        assert set(payload["grid"]) == {"lo", "hi", "n", "d"}
         assert payload["grid"]["n"] == 60
+        # the AR tilt as resolved from "auto"; the MA kernel takes none
+        assert payload["delta"] == (op.default_delta(model) if isinstance(model, ARModel) else 0.0)
 
 
 class TestReferenceValues:
