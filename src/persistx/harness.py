@@ -190,8 +190,8 @@ def run_mc(model, cfg, seed):
 
     cfg keys: method (crude | splitting | none), horizons, replicates,
     particles, threads, and an optional fit window (i0, i1) that replaces
-    the default one: two integers with 0 <= i0 < i1 <= len(horizons),
-    checked before anything runs.
+    the default one: two integers with 0 <= i0 < i1 <= len(horizons), on
+    a horizon list in increasing order, checked before anything runs.
     """
     method = cfg.get("method", "crude")
     if method == "none":
@@ -202,13 +202,13 @@ def run_mc(model, cfg, seed):
     if horizons is None:
         horizons = list(range(0, 17 if method == "crude" else 61))
     window = cfg.get("window")
-    # estimates take a scalar horizon as a list of one
-    n_horizons = np.size(horizons)
-    if window is not None and not (isinstance(window, (list, tuple)) and len(window) == 2
-                                   and all(type(i) is int for i in window)
-                                   and 0 <= window[0] < window[1] <= n_horizons):
-        raise ValueError(f"fit window {window!r} is not a pair of integers i0, i1 "
-                         f"with 0 <= i0 < i1 <= {n_horizons}, the number of horizons")
+    if window is not None:
+        # estimates take a scalar horizon as a list of one, and sort the list
+        listed = np.atleast_1d(horizons)
+        simulate_mod.check_window(window, len(listed))
+        if np.any(listed[1:] < listed[:-1]):
+            raise ValueError(f"fit window {window!r} indexes the horizons as listed, but "
+                             f"the horizon list {listed.tolist()} is unsorted")
     if method == "crude":
         est = simulate_mod.estimate_crude(
             model, horizons, int(cfg.get("replicates", 200000)), seed, threads=cfg.get("threads")

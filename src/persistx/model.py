@@ -6,6 +6,10 @@ quantile, and an inverse-CDF sampler. Sampling is inverse-CDF throughout
 function of its stream, and streams are derived from (seed, path-tag) pairs
 via a keyed counter-based generator. Together these make every Monte Carlo
 result bit-reproducible under any thread schedule.
+
+In this module only the Gaussian law uses scipy: its cdf, quantile and tail_radius import
+ndtr and ndtri from scipy.special when first called, so that importing this
+module, and sampling the other laws, loads numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 class RequestedDensityOfAtomicLaw(Exception):
@@ -141,10 +144,14 @@ class Gaussian(InnovationDistribution):
         return (np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi)))[()]
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         return ndtr(x / self.sd)[()]
 
     def quantile(self, u):
+        from scipy.special import ndtri
+
         u = np.asarray(u, dtype=float)
         return (self.sd * ndtri(u))[()]
 
@@ -153,6 +160,8 @@ class Gaussian(InnovationDistribution):
         return (-math.inf, math.inf)
 
     def tail_radius(self, eps):
+        from scipy.special import ndtri
+
         return float(self.sd * ndtri(1.0 - eps / 2.0))
 
     def exponential_decay_rate(self):

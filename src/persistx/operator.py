@@ -38,7 +38,8 @@ coordinate plus a gather of each state's suffix, O(N^d) time. Power iteration
 forms its residual and its next iterate in place, so each step allocates only
 the apply's result. After each normalization the iterate's subnormal entries
 are set to zero: they weigh nothing at the sup-norm scale, but they slow
-every later matvec several-fold.
+every later matvec several-fold. leggauss imports roots_legendre when the
+first grid is built, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, drift
 
@@ -86,6 +86,9 @@ def leggauss(n):
     scipy's rule costs O(n^2); numpy's leggauss solves an n x n companion
     eigenproblem, O(n^3), which dominated the solve at n in the thousands.
     """
+    # imported here so that `import persistx` does not load scipy.special
+    from scipy.special import roots_legendre
+
     return roots_legendre(n)
 
 

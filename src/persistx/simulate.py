@@ -260,6 +260,16 @@ def _check_horizons(horizons):
     return horizons
 
 
+def check_window(window, n_horizons):
+    """Raise ValueError unless window is two integers with 0 <= i0 < i1 <= n_horizons."""
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                    for i in window)
+            and 0 <= window[0] < window[1] <= n_horizons):
+        raise ValueError(f"fit window {window!r} is not a pair of integers i0, i1 "
+                         f"with 0 <= i0 < i1 <= {n_horizons}, the number of horizons")
+
+
 def default_window(p_hat):
     """Last half of the leading run of positive estimates."""
     positive = np.flatnonzero(~(np.asarray(p_hat) > 0.0))
@@ -299,12 +309,15 @@ def fit_exponent(estimate, window=None):
     The slope of log p_hat against n is fitted without weights; lambda_hat is
     exp(slope) and the half-width propagates the per-horizon variances of
     log p_hat through the least-squares coefficients (two standard errors).
-    The window is a (start, stop) index pair into the horizon grid; by
-    default, the last half of the run of positive estimates.
+    The window is a (start, stop) index pair into the horizon grid, checked
+    by check_window; by default, the last half of the run of positive
+    estimates.
     """
     p_hat = np.asarray(estimate.p_hat, dtype=float)
     if window is None:
         window = default_window(p_hat)
+    else:
+        check_window(window, len(estimate.horizons))
     lo, hi = window
     sel = slice(int(lo), int(hi))
     x = np.asarray(estimate.horizons, dtype=float)[sel]

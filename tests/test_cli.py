@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -343,6 +346,17 @@ class TestCompareCommand:
         assert code == 1 and out == ""
         assert f"ValueError: fit window {window!r}" in err
 
+    def test_config_with_window_on_unsorted_horizons(self, capsys, tmp_path):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"replicates": 2000, "horizons": [8, 0, 4], "window": [0, 2]},
+            "operator": {"skip": True},
+        }))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert "horizon list [8, 0, 4] is unsorted" in err
+
     @pytest.mark.parametrize("section, typo, key", [
         ("mc", {"method": "crude", "replicate": 1000}, "replicate"),
         ("tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
@@ -532,3 +546,48 @@ class TestReadme:
         known = {opt for sub in subparsers.choices.values()
                  for opt in sub._option_string_actions}
         assert sorted(flags - known) == []
+
+
+def fresh_python(code, *args):
+    """Stdout of code run in a new interpreter that imports persistx from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
+
+class TestScipyOnFirstUse:
+    """scipy is imported by the calls that need it, never by `import persistx`."""
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, persistx, persistx.cli\n" + SCIPY_LOADED
+        assert fresh_python(code).strip() == "[]"
+
+    def test_scipy_free_commands_load_no_scipy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from persistx import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['oracle', '--case', 'rademacher', '--n', '6']) == 0\n"
+            "    assert cli.main(['simulate', '--process', 'ar', '--coeffs', '0.5',\n"
+            "                     '--innovation', 'uniform:-1,1', '--n', '8',\n"
+            "                     '--reps', '5000', '--seed', '1']) == 0\n"
+            + SCIPY_LOADED)
+        assert fresh_python(code).strip() == "[]"
+
+    def test_first_gaussian_draw_inside_threads(self):
+        # with threads=2 the process imports scipy.special inside a worker thread
+        code = (
+            "import sys\n"
+            "from persistx import (ARModel, Gaussian, IIDInnovation, SurvivalConvention,\n"
+            "                      canonical_json, estimate_crude)\n"
+            "m = ARModel((0.5,), Gaussian(), IIDInnovation(), SurvivalConvention.NON_NEGATIVE)\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "est = estimate_crude(m, range(13), 20_000, 3, threads=int(sys.argv[1]))\n"
+            "sys.stdout.write(canonical_json(est.to_json()))\n")
+        assert fresh_python(code, "2") == fresh_python(code, "1")

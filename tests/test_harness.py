@@ -426,6 +426,21 @@ class TestRunMc:
         with pytest.raises(ValueError, match=re.escape(f"fit window {window!r}")):
             harness.run_mc(model, {"window": window}, 0)
 
+    def test_window_on_unsorted_horizons_named(self, monkeypatch):
+        # the window indexes the list as written; the estimate would sort it first
+        def no_run(*args, **kwargs):
+            raise AssertionError("the estimate ran")
+
+        monkeypatch.setattr(harness.simulate_mod, "estimate_crude", no_run)
+        model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=re.escape("horizon list [8, 0, 4] is unsorted")):
+            harness.run_mc(model, {"horizons": [8, 0, 4], "window": [0, 2]}, 0)
+
+    def test_unsorted_horizons_without_window_are_sorted(self):
+        model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        est = harness.run_mc(model, {"replicates": 4000, "horizons": [8, 0, 4]}, 0)
+        assert est.horizons.tolist() == [0, 4, 8]
+
     def test_window_ends_at_the_horizon_count(self):
         model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
         est = harness.run_mc(model, {"replicates": 4000, "horizons": [0, 1, 2, 3],
@@ -534,6 +549,16 @@ class TestRunSuite:
         assert res.records[0]["error"] == (
             "ValueError: fit window 5 is not a pair of integers i0, i1 "
             "with 0 <= i0 < i1 <= 9, the number of horizons")
+        assert [r["passed"] for r in res.records[1:]] == [True, True]
+
+    def test_window_on_unsorted_horizons_is_a_case_error(self, tmp_path):
+        config = tiny_config()
+        config["cases"][0]["mc"].update(horizons=[8, 0, 4], window=[0, 2])
+        res = harness.run_suite(config, tmp_path / "out")
+        assert res.any_failed
+        assert res.records[0]["error"] == (
+            "ValueError: fit window [0, 2] indexes the horizons as listed, "
+            "but the horizon list [8, 0, 4] is unsorted")
         assert [r["passed"] for r in res.records[1:]] == [True, True]
 
     def test_ma_tilt_is_a_case_error(self, tmp_path):

@@ -83,6 +83,19 @@ class TestDistributionValues:
         with pytest.raises(ValueError):
             Gaussian(0.0)
 
+    @pytest.mark.parametrize("sd", [0.5, 1.0, 3.0])
+    def test_gaussian_is_scipy_special(self, sd):
+        # the law imports ndtr and ndtri on first use: the same ufuncs on the same inputs
+        from scipy.special import ndtr, ndtri
+
+        g = Gaussian(sd)
+        x = np.linspace(-40.0, 40.0, 801)
+        u = np.linspace(0.0, 1.0, 801)
+        assert np.array_equal(g.cdf(x), ndtr(x / sd))
+        assert np.array_equal(g.quantile(u), sd * ndtri(u))
+        for eps in (0.5, 1e-6, 1e-12):
+            assert g.tail_radius(eps) == float(sd * ndtri(1.0 - eps / 2.0))
+
     def test_tail_radius_bounds_tail_mass(self):
         for dist in (Uniform(-1.0, 3.0), Gaussian(1.5), Exponential(), Rademacher()):
             r = dist.tail_radius(1e-6)

@@ -47,6 +47,15 @@ class TestGrids:
         assert np.abs(g.nodes - x).max() <= 1e-15
         assert np.abs(g.weights - w).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 400, 1600])
+    def test_leggauss_is_scipy_rule(self, n):
+        # leggauss imports roots_legendre on first use; it returns that rule unchanged
+        from scipy.special import roots_legendre
+
+        x, w = op.leggauss(n)
+        ref_x, ref_w = roots_legendre(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
             op.build_grid(1.0, 1.0, 4)

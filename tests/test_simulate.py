@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,19 @@ class TestFitExponent:
         est.p_hat[8:] = 0.0
         lam, _ = sim.fit_exponent(est)
         assert lam == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("window", [(-6, -1), (3, 40), (4, 4), (5, 2), (2.0, 5),
+                                        (True, 5), 5, (1, 2, 3), "0:5"])
+    def test_window_outside_the_horizons_named(self, window):
+        # a negative pair would otherwise be a Python slice: (-6, -1) fitted 11..15
+        with pytest.raises(ValueError, match=re.escape(f"fit window {window!r}")):
+            sim.fit_exponent(self.synthetic(0.5, k=17), window)
+
+    def test_window_may_end_at_the_horizon_count(self):
+        est = self.synthetic(0.9, k=17)
+        assert sim.fit_exponent(est, (11, 17)) == sim.fit_exponent(est, [11, 17])
+        assert sim.fit_exponent(est, (np.int64(11), np.int64(17))) == sim.fit_exponent(
+            est, (11, 17))
 
     def test_needs_two_points(self):
         est = self.synthetic(0.5)
