@@ -28,22 +28,26 @@ positive diagonal, so the spectral radius is unchanged while eigenfunction
 mass is confined near the origin; the spectral radius itself comes from power
 iteration with sup-norm normalization.
 
-Cost. The Gauss-Legendre rule comes from scipy.special.roots_legendre, which
-is O(N^2) (numpy's leggauss is an O(N^3) eigen-solve). The AR kernel table is
-filled in slabs of its leading axis, so memory is the table (N^(d+1) floats)
-plus one slab. One AR apply is a batched matrix-vector product (np.matmul)
-on a strided view of the table, not a copy of it. MA memory is
-O(N^d): one MA apply is a suffix sum of the weighted iterate along the new
-coordinate plus a gather of each state's suffix, O(N^d) time. Power iteration
-forms its residual and its next iterate in place, so each step allocates only
-the apply's result. After each normalization the iterate's subnormal entries
-are set to zero: they weigh nothing at the sup-norm scale, but they slow
-every later matvec several-fold. leggauss imports roots_legendre when the
-first grid is built, so importing this module loads numpy only.
+Cost. The Gauss-Legendre rule is Newton's method on the three-term
+recurrence, O(N^2) in numpy (numpy's leggauss is an O(N^3) eigen-solve), and
+is built once per N: later grids of the same N rescale the cached rule. The
+AR kernel table is filled in slabs of its leading axis, so memory is the
+table (N^(d+1) floats) plus one slab. One AR apply is a batched
+matrix-vector product (np.matmul) on a strided view of the table, not a copy
+of it. MA memory is O(N^d): one MA apply is a suffix sum of the weighted
+iterate along the new coordinate plus a gather of each state's suffix,
+O(N^d) time. Power iteration normalizes its next iterate in place, so each
+step allocates only the apply's result, and it forms the residual only on
+steps where lambda has settled. After each normalization the iterate's
+subnormal entries are set to zero: they weigh nothing at the sup-norm scale,
+but they slow every later matvec several-fold. Building a grid loads no scipy:
+scipy.special loads only for Gaussian laws, through their cdf and tail
+radius, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -80,16 +84,38 @@ class QuadratureGrid:
     edges: np.ndarray
 
 
+@functools.cache
 def leggauss(n):
     """Gauss-Legendre nodes (ascending) and weights for n points on [-1, 1].
 
-    scipy's rule costs O(n^2); numpy's leggauss solves an n x n companion
-    eigenproblem, O(n^3), which dominated the solve at n in the thousands.
+    Newton's method on all n nodes at once from Tricomi's estimate, with
+    P_n and P_n' from the three-term recurrence: O(n^2) per step, and three
+    or four steps reach round-off. The weight 2 / ((1-x)(1+x) P_n'(x)^2)
+    keeps its accuracy near +-1, where eigenvalue-based rules (numpy's
+    leggauss, O(n^3)) and scipy's roots_legendre lose digits. Nodes and
+    weights are symmetrized, so x[i] == -x[n-1-i] and w[i] == w[n-1-i]
+    exactly. The rule is built once per n and returned as read-only arrays.
     """
-    # imported here so that `import persistx` does not load scipy.special
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
+    k = np.arange(n, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    # P_j(x) = a_j x P_{j-1}(x) - b_j P_{j-2}(x), coefficients as Python floats
+    j = np.arange(2, n + 1)
+    recurrence = list(zip(((2 * j - 1) / j).tolist(), ((j - 1) / j).tolist()))
+    for _ in range(10):
+        p0, p1 = np.ones(n), x
+        for a, b in recurrence:
+            p0, p1 = p1, a * x * p1 - b * p0
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        dx = p1 / dp
+        x = x - dx
+        if np.abs(dx).max() <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def build_grid(lo, hi, n, d=1):
@@ -375,7 +401,9 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
 
     Starts from the all-ones vector with sup-norm normalization and stops
     when both the eigenvalue increment and the sup-norm residual fall below
-    tol. A kernel that does not settle within max_iter steps (a periodic one
+    tol. The residual feeds only that test and the error message, so it is
+    formed only on steps whose increment is below tol, and on step max_iter.
+    A kernel that does not settle within max_iter steps (a periodic one
     cycles) ends in MaxIterationsExceeded, whose message reports the last
     step's residual and lambda. op.apply must return a new array on every
     call: the iterate is normalized in place.
@@ -386,16 +414,19 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
     r = np.empty_like(v)
     tiny = np.empty(v.shape, dtype=bool)
     lam_prev = residual = math.inf
-    for it in range(1, int(max_iter) + 1):
+    last = int(max_iter)
+    for it in range(1, last + 1):
         w = op.apply(v)
         lam = float(w.max())
         if lam <= 0.0:
             # the operator annihilates the cone on this grid
             return SpectralResult(0.0, v, 0.0, it, True, op.grid, op.delta)
-        np.multiply(v, lam, out=r)
-        np.subtract(w, r, out=r)
-        residual = float(np.abs(r, out=r).max())
-        if residual < tol * max(1.0, lam) and abs(lam - lam_prev) < tol:
+        settled = abs(lam - lam_prev) < tol
+        if settled or it == last:
+            np.multiply(v, lam, out=r)
+            np.subtract(w, r, out=r)
+            residual = float(np.abs(r, out=r).max())
+        if settled and residual < tol * max(1.0, lam):
             # psi is a copy, not the iteration's last work array: that block
             # can sit above a freed AR table and, held by the result, keep the
             # allocator from reusing the table's space on the next assembly

@@ -577,6 +577,12 @@ class TestScipyOnFirstUse:
             "    assert cli.main(['simulate', '--process', 'ar', '--coeffs', '0.5',\n"
             "                     '--innovation', 'uniform:-1,1', '--n', '8',\n"
             "                     '--reps', '5000', '--seed', '1']) == 0\n"
+            # a Gauss-Legendre grid is built in numpy; these laws need no scipy
+            "    assert cli.main(['compare', '--process', 'ar', '--coeffs=-1',\n"
+            "                     '--innovation', 'uniform:-1,1', '--reps', '2000',\n"
+            "                     '--N', '50']) == 0\n"
+            "    assert cli.main(['operator', '--process', 'ma', '--coeffs=-0.5',\n"
+            "                     '--innovation', 'exponential', '--N', '100']) == 0\n"
             + SCIPY_LOADED)
         assert fresh_python(code).strip() == "[]"
 

@@ -47,14 +47,26 @@ class TestGrids:
         assert np.abs(g.nodes - x).max() <= 1e-15
         assert np.abs(g.weights - w).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 400, 1600])
-    def test_leggauss_is_scipy_rule(self, n):
-        # leggauss imports roots_legendre on first use; it returns that rule unchanged
-        from scipy.special import roots_legendre
-
+    @pytest.mark.parametrize("n", [2, 3, 151, 400, 1600])
+    def test_rule_integrates_even_monomials(self, n):
+        # exact through degree 2n - 1; x^(2n-2) weighs the nodes next to +-1,
+        # where scipy's roots_legendre misses by 1.6e-11 (n=400) and 1.1e-9 (n=1600)
         x, w = op.leggauss(n)
-        ref_x, ref_w = roots_legendre(n)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        for k in (n // 2, n - 1):
+            exact = 2.0 / (2 * k + 1)
+            assert abs((w * x ** (2 * k)).sum() - exact) <= 1e-11 * exact
+
+    @pytest.mark.parametrize("n", [2, 3, 150, 151, 1600])
+    def test_rule_is_exactly_symmetric(self, n):
+        x, w = op.leggauss(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_rule_is_cached_and_read_only(self):
+        x, w = op.leggauss(40)
+        assert op.leggauss(40)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -195,7 +207,7 @@ class TestApply:
     # lambda and iterations of the one batched apply, at d = 1 and d = 2
     @pytest.mark.parametrize("coeffs,innovation,n,delta,lam,iterations", [
         ((0.4,), Gaussian(), 400, 0.3, 0.647769920818495, 15),
-        ((-0.5,), Exponential(), 400, 0.3, 0.6666477485644465, 3),
+        ((-0.5,), Exponential(), 400, 0.3, 0.666647748564583, 3),
         ((0.5, -0.3), Gaussian(), 60, 0.0, 0.552143527351515, 23),
         ((0.3, 0.2), Gaussian(), 60, "auto", 0.700536421450535, 29),
     ], ids=["ar1_gauss_0.4", "ar1_exp_m0.5", "ar2_0.5_m0.3", "ar2_0.3_0.2_auto"])
@@ -376,7 +388,7 @@ class TestMatrixFreeMa:
     @pytest.mark.parametrize("coeffs,innovation,n,lam,iterations", [
         ((1.0,), Gaussian(), 400, 0.6365503548414224, 23),
         ((-0.99,), Gaussian(), 400, 0.01559607409157369, 12935),
-        ((-0.5,), Exponential(), 400, 0.49999980049948956, 33),
+        ((-0.5,), Exponential(), 400, 0.4999998004999089, 33),
         ((0.5, -0.2), Gaussian(), 100, 0.5583245207760867, 29),
         ((0.5, 0.5), Gaussian(), 100, 0.6801429268434205, 29),
         ((0.3, 0.3, 0.3), Gaussian(), 20, 0.6779448128950532, 39),
@@ -407,6 +419,22 @@ class TestMatrixFreeMa:
         kept = first.copy()
         second = kop.apply(2.0 * g)
         assert second is not first and np.array_equal(first, kept)
+
+
+def _eager_power_iteration(kop, tol=1e-10, max_iter=50000):
+    """Power iteration that forms the residual on every step: (lam, it, residual, psi)."""
+    v = np.ones((kop.grid.n,) * kop.grid.d)
+    lam_prev = math.inf
+    for it in range(1, max_iter + 1):
+        w = kop.apply(v)
+        lam = float(w.max())
+        residual = float(np.abs(w - v * lam).max())
+        if residual < tol * max(1.0, lam) and abs(lam - lam_prev) < tol:
+            return lam, it, residual, v
+        v = w / lam
+        v[v < np.finfo(float).tiny] = 0.0
+        lam_prev = lam
+    raise AssertionError("reference power iteration did not converge")
 
 
 class TestPowerIteration:
@@ -445,6 +473,21 @@ class TestPowerIteration:
                            match=r"in 3 iterations \(last residual \S+ at lambda \S+\)"):
             op.spectral_radius(op.assemble_ma(m, op.default_grid(m, 6.0, 100)),
                                tol=1e-14, max_iter=3)
+
+    @pytest.mark.parametrize("model,n,delta", [
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 120, 0.0),
+        (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE), 30, "auto"),
+        (MAModel((1.0,), Gaussian(), GE), 120, 0.0),
+        (MAModel((-0.99,), Gaussian(), GE), 60, 0.0),
+    ], ids=["ar1", "ar2_tilted", "ma1", "ma1_m0.99"])
+    def test_lazy_residual_matches_eager(self, model, n, delta):
+        # the residual is formed only once lambda has settled; the result is
+        # byte-equal to forming it on every step
+        kop = op.assemble(model, op.default_grid(model, None, n), delta=delta)
+        res = op.spectral_radius(kop)
+        lam, it, residual, psi = _eager_power_iteration(kop)
+        assert (res.lam, res.iterations, res.residual) == (lam, it, residual)
+        assert res.psi.tobytes() == psi.tobytes()
 
     def test_periodic_kernel_ends_in_named_error(self):
         # a permutation-like kernel drives power iteration into a 2-cycle
