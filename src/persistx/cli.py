@@ -286,7 +286,7 @@ def cmd_sweep(args):
     model = build_model(args)
     if args.kind == "convergence":
         ms = _parse_floats(args.Ms) if args.Ms else None
-        ns = [int(x) for x in _parse_floats(args.Ns)] if args.Ns else None
+        ns = _parse_floats(args.Ns) if args.Ns else None
         if ms is None or ns is None:
             raise ValueError("sweep --kind convergence requires --Ms and --Ns")
         result = operator_mod.convergence_sweep(model, ms, ns, delta=args.delta)
@@ -403,12 +403,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "operator") or (
-        args.command in ("compare", "sweep") and not args.config
-    ):
-        if args.process is None or args.coeffs is None:
-            if not (args.command == "sweep" and args.kind == "suite"):
-                parser.error(f"{args.command} requires --process and --coeffs")
+    if (args.command in ("compare", "sweep") and not args.config
+            and not (args.command == "sweep" and args.kind == "suite")
+            and (args.process is None or args.coeffs is None)):
+        parser.error(f"{args.command} requires --process and --coeffs")
     try:
         return args.func(args)
     except COMPUTE_ERRORS as e:

@@ -33,6 +33,8 @@ from .model import (
     MAModel,
     Rademacher,
     Uniform,
+    as_count,
+    drift,
     model_from_json,
     substream,
 )
@@ -211,11 +213,11 @@ def run_mc(model, cfg, seed):
                              f"the horizon list {listed.tolist()} is unsorted")
     if method == "crude":
         est = simulate_mod.estimate_crude(
-            model, horizons, int(cfg.get("replicates", 200000)), seed, threads=cfg.get("threads")
+            model, horizons, cfg.get("replicates", 200000), seed, threads=cfg.get("threads")
         )
     else:
         est = simulate_mod.estimate_splitting(
-            model, horizons, int(cfg.get("particles", 20000)), seed
+            model, horizons, cfg.get("particles", 20000), seed
         )
     if window is not None:
         est.lambda_hat, est.half_width = simulate_mod.fit_exponent(est, window)
@@ -236,7 +238,7 @@ def compare(case):
     """
     _check_keys(case, _CASE_KEYS, "case")
     model = model_from_json(case)
-    seed = int(case.get("seed", 0))
+    seed = as_count(case.get("seed", 0), "seed")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(_section(case, "tolerances"))
     mccfg = _section(case, "mc")
@@ -251,7 +253,7 @@ def compare(case):
         operator = operator_mod.solve_operator(
             model,
             m=opcfg.get("M"),
-            n=int(opcfg.get("N", 400)),
+            n=opcfg.get("N", 400),
             delta=opcfg.get("delta", 0.0),
         ).to_json()
 
@@ -379,7 +381,7 @@ def _prop_nonnegativity(case, seed):
     opcfg = _section(case, "operator")
     # N defaults to 200 here and in the conjugation check; an absent M is
     # default_grid's default truncation, as in solve_operator
-    grid = operator_mod.default_grid(model, opcfg.get("M"), int(opcfg.get("N", 200)))
+    grid = operator_mod.default_grid(model, opcfg.get("M"), opcfg.get("N", 200))
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
     # the MA kernel's entries are base and coef, or structural zeros
     worst = float(op.kmat.min() if op.kmat is not None else min(op.base.min(), op.coef.min()))
@@ -397,7 +399,7 @@ def _prop_conjugation(case, seed):
         raise ConfigError("conjugation invariance is an AR property")
     deltas = case.get("deltas", [0.0, 0.1, 0.5])
     opcfg = _section(case, "operator")
-    lams = [operator_mod.solve_operator(model, m=opcfg.get("M"), n=int(opcfg.get("N", 200)),
+    lams = [operator_mod.solve_operator(model, m=opcfg.get("M"), n=opcfg.get("N", 200),
                                         delta=float(delta)).lam
             for delta in deltas]
     spread = max(lams) - min(lams)
@@ -409,59 +411,53 @@ def _prop_truncation(case, seed):
     model = model_from_json(case)
     opcfg = _section(case, "operator")
     ms = case.get("Ms") or [2.0, 4.0, 6.0]
-    n_ref = int(opcfg.get("N", 400))
-    family = operator_mod.truncation_lambdas(model, ms, n_ref)
+    family = operator_mod.truncation_lambdas(model, ms, opcfg.get("N", 400))
     return family.pop("monotone"), family
 
 
-_P0_BLOCK = 1 << 16
-
-
-def _ma_p0(model, seed):
-    """P(Z_0 >= 0) for an MA model: 1D quadrature at order 1, else Monte Carlo."""
+def _ma_p0(model):
+    """P(Z_0 >= 0) for an MA model, computed, not sampled: exact over the
+    2^(q+1) sign patterns of a Rademacher law, else E[1 - F(-s)], s the drift
+    of xi_{-q}..xi_{-1}, on a q-fold Gauss-Legendre rule in u = F(xi)."""
+    q = model.order
+    # the rule takes the largest N with N^q <= 2^18 nodes, at most 2000; at
+    # order 5 that N is 12, too few to beat the error of a Monte Carlo p_0
+    if q > 4:
+        raise ConfigError(f"qbound computes p_0 for MA orders 1 to 4, got order {q}")
     innov = model.innovation
-    if model.order == 1 and innov.has_density:
-        m = operator_mod.default_truncation(innov, eps=1e-14, safety=1.0)
-        grid = operator_mod.default_grid(model, m, 2000)
-        a1 = model.coeffs[0]
-        # P(xi_0 + a1 xi_{-1} >= 0) = E[1 - F(-a1 xi_{-1})]
-        weights = grid.weights * innov.density(grid.nodes)
-        return float(weights @ (1.0 - innov.cdf(-a1 * grid.nodes)))
-    rng = substream(seed, "prop", "qbound-p0")
-    # row blocks drawn in turn from one stream give the same draws as one
-    # array of all the rows, without holding them all at once
-    total = 2000000
-    survivors = 0
-    for start in range(0, total, _P0_BLOCK):
-        z0 = simulate_mod.sample_paths(model, 0, min(_P0_BLOCK, total - start), rng)
-        survivors += int(np.count_nonzero(model.convention.survives(z0)))
-    return survivors / total
+    if isinstance(innov, Rademacher):
+        xi = 2.0 * np.indices((2,) * (q + 1)) - 1.0
+        z0 = drift(model.coeffs, xi[:q]) + xi[q]
+        return int(np.count_nonzero(model.convention.survives(z0))) / z0.size
+    x, w = operator_mod.leggauss(min(2000, int(2.0 ** (18 / q))))
+    xi = innov.quantile((x + 1.0) / 2.0)
+    # xi_{k-q} varies along axis k of the tensor grid
+    tail = 1.0 - innov.cdf(-drift(model.coeffs, [xi.reshape((-1,) + (1,) * (q - 1 - k))
+                                                 for k in range(q)]))
+    for _ in range(q):
+        tail = tail @ (w / 2.0)
+    return float(tail)
 
 
 def _prop_qbound(case, seed):
     model = model_from_json(case)
     if not isinstance(model, MAModel):
         raise ConfigError("the q-dependence bound is an MA property")
+    p0 = _ma_p0(model)
     mccfg = dict(_section(case, "mc"))
     mccfg.setdefault("method", "crude")
     mccfg.setdefault("horizons", list(range(0, 13)))
     est = run_mc(model, mccfg, seed)
-    p0 = _ma_p0(model, seed)
-    q = model.order
-    ok = True
-    margins = []
-    for j, n in enumerate(est.horizons):
-        bound = p0 ** (int(n) // (q + 1)) + 4.0 * est.se[j]
-        margins.append(bound - est.p_hat[j])
-        ok = ok and est.p_hat[j] <= bound
-    return ok, {"p0": p0, "min_margin": float(min(margins))}
+    bound = p0 ** (est.horizons // (model.order + 1)) + 4.0 * est.se
+    margins = bound - est.p_hat
+    return bool(np.all(est.p_hat <= bound)), {"p0": p0, "min_margin": float(margins.min())}
 
 
 def _prop_determinism(case, seed):
     model = model_from_json(case)
     mccfg = _section(case, "mc")
     horizons = mccfg.get("horizons", list(range(0, 9)))
-    replicates = int(mccfg.get("replicates", 30000))
+    replicates = mccfg.get("replicates", 30000)
     payloads = []
     for threads in case.get("threads", [1, 2, 8]):
         est = simulate_mod.estimate_crude(model, horizons, replicates, seed, threads=threads)
@@ -543,8 +539,9 @@ def _summary_numbers(record):
 def run_suite(config, out_dir, threads=None):
     """Run a config of compare cases and property checks; write reports.
 
-    Every case's type, top-level keys, sections, model and name are checked
-    first: a config error raises before out_dir is created or any case runs.
+    The config's keys and every case's type, top-level keys, sections, model
+    and name are checked first: a config error raises before out_dir is
+    created or any case runs.
     A name must be a plain file name that no other case has. Then
     the cases run, and one canonical JSON file per case plus summary.csv are
     written under out_dir. The returned SuiteResult carries any_failed for
@@ -553,10 +550,11 @@ def run_suite(config, out_dir, threads=None):
     cfg = load_config(config)
     if not isinstance(cfg, dict) or "cases" not in cfg:
         raise ConfigError("config must be an object with a 'cases' list")
+    _check_keys(cfg, ("cases", "seed", "threads"), "config")
     cases = cfg["cases"]
     if not isinstance(cases, list):
         raise ConfigError("'cases' must be a list")
-    seed = int(cfg.get("seed", 0))
+    seed = as_count(cfg.get("seed", 0), "seed")
     threads = threads if threads is not None else cfg.get("threads")
 
     prepared = []
@@ -580,7 +578,7 @@ def run_suite(config, out_dir, threads=None):
         case = dict(case)
         try:
             if ctype == "property":
-                case_seed = int(case.get("seed", seed))
+                case_seed = as_count(case.get("seed", seed), "seed")
                 ok, details = PROPERTY_CHECKS[case["check"]](case, case_seed)
                 payload = {
                     "case": {k: v for k, v in case.items() if k != "type"},

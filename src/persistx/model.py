@@ -350,6 +350,16 @@ def _as_coeffs(coeffs):
     return out
 
 
+def as_count(value, name):
+    """An int, or a float with no fractional part (JSON's 1e5), as an int; a
+    bool or anything else is a ValueError naming the field."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ARModel:
     """Z_i = sum_j a_j Z_{i-j} + xi_i, driven by iid innovations."""

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, drift
+from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, as_count, drift
 
 
 class MaxIterationsExceeded(Exception):
@@ -124,7 +124,7 @@ def build_grid(lo, hi, n, d=1):
     hi = float(hi)
     if not lo < hi:
         raise ValueError(f"invalid axis bounds [{lo}, {hi}]")
-    n = int(n)
+    n = as_count(n, "N")
     if n < 2:
         raise ValueError(f"need at least 2 nodes per axis, got {n}")
     if d < 1:
@@ -144,9 +144,13 @@ def build_grid(lo, hi, n, d=1):
     return QuadratureGrid(int(d), lo, hi, n, nodes, weights, edges)
 
 
-def default_truncation(innovation, eps=1e-10, safety=1.5):
-    """Truncation radius: smallest M with tail mass <= eps, times a 1.5 margin."""
-    return float(innovation.tail_radius(eps)) * safety
+TAIL_MASS = 1e-10
+TRUNCATION_MARGIN = 1.5
+
+
+def default_truncation(innovation):
+    """Truncation radius: smallest M with tail mass <= TAIL_MASS, times TRUNCATION_MARGIN."""
+    return float(innovation.tail_radius(TAIL_MASS)) * TRUNCATION_MARGIN
 
 
 def default_delta(model):
@@ -497,7 +501,7 @@ def convergence_sweep(model, ms, ns, delta=0.0):
     from it rather than solved twice.
     """
     ms = sorted(float(m) for m in np.atleast_1d(ms))
-    ns = sorted(int(n) for n in np.atleast_1d(ns))
+    ns = sorted(as_count(n, "N") for n in np.atleast_1d(np.asarray(ns, dtype=object)).tolist())
     if not ms or not ns:
         raise ValueError("need nonempty M and N lists")
     family = truncation_lambdas(model, ms, ns[-1], delta=delta)

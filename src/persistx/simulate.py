@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ARModel, drift, substream
+from .model import ARModel, as_count, drift, substream
 
 BLOCK = 4096
 
@@ -51,8 +51,8 @@ class NonPositiveProbabilityInWindow(Exception):
 def sample_paths(model, n, size, rng):
     """Z_0..Z_n of `size` independent paths, shape (size, n + 1).
 
-    This is the one AR/MA path recursion: crude blocks and the MA sample of
-    the qbound check both call it. An AR path takes its first p values from
+    This is the one AR/MA path recursion: every block of the crude
+    estimator calls it. An AR path takes its first p values from
     the initial law; the innovations of all later steps then come from one
     (n + 1 - p, size) draw, step-major, and each step adds the drift to its
     contiguous row. Draws concatenate along a stream, so this takes the same
@@ -106,7 +106,7 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
     independent, so any thread count reproduces the same numbers bit for bit.
     """
     horizons = _check_horizons(horizons)
-    replicates = int(replicates)
+    replicates = as_count(replicates, "replicates")
     if replicates < 1:
         raise ValueError("need at least one replicate")
     n_blocks = (replicates + BLOCK - 1) // BLOCK
@@ -161,7 +161,7 @@ def estimate_splitting(model, horizons, particles, seed):
     kept and resampled along the particle axis in one compress and one take.
     """
     horizons = _check_horizons(horizons)
-    particles = int(particles)
+    particles = as_count(particles, "particles")
     if particles < 2:
         raise ValueError("need at least two particles")
     n_max = int(horizons[-1])
@@ -252,7 +252,9 @@ class PersistenceEstimate:
 
 
 def _check_horizons(horizons):
-    horizons = np.asarray(sorted(int(n) for n in np.atleast_1d(horizons)), dtype=int)
+    # object dtype keeps each value's own type, so a bool in a list stays a bool
+    listed = np.atleast_1d(np.asarray(horizons, dtype=object)).tolist()
+    horizons = np.asarray(sorted(as_count(n, "horizon") for n in listed), dtype=int)
     if len(horizons) == 0 or horizons[0] < 0:
         raise ValueError("horizons must be nonnegative integers")
     if len(np.unique(horizons)) != len(horizons):

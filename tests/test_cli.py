@@ -412,6 +412,43 @@ class TestCompareCommand:
         assert err.startswith("error: ") and f"'{field}'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("change, shown", [
+        ({"operator": {"N": 60.9}}, "N must be an integer, got 60.9"),
+        ({"mc": {"method": "crude", "replicates": 5000.7}}, "replicates must be an integer"),
+        ({"mc": {"method": "splitting", "particles": 300.5}}, "particles must be an integer"),
+        ({"mc": {"method": "crude", "replicates": True}}, "replicates must be an integer"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"mc": {"method": "crude", "replicates": 2000, "horizons": [0, 2.7, 5.2]}},
+         "horizon must be an integer, got 2.7"),
+        ({"mc": {"method": "crude", "replicates": 2000, "horizons": [0, True, 2]}},
+         "horizon must be an integer, got True"),
+    ], ids=["N", "replicates", "particles", "bool_replicates", "seed", "horizons",
+            "bool_horizon"])
+    def test_config_with_fractional_count(self, capsys, tmp_path, change, shown):
+        # counts were cut down to an integer silently; now each is named
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"method": "none"}, "operator": {"skip": True}, **change}))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith("error: ValueError: ") and shown in err
+        assert out == ""
+
+    def test_config_with_integral_float_counts(self, capsys, tmp_path):
+        # JSON's 1e3 and 40.0 are counts
+        reports = []
+        for n, replicates, horizons in ((40, 1000, [0, 2, 4]), (40.0, 1e3, [0.0, 2.0, 4.0])):
+            cfg = tmp_path / "case.json"
+            cfg.write_text(json.dumps({
+                "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+                "mc": {"replicates": replicates, "horizons": horizons},
+                "operator": {"N": n}}))
+            _, out, _ = run(capsys, ["compare", "--config", str(cfg)])
+            reports.append(json.loads(out))
+        for key in ("operator", "mc", "diffs", "checks"):
+            assert reports[0][key] == reports[1][key]
+
     def test_supercritical_case_passes_without_operator(self, capsys):
         code, out, _ = run(capsys, [
             "compare", "--process", "ar", "--coeffs", "1.2",
@@ -452,6 +489,14 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["table"]) == 4
+
+    def test_convergence_fractional_N_exits_one(self, capsys):
+        code, out, err = run(capsys, [
+            "sweep", "--kind", "convergence", "--process", "ar", "--coeffs", "0.4",
+            "--Ms", "4,6", "--Ns", "20.7,40.2"])
+        assert code == 1
+        assert "N must be an integer, got 20.7" in err
+        assert out == ""
 
     def test_convergence_auto_delta(self, capsys):
         argv = ["sweep", "--kind", "convergence", "--process", "ar", "--coeffs", "0.4",

@@ -1,12 +1,13 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from persistx import harness
+from persistx import harness, oracle
 from persistx.model import (
     ARModel,
     Exponential,
@@ -19,6 +20,7 @@ from persistx.model import (
 )
 
 GE = SurvivalConvention.NON_NEGATIVE
+GT = SurvivalConvention.STRICTLY_POSITIVE
 
 
 class TestCanonicalJson:
@@ -361,12 +363,24 @@ class TestContinuitySweep:
 
 class TestPropertyChecks:
     def test_qbound_at_order_two(self):
-        # Z_0 is symmetric about 0, so the Monte Carlo P(Z_0 >= 0) is near 1/2
+        # Z_0 is symmetric about 0, so P(Z_0 >= 0) = 1/2
         case = {"process": "ma", "coeffs": [0.5, 0.5],
                 "innovation": {"kind": "gaussian", "sd": 1.0}}
         ok, details = harness.PROPERTY_CHECKS["qbound"](case, 0)
         assert ok
-        assert details["p0"] == pytest.approx(0.5, abs=2e-3)
+        assert details["p0"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_qbound_p0_takes_no_seed(self):
+        case = {"process": "ma", "coeffs": [0.5, -0.2, 0.1],
+                "innovation": {"kind": "exponential"}, "mc": {"replicates": 20000}}
+        details = [harness.PROPERTY_CHECKS["qbound"](case, seed)[1] for seed in (0, 1)]
+        assert details[0]["p0"] == details[1]["p0"]
+        assert details[0]["min_margin"] != details[1]["min_margin"]
+
+    def test_qbound_above_order_four_named(self):
+        case = {"process": "ma", "coeffs": [0.1] * 5, "innovation": {"kind": "gaussian"}}
+        with pytest.raises(harness.ConfigError, match="MA orders 1 to 4, got order 5"):
+            harness.PROPERTY_CHECKS["qbound"](case, 0)
 
     def test_nonnegativity_takes_auto_delta(self):
         # "auto" is resolved by operator.assemble, as in compare cases
@@ -381,14 +395,59 @@ class TestPropertyChecks:
         with pytest.raises(ValueError, match="MA operator takes no tilt"):
             harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
 
-    # 1D quadrature at order 1, on default_grid's axis at the 1e-14 radius
-    @pytest.mark.parametrize("coeffs,innovation,p0", [
-        ((1.0,), Gaussian(), 0.49999999999999556),
-        ((-0.5,), Exponential(), 0.6666666666666692),
-        ((0.7,), Uniform(-1.0, 2.0), 0.7706349101690688),
-    ])
-    def test_quadrature_p0_pinned(self, coeffs, innovation, p0):
-        assert harness._ma_p0(MAModel(coeffs, innovation, GE), 0) == p0
+    # P(Z_0 >= 0) against closed forms: 1/2 for a symmetric law, 1/(1 - a1)
+    # for exponential MA(1) with a1 < 0, and 1 - (5/7 + 1.35)/9 = 971/1260 for
+    # uniform(-1, 2) MA(1) 0.7. The tolerance is 1e-12 where the error is at
+    # most 1e-14, else ten times the error measured: the (1 - u)^c integrands
+    # of the exponential law and the kink of the uniform one converge slowest.
+    @pytest.mark.parametrize("coeffs,innovation,p0,tol", [
+        ((1.0,), Gaussian(), 0.5, 1e-12),
+        ((0.5, 0.5), Gaussian(), 0.5, 1e-12),
+        ((0.5, 0.5, 0.5), Gaussian(), 0.5, 1e-12),
+        ((0.5, 0.5, 0.5, 0.5), Gaussian(), 0.5, 1e-12),
+        ((0.3, -0.2, 0.6), Gaussian(2.0), 0.5, 1e-12),
+        ((0.5, 0.5), Uniform(-1.0, 1.0), 0.5, 1e-12),
+        ((-0.5,), Exponential(), 1.0 / 1.5, 1.3e-10),
+        ((-0.9,), Exponential(), 1.0 / 1.9, 1e-12),
+        ((-0.1,), Exponential(), 1.0 / 1.1, 2.9e-8),
+        ((0.7,), Uniform(-1.0, 2.0), 971.0 / 1260.0, 1.1e-7),
+    ], ids=["gaussian_q1", "gaussian_q2", "gaussian_q3", "gaussian_q4", "gaussian_sd2_q3",
+            "uniform_symmetric_q2", "exponential_m0.5", "exponential_m0.9", "exponential_m0.1",
+            "uniform_m1_2"])
+    def test_p0_closed_forms(self, coeffs, innovation, p0, tol):
+        assert abs(harness._ma_p0(MAModel(coeffs, innovation, GE)) - p0) <= tol
+
+    def test_p0_exponential_ma3_reference(self):
+        # Z_0 < 0 iff 0.2 xi_{-2} > xi_0 + 0.5 xi_{-1} + 0.1 xi_{-3}, which has
+        # probability E[exp(-5 xi)] E[exp(-2.5 xi)] E[exp(-0.5 xi)] = 1/31.5;
+        # the kink of 1 - F(-s) at s = 0 limits the 64-node rule to about 1e-5
+        model = MAModel((0.5, -0.2, 0.1), Exponential(), GE)
+        assert abs(harness._ma_p0(model) - 61.0 / 63.0) <= 2e-5
+
+    @pytest.mark.parametrize("coeffs,convention,p0", [
+        ((1.0,), GE, oracle.rademacher_pn(0, GE)),
+        ((1.0,), GT, oracle.rademacher_pn(0, GT)),
+        ((0.3, 0.7), GE, 5 / 8),
+        ((0.3, 0.7), GT, 3 / 8),
+    ], ids=["a1_ge", "a1_gt", "0.3_0.7_ge", "0.3_0.7_gt"])
+    def test_p0_rademacher_exact(self, coeffs, convention, p0):
+        # Z_0 = 0 on a tie, which the convention keeps (ge) or kills (gt)
+        assert harness._ma_p0(MAModel(coeffs, Rademacher(), convention)) == p0
+
+    @pytest.mark.parametrize("innovation", [Gaussian(), Exponential()],
+                             ids=["gaussian", "exponential"])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_p0_memory_within_budget(self, q, innovation):
+        # at most 2^18 states, so a few 2 MiB arrays at once
+        model = MAModel((0.5,) * q, innovation, GE)
+        harness._ma_p0(model)
+        tracemalloc.start()
+        try:
+            harness._ma_p0(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     @pytest.mark.parametrize("check, process", [("nonnegativity", "ma"),
                                                 ("conjugation", "ar")])
@@ -398,14 +457,6 @@ class TestPropertyChecks:
                 "operator": {"M": 0, "N": 40}}
         with pytest.raises(ValueError, match="M > 0"):
             harness.PROPERTY_CHECKS[check](case, 0)
-
-    @pytest.mark.parametrize("coeffs,innovation,p0", [
-        ((0.3, 0.7), Rademacher(), 0.6247475),
-        ((0.5, -0.2, 0.1), Exponential(), 0.968156),
-    ])
-    def test_monte_carlo_p0_pinned(self, coeffs, innovation, p0):
-        # drawing the innovations in row blocks keeps the one-array values
-        assert harness._ma_p0(MAModel(coeffs, innovation, GE), 0) == p0
 
 
 class TestRunMc:
@@ -621,6 +672,18 @@ class TestRunSuite:
         config = tiny_config()
         config["cases"][index][section] = typo
         with pytest.raises(harness.ConfigError, match=f"case {index}.*{key}"):
+            harness.run_suite(config, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"sead": 5}, harness.ConfigError, "unknown config key.*sead"),
+        ({"seed": 1.9}, ValueError, "seed must be an integer, got 1.9"),
+        ({"seed": True}, ValueError, "seed must be an integer, got True"),
+    ], ids=["misspelled_key", "fractional_seed", "bool_seed"])
+    def test_config_keys_checked_before_any_case_runs(self, tmp_path, change, error,
+                                                      message):
+        config = {**tiny_config(), **change}
+        with pytest.raises(error, match=message):
             harness.run_suite(config, tmp_path / "o")
         assert not (tmp_path / "o").exists()
 

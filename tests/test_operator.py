@@ -75,7 +75,7 @@ class TestGrids:
             op.build_grid(0.0, 1.0, 0)
 
     def test_default_truncation_tracks_tails(self):
-        m = op.default_truncation(Gaussian(), eps=1e-10, safety=1.5)
+        m = op.default_truncation(Gaussian())
         assert m == pytest.approx(1.5 * Gaussian().tail_radius(1e-10))
         assert op.default_truncation(Uniform(-1.0, 1.0)) == pytest.approx(1.5)
 
