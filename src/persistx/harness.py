@@ -383,8 +383,9 @@ def _prop_nonnegativity(case, seed):
     # default_grid's default truncation, as in solve_operator
     grid = operator_mod.default_grid(model, opcfg.get("M"), opcfg.get("N", 200))
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
-    # the MA kernel's entries are base and coef, or structural zeros
-    worst = float(op.kmat.min() if op.kmat is not None else min(op.base.min(), op.coef.min()))
+    # every kernel entry is a structural zero or built from these arrays'
+    # entries by sums and products
+    worst = min(float(part.min()) for part in (op.kmat, op.base, op.coef) if part is not None)
     rng = substream(seed, "prop", "nonneg")
     for _ in range(4):
         g = rng.random((grid.n,) * grid.d)
@@ -499,6 +500,20 @@ def load_config(config):
         ) from e
 
 
+def _check_counts(case):
+    """The case's seed, operator N, Monte Carlo replicates and particles and
+    each horizon, where given, must be counts (model.as_count)."""
+    if "seed" in case:
+        as_count(case["seed"], "seed")
+    opcfg, mccfg = case.get("operator", {}), case.get("mc", {})
+    for section, key in ((opcfg, "N"), (mccfg, "replicates"), (mccfg, "particles")):
+        if key in section:
+            as_count(section[key], key)
+    if "horizons" in mccfg:
+        for horizon in np.atleast_1d(np.asarray(mccfg["horizons"], dtype=object)).tolist():
+            as_count(horizon, "horizon")
+
+
 def _validate_case(case, index):
     """A case's type; its top-level keys, sections and model are checked too,
     nothing is run."""
@@ -519,6 +534,7 @@ def _validate_case(case, index):
         for name in _SECTION_KEYS:
             _section(case, name)
         model_from_json(case)
+        _check_counts(case)
     except (ConfigError, ValueError) as e:
         raise ConfigError(f"case {index}: {e}") from e
     return ctype

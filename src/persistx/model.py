@@ -499,9 +499,9 @@ def model_from_json(obj):
         raise ValueError("experiment description is missing 'coeffs'")
     coeffs = _as_coeffs(coeffs)
     order = obj.get("order")
-    if order is not None and int(order) != len(coeffs):
+    if order is not None and as_count(order, "order") != len(coeffs):
         raise ValueError(
-            f"declared order {int(order)} does not match coefficient vector of length {len(coeffs)}"
+            f"declared order {order} does not match coefficient vector of length {len(coeffs)}"
         )
     innovation = innovation_from_json(obj.get("innovation"))
     convention = convention_from_json(obj.get("convention"))

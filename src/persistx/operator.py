@@ -3,9 +3,11 @@
 The AR operator acts on functions of the state (x_1..x_p) as
 (Kg)(x) = int_0^M g(x_2..x_p, z) phi(z - s(x)) dz with drift
 s(x) = sum_j a_j x_{p+1-j}; the substituted variable z shares the grid with
-the state, so the discretization needs no interpolation. Each kernel row is
-assembled from exact innovation mass per grid cell (CDF differences), which
-keeps the rank-one i.i.d. case and bounded-support truncations exact.
+the state, so the discretization needs no interpolation in z. Each kernel
+row is assembled from exact innovation mass per grid cell (CDF
+differences), which keeps the rank-one i.i.d. case and bounded-support
+truncations exact; past a size budget, rows are interpolated linearly in
+the drift instead (assemble_ar).
 
 The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
@@ -31,18 +33,22 @@ iteration with sup-norm normalization.
 Cost. The Gauss-Legendre rule is Newton's method on the three-term
 recurrence, O(N^2) in numpy (numpy's leggauss is an O(N^3) eigen-solve), and
 is built once per N: later grids of the same N rescale the cached rule. The
-AR kernel table is filled in slabs of its leading axis, so memory is the
-table (N^(d+1) floats) plus one slab. One AR apply is a batched
+exact AR kernel table is filled in slabs of its leading axis, so memory is
+the table (N^(d+1) floats) plus one slab. One exact AR apply is a batched
 matrix-vector product (np.matmul) on a strided view of the table, not a copy
-of it. MA memory is O(N^d): one MA apply is a suffix sum of the weighted
-iterate along the new coordinate plus a gather of each state's suffix,
-O(N^d) time. Power iteration normalizes its next iterate in place, so each
-step allocates only the apply's result, and it forms the residual only on
-steps where lambda has settled. After each normalization the iterate's
-subnormal entries are set to zero: they weigh nothing at the sup-norm scale,
-but they slow every later matvec several-fold. Building a grid loads no scipy:
-scipy.special loads only for Gaussian laws, through their cdf and tail
-radius, so importing this module loads numpy only.
+of it. An AR kernel of order d >= 2 on a law supported on the whole line
+whose exact table would exceed EXACT_TABLE_BUDGET entries (2^21, 16 MB) is
+tabulated over the drift instead: L = 8N drift nodes, O(L*N + N^d) memory,
+and one apply is one GEMM of the (L, N) table with g's rows plus two
+gathers, O(L*N^d) time. MA memory is O(N^d): one MA apply is a suffix sum
+of the weighted iterate along the new coordinate plus a gather of each
+state's suffix, O(N^d) time. Power iteration normalizes its next iterate
+in place, so each step allocates only the apply's result, and it forms the
+residual only on steps where lambda has settled. After each normalization
+the iterate's subnormal entries are set to zero: they weigh nothing at the
+sup-norm scale, but they slow every later matvec several-fold. Building a
+grid loads no scipy: scipy.special loads only for Gaussian laws, through
+their cdf and tail radius, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -201,20 +207,29 @@ class DiscretizedOperator:
 
     The image of state (x_1..x_d) weighs g over the new coordinate z at the
     state (x_2..x_d, z), which reuses d-1 source coordinates, so the full
-    n^d x n^d matrix is never formed. The kernel is held in one of two forms;
-    delta is the tilt it was assembled with (always 0 for MA).
+    n^d x n^d matrix is never formed. The kernel is held in one of three
+    forms; delta is the tilt it was assembled with (always 0 for MA).
 
-    AR: kmat has shape (n,)*d + (n,); entry [x_1..x_d, z] is the quadrature
-    weight carried from state (x_1..x_d) to state (x_2..x_d, z). One apply
-    costs O(n^d * n).
+    AR, exact table: kmat has shape (n,)*d + (n,) and start is None; entry
+    [x_1..x_d, z] is the quadrature weight carried from state (x_1..x_d) to
+    state (x_2..x_d, z). One apply costs O(n^d * n).
+
+    AR, drift table: kmat has shape (L, n), one row of tilted cell masses per
+    drift node; start (the state's lower drift node) and coef (shape
+    (2, n^d), the weights of that node and the next) run over the states in C
+    order. Row x of the kernel is coef[0, x] kmat[start[x]] + coef[1, x]
+    kmat[start[x] + 1]. One apply is one GEMM, kmat @ g.reshape(n^(d-1), n).T,
+    plus a gather of each state's two images: O(L * n^d) time, O(L * n + n^d)
+    memory.
 
     MA: start and coef run over the states in C order. The row of state x
     is base[j] at every node j >= start[x], plus coef[x] at node
     start[x] - 1, the cut cell (coef is 0 on a row without one). One apply
     multiplies g by base along the new coordinate, takes its suffix sums,
     gathers each state's suffix from start[x] and adds coef[x] * g at
-    start[x] - 1: O(n^d) in time and in memory. Its work buffers belong to
-    the operator, so one operator serves one caller at a time.
+    start[x] - 1: O(n^d) in time and in memory. The work buffers of the MA
+    and drift-table forms belong to the operator, so one operator serves one
+    caller at a time.
     """
 
     grid: QuadratureGrid
@@ -225,12 +240,22 @@ class DiscretizedOperator:
     coef: np.ndarray = None
 
     def __post_init__(self):
-        if self.kmat is not None:
+        if self.start is None:
             return
         n, d = self.grid.n, self.grid.d
-        # g viewed as rows (x_2..x_d) by the new coordinate; the suffix table
-        # holds, per row, the sums of its last 0..n weighted entries
+        # g viewed as rows (x_2..x_d) by the new coordinate
         row = np.arange(n ** d) % n ** (d - 1)
+        if self.kmat is not None:
+            # the images are laid out drift nodes by rows: states next to each
+            # other in C order mostly share their nodes, so both gathers run
+            # nearly in order
+            self._at_node = self.start * n ** (d - 1) + row
+            self._at_upper = self._at_node + n ** (d - 1)
+            self._images = np.empty((len(self.kmat), n ** (d - 1)))
+            self._upper = np.empty(n ** d)
+            return
+        # the suffix table holds, per row, the sums of its last 0..n weighted
+        # entries
         self._at_suffix = row * (n + 1) + (n - self.start)
         # the cut cell precedes start; a row without one has coef 0, and the
         # clipped gather keeps its index in range
@@ -244,6 +269,13 @@ class DiscretizedOperator:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,) * d:
             raise ValueError(f"value vector has shape {g.shape}, grid wants {(self.grid.n,) * d}")
+        if self.start is None:
+            # batch over x_2..x_d (one batch at d = 1) on a strided view: each
+            # batch is one BLAS matrix-vector product and kmat is not copied
+            out = np.empty_like(g)
+            np.matmul(np.moveaxis(self.kmat, 0, d - 1), g[..., None],
+                      out=np.moveaxis(out, 0, d - 1)[..., None])
+            return out
         if self.kmat is None:
             # suffix sums run from the last node down: the terms are
             # nonnegative, so nothing cancels
@@ -254,16 +286,24 @@ class DiscretizedOperator:
             at_cut *= self.coef
             out += at_cut
             return out.reshape(g.shape)
-        # batch over x_2..x_d (one batch at d = 1) on a strided view: each
-        # batch is one BLAS matrix-vector product and kmat is not copied
-        out = np.empty_like(g)
-        np.matmul(np.moveaxis(self.kmat, 0, d - 1), g[..., None],
-                  out=np.moveaxis(out, 0, d - 1)[..., None])
-        return out
+        # one GEMM gives the image of every row of g under every drift node's
+        # table row; each state blends the images at its two nodes
+        images = np.matmul(self.kmat, g.reshape(-1, self.grid.n).T, out=self._images)
+        out = images.take(self._at_node)
+        out *= self.coef[0]
+        upper = images.take(self._at_upper, out=self._upper)
+        upper *= self.coef[1]
+        out += upper
+        return out.reshape(g.shape)
 
 
 # entries per assembly slab of assemble_ar
 _SLAB = 1 << 16
+# an AR kernel of order >= 2 on a law supported on the whole line whose exact
+# table would hold more entries than this is tabulated over the drift, on
+# DRIFT_NODES_PER_NODE drift nodes per grid node
+EXACT_TABLE_BUDGET = 1 << 21
+DRIFT_NODES_PER_NODE = 8
 
 
 def _coordinates(grid):
@@ -278,6 +318,17 @@ def assemble_ar(model, grid, delta=0.0):
     by the drift: F(e_{j+1} - s(x)) - F(e_j - s(x)). With delta > 0 every
     entry is multiplied by h(x')/h(x) = exp(delta (z - x_1)), a diagonal
     similarity that leaves the spectral radius unchanged.
+
+    The row depends on x only through s(x). So for order >= 2, an innovation
+    law supported on the whole line, and an exact table past
+    EXACT_TABLE_BUDGET entries, the rows are tabulated on L =
+    DRIFT_NODES_PER_NODE * n uniform drift nodes spanning the states' drift
+    range, and each state interpolates linearly between its two nodes. The
+    tilt's exp(delta z) scales the table's columns and its exp(-delta x_1)
+    each state's weights, so every entry stays nonnegative and the tilt stays
+    an exact similarity. A law with a support endpoint keeps the exact table:
+    its cell masses have a kink in s that linear interpolation resolves
+    poorly.
     """
     if not isinstance(model, ARModel):
         raise ValueError("assemble_ar expects an AR model")
@@ -292,6 +343,8 @@ def assemble_ar(model, grid, delta=0.0):
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
     n = grid.n
     delta = float(delta)
+    if _tabulates_drift(model, n):
+        return _assemble_drift_table(model, grid, delta)
     cols = _coordinates(grid)
     edges = grid.edges.reshape((1,) * d + (-1,))
     kmat = np.empty((n,) * d + (n,))
@@ -312,6 +365,41 @@ def assemble_ar(model, grid, delta=0.0):
             slab *= tilt_to
             slab *= tilt_from[rows]
     return DiscretizedOperator(grid=grid, kmat=kmat, delta=delta)
+
+
+def _tabulates_drift(model, n):
+    """True when assemble_ar tabulates the model's kernel over the drift at n
+    nodes per axis: an AR model of order >= 2 whose exact table would exceed
+    EXACT_TABLE_BUDGET, on an innovation law supported on the whole line."""
+    d = model.order
+    return (isinstance(model, ARModel) and d >= 2 and n ** (d + 1) > EXACT_TABLE_BUDGET
+            and model.innovation.support == (-math.inf, math.inf))
+
+
+def _assemble_drift_table(model, grid, delta):
+    """The AR kernel interpolated linearly in the drift.
+
+    Row l of the table is the cell masses at the l-th of L uniform drift
+    nodes spanning the states' drift range, each column j times
+    exp(delta z_j); each state keeps its lower node (start) and the weights
+    of its two nodes times exp(-delta x_1) (coef, shape (2, n^d)).
+    """
+    n, d = grid.n, grid.d
+    s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
+    count = DRIFT_NODES_PER_NODE * n
+    lo = float(s.min())
+    # a constant drift sits on node 0 with weight 1, whatever the spacing
+    step = (float(s.max()) - lo) / (count - 1) or 1.0
+    cdf_vals = model.innovation.cdf(grid.edges - (lo + step * np.arange(count))[:, None])
+    table = np.clip(cdf_vals[:, 1:] - cdf_vals[:, :-1], 0.0, None)
+    pos = (s - lo) / step
+    start = np.minimum(pos.astype(np.intp), count - 2)
+    upper = np.clip(pos - start, 0.0, 1.0)
+    coef = np.stack((1.0 - upper, upper))
+    if delta != 0.0:
+        table *= np.exp(delta * grid.nodes)
+        coef *= np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
+    return DiscretizedOperator(grid=grid, kmat=table, delta=delta, start=start, coef=coef)
 
 
 def assemble_ma(model, grid):
@@ -458,6 +546,17 @@ def solve_operator(model, m=None, n=400, delta=0.0):
 # convergence sweeps
 
 
+def _restrict(op, grid):
+    """A drift-table operator restricted to the box of grid, which is the
+    first grid.n cells of op's grid on every axis (every AR axis starts at
+    0): a principal submatrix that keeps op's drift nodes."""
+    n, d = op.grid.n, op.grid.d
+    box = (slice(0, grid.n),) * d
+    states = np.arange(n ** d).reshape((n,) * d)[box].reshape(-1)
+    return DiscretizedOperator(grid=grid, kmat=np.ascontiguousarray(op.kmat[:, box[0]]),
+                               delta=op.delta, start=op.start[states], coef=op.coef[:, states])
+
+
 def truncation_lambdas(model, ms, n_ref, delta=0.0):
     """Spectral radii on a nested family of truncations of the solve grid.
 
@@ -470,6 +569,9 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0):
     """
     ms = sorted(float(m) for m in ms)
     big = default_grid(model, ms[-1], n_ref)
+    # a drift table depends on the drift range of its box, so each member of a
+    # drift-table family is the largest member restricted, not assembled anew
+    full = assemble(model, big, delta=delta) if _tabulates_drift(model, big.n) else None
     lams = []
     for m in ms:
         lo_m, hi_m = _axis_bounds(model, m)
@@ -486,7 +588,7 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0):
             weights=big.weights[i0:i1],
             edges=big.edges[i0:i1 + 1],
         )
-        op = assemble(model, sub, delta=delta)
+        op = assemble(model, sub, delta=delta) if full is None else _restrict(full, sub)
         lams.append(spectral_radius(op).lam)
     monotone = all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
     return {"Ms": ms, "lambdas": lams, "monotone": monotone}

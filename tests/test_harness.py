@@ -687,6 +687,24 @@ class TestRunSuite:
             harness.run_suite(config, tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("index, section, change, message", [
+        (0, None, {"seed": 1.9}, "seed must be an integer, got 1.9"),
+        (1, None, {"seed": True}, "seed must be an integer, got True"),
+        (0, "operator", {"N": 50.5}, "N must be an integer, got 50.5"),
+        (0, "mc", {"replicates": 5000.7}, "replicates must be an integer, got 5000.7"),
+        (2, "mc", {"method": "splitting", "particles": "many"},
+         "particles must be an integer, got 'many'"),
+        (0, "mc", {"horizons": [0, 4, 8.5]}, "horizon must be an integer, got 8.5"),
+    ], ids=["case_seed", "bool_seed", "operator_N", "replicates", "particles", "horizon"])
+    def test_case_counts_checked_before_any_output(self, tmp_path, index, section, change,
+                                                    message):
+        config = tiny_config()
+        case = config["cases"][index]
+        (case if section is None else case.setdefault(section, {})).update(change)
+        with pytest.raises(harness.ConfigError, match=f"case {index}: {message}"):
+            harness.run_suite(config, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_benchmark_suite_validates(self):
         # every key of the benchmark's suite config stays known
         suite = Path(__file__).resolve().parents[1] / "perfbench" / "suite.json"

@@ -211,6 +211,12 @@ class TestModels:
             model_from_json({"process": "ma", "order": 1, "coeffs": [0.5, 0.1],
                              "innovation": {"kind": "gaussian"}})
 
+    @pytest.mark.parametrize("order", [1.5, True, "x"])
+    def test_order_is_a_count(self, order):
+        with pytest.raises(ValueError, match=r"order must be an integer, got"):
+            model_from_json({"process": "ar", "order": order, "coeffs": [0.5],
+                             "innovation": {"kind": "gaussian"}})
+
     def test_point_mass_length_checked(self):
         with pytest.raises(ValueError):
             ARModel((0.5, 0.2), Gaussian(), PointMass((1.0,)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistx import operator as op
-from persistx import oracle
+from persistx import harness, oracle
 from persistx.model import (
     ARModel,
     Exponential,
@@ -215,6 +215,110 @@ class TestApply:
         res = op.solve_operator(ARModel(coeffs, innovation, IIDInnovation(), GE), n=n, delta=delta)
         assert res.lam == pytest.approx(lam, abs=1e-13)
         assert res.iterations == iterations
+
+
+def _dense_drift_kmat(kop):
+    """The drift-table operator's kernel as a table: each state's two drift
+    rows, blended by its weights."""
+    n, d = kop.grid.n, kop.grid.d
+    lower, upper = kop.kmat[kop.start], kop.kmat[kop.start + 1]
+    rows = kop.coef[0][:, None] * lower + kop.coef[1][:, None] * upper
+    return rows.reshape((n,) * d + (n,))
+
+
+# the smallest AR(2) grid whose exact table (n^3 entries) exceeds the budget
+PAST_BUDGET = 129
+AR2 = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
+
+
+class TestDriftTable:
+    def test_tabulated_past_the_budget_only(self):
+        assert (PAST_BUDGET - 1) ** 3 <= op.EXACT_TABLE_BUDGET < PAST_BUDGET ** 3
+        kop = op.assemble_ar(AR2, op.default_grid(AR2, None, PAST_BUDGET))
+        assert kop.kmat.shape == (op.DRIFT_NODES_PER_NODE * PAST_BUDGET, PAST_BUDGET)
+        inside = op.assemble_ar(AR2, op.default_grid(AR2, None, PAST_BUDGET - 1))
+        assert inside.kmat.shape == (PAST_BUDGET - 1,) * 3
+
+    @pytest.mark.parametrize("model, n", [
+        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), PAST_BUDGET),
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 1500),
+    ], ids=["exponential_ar2", "gaussian_ar1"])
+    def test_support_endpoint_and_order_one_keep_the_exact_table(self, model, n):
+        grid = op.default_grid(model, None, n)
+        kop = op.assemble_ar(model, grid, delta=0.3)
+        assert kop.kmat.shape == (n,) * (model.order + 1)
+        assert np.array_equal(kop.kmat, _one_shot_kmat(model, grid, 0.3))
+
+    def test_lambda_within_one_percent_of_the_discretization_error(self):
+        delta = op.default_delta(AR2)
+        grid = op.default_grid(AR2, None, PAST_BUDGET)
+        lam = op.spectral_radius(op.assemble_ar(AR2, grid, delta=delta)).lam
+        exact = op.DiscretizedOperator(grid, _one_shot_kmat(AR2, grid, delta), delta)
+        lam_exact = op.spectral_radius(exact).lam
+        lam_half = op.solve_operator(AR2, n=PAST_BUDGET // 2, delta=delta).lam
+        assert abs(lam - lam_exact) <= 0.01 * abs(lam_exact - lam_half)
+
+    def test_apply_matches_dense_interpolated_kernel(self):
+        kop = op.assemble_ar(AR2, op.default_grid(AR2, None, PAST_BUDGET), delta=0.3)
+        g = np.random.default_rng(5).random((PAST_BUDGET,) * 2)
+        expected = _dense_apply(_dense_drift_kmat(kop), g)
+        assert np.abs(kop.apply(g) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_entries_and_images_nonnegative(self):
+        kop = op.assemble(AR2, op.default_grid(AR2, None, PAST_BUDGET), delta="auto")
+        assert kop.kmat.min() >= 0.0 and kop.coef.min() >= 0.0
+        g = np.random.default_rng(3).random((PAST_BUDGET,) * 2)
+        assert kop.apply(g).min() >= 0.0
+        case = {"process": "ar", "coeffs": [0.3, 0.2], "innovation": {"kind": "gaussian"},
+                "operator": {"N": PAST_BUDGET, "delta": "auto"}}
+        ok, details = harness._prop_nonnegativity(case, 0)
+        assert ok and details["min_entry_or_image"] >= 0.0
+
+    def test_tilt_leaves_lambda_unchanged(self):
+        grid = op.default_grid(AR2, None, PAST_BUDGET)
+        lams = [op.spectral_radius(op.assemble_ar(AR2, grid, delta=d)).lam
+                for d in (0.0, 0.1, 0.5)]
+        assert max(lams) - min(lams) <= 1e-8
+
+    def test_truncation_family_restricts_the_largest_member(self, monkeypatch):
+        ops = []
+        solve = op.spectral_radius
+
+        def kept(kop, *args, **kwargs):
+            ops.append(kop)
+            return solve(kop, *args, **kwargs)
+
+        monkeypatch.setattr(op, "spectral_radius", kept)
+        family = op.truncation_lambdas(AR2, [2.0, 4.0, 6.0], PAST_BUDGET, delta="auto")
+        monkeypatch.undo()
+        assert family["monotone"] is True
+        assert family["lambdas"][-1] == op.solve_operator(
+            AR2, m=6.0, n=PAST_BUDGET, delta="auto").lam
+        largest = ops[-1]
+        rng = np.random.default_rng(11)
+        for kop in ops[:-1]:
+            k = kop.grid.n
+            assert k < PAST_BUDGET
+            assert np.array_equal(kop.grid.nodes, largest.grid.nodes[:k])
+            g = rng.random((k, k))
+            padded = np.zeros((PAST_BUDGET,) * 2)
+            padded[:k, :k] = g
+            expected = largest.apply(padded)[:k, :k]
+            assert np.abs(kop.apply(g) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_ar3_fits_and_exceeds_ar2(self):
+        # the exact AR(3) table at N = 60 alone would take 60^4 * 8 B = 104 MB
+        m = ARModel((0.3, 0.2, 0.1), Gaussian(), IIDInnovation(), GE)
+        tracemalloc.start()
+        try:
+            res = op.solve_operator(m, n=60, delta="auto")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 40e6
+        # strict monotonicity in the coefficients for a log-concave law
+        assert res.lam > op.solve_operator(AR2, n=60, delta="auto").lam
 
 
 class TestTilt:

@@ -36,19 +36,23 @@ def test_instrument_finds_every_wrapped_name():
 
 
 def test_every_apply_is_traced():
-    # one operator.apply span per power iteration, for both kernel forms
+    # one operator.apply span per power iteration, for every kernel form: MA,
+    # the exact AR table, and the drift table of an AR(2) past its budget
     tracing = load_tracing()
     tracer = tracing.Tracer()
     cases = (
-        model.MAModel((-0.5,), model.Gaussian(), model.SurvivalConvention.NON_NEGATIVE),
-        model.ARModel((0.4,), model.Gaussian(), model.IIDInnovation(),
-                      model.SurvivalConvention.NON_NEGATIVE),
+        (model.MAModel((-0.5,), model.Gaussian(), model.SurvivalConvention.NON_NEGATIVE), 40),
+        (model.ARModel((0.4,), model.Gaussian(), model.IIDInnovation(),
+                       model.SurvivalConvention.NON_NEGATIVE), 40),
+        (model.ARModel((0.3, 0.2), model.Gaussian(), model.IIDInnovation(),
+                       model.SurvivalConvention.NON_NEGATIVE), 129),
     )
+    assert 129 ** 3 > operator.EXACT_TABLE_BUDGET
     try:
         tracing.instrument(tracer)
-        for m in cases:
+        for m, n in cases:
             seen = len(tracer.spans)
-            res = operator.solve_operator(m, n=40)
+            res = operator.solve_operator(m, n=n)
             applies = [s for s in tracer.spans[seen:] if s.name == "operator.apply"]
             assert res.iterations > 1
             assert len(applies) == res.iterations
