@@ -11,7 +11,6 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import fields
@@ -127,13 +126,6 @@ def _emit(payload, out):
     sys.stdout.write(text)
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PERSISTX_THREADS")
-    return int(env) if env else None
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -141,11 +133,12 @@ def _threads(args):
 def cmd_simulate(args):
     model = build_model(args)
     if args.horizons:
-        horizons = [int(tok) for tok in args.horizons.split(",")]
+        # counts as in a config, checked by the estimate: 1e1 is 10, 2.5 a named error
+        horizons = _parse_floats(args.horizons)
     else:
         horizons = list(range(0, args.n + 1))
     mc = {"method": args.method, "horizons": horizons, "replicates": args.reps,
-          "particles": args.particles, "threads": _threads(args)}
+          "particles": args.particles, "threads": args.threads}
     if args.window:
         try:
             mc["window"] = tuple(int(i) for i in args.window.split(":"))
@@ -270,7 +263,7 @@ def cmd_sweep(args):
         if not args.config:
             raise ValueError("sweep --kind suite requires --config")
         result = harness_mod.run_suite(args.config, args.out_dir or "suite-out",
-                                       threads=_threads(args))
+                                       threads=args.threads)
         payload = {
             "cases": [
                 {"name": r["name"], "type": r["type"], "passed": bool(r["passed"]),

@@ -1,13 +1,13 @@
 """Cross-validation of the three exponent routes and theorem-driven sweeps.
 
 compare() runs whichever of oracle / operator / Monte Carlo apply to a case,
-scores the pairwise differences against per-case tolerances and returns the
-report payload, the same object `persistx compare` prints; the sweeps
-check strict monotonicity in the coefficients, continuity along coefficient
-paths, and convergence in the truncation; run_suite() executes a JSON config
-of cases and property checks, writing one canonical JSON report per case and
-a summary CSV. Reports are byte-reproducible from (config, seed): wall times
-live only in the CSV.
+scores every pair of routes by one rule against fixed tolerances and
+returns the report payload, the same object `persistx compare` prints; the
+sweeps check strict monotonicity in the coefficients, continuity along
+coefficient paths, and convergence in the truncation; run_suite() executes
+a JSON config of cases and property checks, writing one canonical JSON
+report per case and a summary CSV. Reports are byte-reproducible from
+(config, seed): wall times live only in the CSV.
 """
 
 from __future__ import annotations
@@ -154,7 +154,10 @@ def detect_oracle(model):
 # comparison reports
 
 
-DEFAULT_TOLERANCES = {"oracle_operator": 2e-3, "oracle_mc": 5e-3, "operator_mc": 5e-3}
+# the fixed tolerance of each pair of routes; a key names its two routes
+TOLERANCES = {"oracle_operator": 2e-3, "oracle_mc": 5e-3, "operator_mc": 5e-3}
+# a Monte Carlo exponent's band, in half-widths of its fit
+MC_BAND = 3.0
 # the largest final gap a continuity sweep passes with
 CONTINUITY_GAP_TOL = 1e-3
 # the keys each optional section of a case may hold; the operator's solver
@@ -162,7 +165,6 @@ CONTINUITY_GAP_TOL = 1e-3
 _SECTION_KEYS = {
     "operator": ("M", "N", "delta", "skip"),
     "mc": ("method", "horizons", "replicates", "particles", "threads", "window"),
-    "tolerances": tuple(DEFAULT_TOLERANCES),
 }
 # the top-level keys a case may hold: the runner's, the model schema's, the
 # sections, and the lists the property checks take
@@ -212,13 +214,10 @@ def run_mc(model, cfg, seed):
             raise ValueError(f"fit window {window!r} indexes the horizons as listed, but "
                              f"the horizon list {listed.tolist()} is unsorted")
     if method == "crude":
-        est = simulate_mod.estimate_crude(
-            model, horizons, cfg.get("replicates", 200000), seed, threads=cfg.get("threads")
-        )
+        est = simulate_mod.estimate_crude(model, horizons, cfg.get("replicates", 200000), seed,
+                                          threads=cfg.get("threads"))
     else:
-        est = simulate_mod.estimate_splitting(
-            model, horizons, cfg.get("particles", 20000), seed
-        )
+        est = simulate_mod.estimate_splitting(model, horizons, cfg.get("particles", 20000), seed)
     if window is not None:
         est.lambda_hat, est.half_width = simulate_mod.fit_exponent(est, window)
         est.window = tuple(window)
@@ -228,19 +227,19 @@ def run_mc(model, cfg, seed):
 def compare(case):
     """Run every applicable route for one case and score the differences.
 
-    The case dict embeds the model schema plus optional "operator", "mc",
-    "tolerances", and "seed" sections; a top-level key outside _CASE_KEYS is
-    a ConfigError. A missing oracle is not an error, it just removes the
-    corresponding cross-checks. Returns the report payload: the case, the
-    oracle exponent with its info and label, each route's result (None when
-    it did not run), the scored diffs and checks, the tolerances and the
-    overall verdict. Wall times are not part of it.
+    The case dict embeds the model schema plus optional "operator", "mc"
+    and "seed" sections; a top-level key outside _CASE_KEYS is a
+    ConfigError. Each route gives (lambda, band), and one rule scores every
+    pair: |lambda_a - lambda_b| <= max(band_a + band_b, TOLERANCES[pair]).
+    A route that did not run, is labelled or has no finite exponent leaves
+    its pairs unscored. Returns the report payload: the case, the oracle
+    exponent with its info and label, each route's result (None when it did
+    not run), the scored diffs and checks, the tolerances and the verdict.
+    Wall times are not part of it.
     """
     _check_keys(case, _CASE_KEYS, "case")
     model = model_from_json(case)
     seed = as_count(case.get("seed", 0), "seed")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(_section(case, "tolerances"))
     mccfg = _section(case, "mc")
     opcfg = _section(case, "operator")
     lam_oracle, info, label = detect_oracle(model)
@@ -250,34 +249,27 @@ def compare(case):
     # AR (mass escapes [0, M] to +inf) nor of a degenerate MA (no positive exponent)
     exponent_is_spectral = info.get("regime") != "supercritical" and label != DEGENERATE_LABEL
     if exponent_is_spectral and model.innovation.has_density and not opcfg.get("skip"):
-        operator = operator_mod.solve_operator(
-            model,
-            m=opcfg.get("M"),
-            n=opcfg.get("N", 400),
-            delta=opcfg.get("delta", 0.0),
-        ).to_json()
+        operator = operator_mod.solve_operator(model, m=opcfg.get("M"), n=opcfg.get("N", 400),
+                                               delta=opcfg.get("delta", 0.0)).to_json()
 
     est = run_mc(model, mccfg, seed)
     mc = est.to_json() if est is not None else None
 
-    lam_op = operator["lambda"] if operator else None
-    lam_mc = mc["lambda_hat"] if mc else None
-    hw = mc["half_width"] if mc else math.nan
-    diffs = {}
-    checks = {}
-    # a degenerate case has no positive exponent, so route agreement is not
-    # expected; a Monte Carlo pair is banded by its half-width too, and
-    # skipped when the fit gave no finite exponent
-    for key, lam_a, lam_b in (("oracle_operator", lam_oracle, lam_op),
-                              ("oracle_mc", lam_oracle, lam_mc),
-                              ("operator_mc", lam_op, lam_mc)):
-        mc_pair = key.endswith("_mc")
-        if (label == DEGENERATE_LABEL or lam_a is None or lam_b is None
-                or (mc_pair and not math.isfinite(lam_b))):
-            continue
-        diffs[key] = abs(lam_a - lam_b)
-        checks[key] = diffs[key] <= (max(3.0 * hw, tolerances[key]) if mc_pair
-                                     else tolerances[key])
+    # a labelled oracle is not scored: a degenerate case has no positive exponent
+    routes = {}
+    if lam_oracle is not None and label is None:
+        routes["oracle"] = (lam_oracle, 0.0)
+    if operator:
+        routes["operator"] = (operator["lambda"], 0.0)
+    if mc and math.isfinite(mc["lambda_hat"]):
+        routes["mc"] = (mc["lambda_hat"], MC_BAND * mc["half_width"])
+    diffs, checks = {}, {}
+    for key, tol in TOLERANCES.items():
+        a, b = key.split("_")
+        if a in routes and b in routes:
+            (lam_a, band_a), (lam_b, band_b) = routes[a], routes[b]
+            diffs[key] = abs(lam_a - lam_b)
+            checks[key] = diffs[key] <= max(band_a + band_b, tol)
     return {
         "case": case,
         "label": label,
@@ -287,7 +279,7 @@ def compare(case):
         "mc": mc,
         "diffs": diffs,
         "checks": checks,
-        "tolerances": tolerances,
+        "tolerances": dict(TOLERANCES),
         "passed": all(checks.values()),
     }
 
@@ -411,7 +403,7 @@ def _prop_truncation(case, seed):
     del seed
     model = model_from_json(case)
     opcfg = _section(case, "operator")
-    ms = case.get("Ms") or [2.0, 4.0, 6.0]
+    ms = case.get("Ms", [2.0, 4.0, 6.0])
     family = operator_mod.truncation_lambdas(model, ms, opcfg.get("N", 400))
     return family.pop("monotone"), family
 
@@ -501,17 +493,22 @@ def load_config(config):
 
 
 def _check_counts(case):
-    """The case's seed, operator N, Monte Carlo replicates and particles and
-    each horizon, where given, must be counts (model.as_count)."""
-    if "seed" in case:
-        as_count(case["seed"], "seed")
+    """The property lists Ms, deltas and threads, where given, must be nonempty
+    lists; the seed, operator N, mc replicates, particles, threads and each
+    horizon, and each listed thread count must be counts (model.as_count)."""
+    for key in ("Ms", "deltas", "threads"):
+        if key in case and not (isinstance(case[key], list) and case[key]):
+            raise ConfigError(f"{key} must be a nonempty list, got {case[key]!r}")
     opcfg, mccfg = case.get("operator", {}), case.get("mc", {})
-    for section, key in ((opcfg, "N"), (mccfg, "replicates"), (mccfg, "particles")):
+    for section, key in ((case, "seed"), (opcfg, "N"), (mccfg, "replicates"),
+                         (mccfg, "particles"), (mccfg, "threads")):
         if key in section:
             as_count(section[key], key)
-    if "horizons" in mccfg:
-        for horizon in np.atleast_1d(np.asarray(mccfg["horizons"], dtype=object)).tolist():
-            as_count(horizon, "horizon")
+    # a scalar horizon is a list of one
+    horizons = np.atleast_1d(np.asarray(mccfg.get("horizons", []), dtype=object)).tolist()
+    for name, values in (("horizon", horizons), ("threads", case.get("threads", []))):
+        for value in values:
+            as_count(value, name)
 
 
 def _validate_case(case, index):
@@ -533,6 +530,10 @@ def _validate_case(case, index):
         _check_keys(case, _CASE_KEYS, "case")
         for name in _SECTION_KEYS:
             _section(case, name)
+        mc_method = _section(case, "mc").get("method")
+        if ctype == "property" and case["check"] == "qbound" and mc_method == "none":
+            raise ConfigError("the qbound check bounds a Monte Carlo estimate, "
+                              "so its mc method cannot be 'none'")
         model_from_json(case)
         _check_counts(case)
     except (ConfigError, ValueError) as e:
@@ -555,13 +556,11 @@ def _summary_numbers(record):
 def run_suite(config, out_dir, threads=None):
     """Run a config of compare cases and property checks; write reports.
 
-    The config's keys and every case's type, top-level keys, sections, model
-    and name are checked first: a config error raises before out_dir is
-    created or any case runs.
-    A name must be a plain file name that no other case has. Then
-    the cases run, and one canonical JSON file per case plus summary.csv are
-    written under out_dir. The returned SuiteResult carries any_failed for
-    the caller's exit status.
+    The config's keys, seed and threads and every case's type, keys,
+    sections, model, counts and name (a plain file name that no other case
+    has) are checked first: a config error raises before out_dir is created
+    or any case runs. Then one canonical JSON file per case plus summary.csv
+    are written under out_dir; the SuiteResult's any_failed is the verdict.
     """
     cfg = load_config(config)
     if not isinstance(cfg, dict) or "cases" not in cfg:
@@ -571,7 +570,8 @@ def run_suite(config, out_dir, threads=None):
     if not isinstance(cases, list):
         raise ConfigError("'cases' must be a list")
     seed = as_count(cfg.get("seed", 0), "seed")
-    threads = threads if threads is not None else cfg.get("threads")
+    config_threads = as_count(cfg["threads"], "threads") if "threads" in cfg else None
+    threads = as_count(threads, "threads") if threads is not None else config_threads
 
     prepared = []
     names = set()
@@ -613,10 +613,10 @@ def run_suite(config, out_dir, threads=None):
         record["wall_time"] = time.perf_counter() - t0
         return record
 
-    if threads is None or int(threads) <= 1:
+    if threads is None or threads <= 1:
         records = [run_case(item) for item in prepared]
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(run_case, prepared))
 
     for record in records:

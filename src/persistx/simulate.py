@@ -115,10 +115,11 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
         size = min(BLOCK, replicates - m * BLOCK)
         return _survival_counts_block(model, horizons, size, substream(seed, "crude", m))
 
-    if threads is None or threads <= 1:
+    threads = 1 if threads is None else as_count(threads, "threads")
+    if threads <= 1:
         counts = sum(run_block(m) for m in range(n_blocks))
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = sum(pool.map(run_block, range(n_blocks)))
     counts = np.asarray(counts, dtype=np.int64)
     if counts[0] == 0:

@@ -233,6 +233,16 @@ class TestSimulateCommand:
         assert code == 0
         assert [row["n"] for row in json.loads(out)["estimate"]["table"]] == [0, 2, 5]
 
+    def test_horizons_are_counts(self, capsys):
+        # as in a config: 1e1 reads as 10, and a fraction is named
+        argv = ["simulate", "--process", "ar", "--coeffs", "0.3", "--reps", "2000"]
+        _, out_int, _ = run(capsys, argv + ["--horizons", "0,10"])
+        code, out, _ = run(capsys, argv + ["--horizons", "0,1e1"])
+        assert code == 0 and out == out_int
+        code, out, err = run(capsys, argv + ["--horizons", "0,1,2.5"])
+        assert code == 1 and out == ""
+        assert "horizon must be an integer, got 2.5" in err
+
     def test_ar_default_initial_law_is_iid(self, capsys):
         argv = ["simulate", "--process", "ar", "--coeffs", "0.3", "--n", "3",
                 "--reps", "2000"]
@@ -359,7 +369,7 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("section, typo, key", [
         ("mc", {"method": "crude", "replicate": 1000}, "replicate"),
-        ("tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
+        ("tolerances", {"oracle_operater": 1.0}, "unknown case key(s) tolerances"),
         ("operater", {"N": 50}, "operater"),
     ])
     def test_config_with_unknown_section_key(self, capsys, tmp_path, section, typo, key):

@@ -271,7 +271,6 @@ class TestCompare:
 
     @pytest.mark.parametrize("section, typo, key", [
         ("mc", {"method": "crude", "replicate": 1000}, "replicate"),
-        ("tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
     ])
     def test_unknown_section_key_rejected(self, section, typo, key):
         case = {
@@ -282,6 +281,65 @@ class TestCompare:
         case[section] = typo
         with pytest.raises(harness.ConfigError, match=f"unknown {section} key.*{key}"):
             harness.compare(case)
+
+    def test_tolerances_section_is_an_unknown_case_key(self):
+        # the tolerances are fixed: no case widens a band
+        case = {
+            "process": "ar", "coeffs": [0.3],
+            "innovation": {"kind": "gaussian", "sd": 1.0},
+            "mc": {"method": "none"}, "operator": {"skip": True},
+            "tolerances": {"oracle_operater": 1.0},
+        }
+        with pytest.raises(harness.ConfigError, match="unknown case key.*tolerances"):
+            harness.compare(case)
+        del case["tolerances"]
+        assert harness.compare(case)["tolerances"] == harness.TOLERANCES
+
+    def test_mc_pair_within_its_band_passes(self):
+        # 20,000 paths leave a half-width far above the fixed 5e-3: the Monte
+        # Carlo band, not the tolerance, passes both pairs
+        case = {
+            "process": "ar", "coeffs": [-1.0],
+            "innovation": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
+            "seed": 3,
+            "mc": {"method": "crude", "replicates": 20_000, "horizons": list(range(0, 9))},
+            "operator": {"N": 100},
+        }
+        report = harness.compare(case)
+        hw = report["mc"]["half_width"]
+        for key in ("oracle_mc", "operator_mc"):
+            diff = report["diffs"][key]
+            assert harness.TOLERANCES[key] < hw < diff <= harness.MC_BAND * hw
+            assert report["checks"][key]
+        assert report["passed"]
+
+    def test_mc_pair_beyond_both_bands_fails(self):
+        # a fit over horizons 1..4 of AR(1) 0.9 sits far below the exponent
+        case = {
+            "process": "ar", "coeffs": [0.9],
+            "innovation": {"kind": "gaussian", "sd": 1.0},
+            "seed": 0,
+            "mc": {"method": "crude", "replicates": 20_000, "horizons": list(range(0, 5)),
+                   "window": [1, 5]},
+            "operator": {"N": 100},
+        }
+        report = harness.compare(case)
+        diff = report["diffs"]["operator_mc"]
+        assert diff > harness.MC_BAND * report["mc"]["half_width"]
+        assert diff > harness.TOLERANCES["operator_mc"]
+        assert report["checks"] == {"operator_mc": False} and not report["passed"]
+
+    def test_fit_without_finite_exponent_leaves_mc_pairs_unscored(self):
+        case = {
+            "process": "ar", "coeffs": [-1.0],
+            "innovation": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
+            "mc": {"method": "crude", "replicates": 4000, "horizons": [0, 1]},
+            "operator": {"N": 100},
+        }
+        report = harness.compare(case)
+        assert not math.isfinite(report["mc"]["lambda_hat"])
+        assert set(report["diffs"]) == set(report["checks"]) == {"oracle_operator"}
+        assert report["passed"]
 
     def test_payload_has_no_wall_times(self):
         case = {
@@ -661,7 +719,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("index, section, typo, key", [
         (0, "mc", {"method": "crude", "replicate": 1000}, "replicate"),
-        (0, "tolerances", {"oracle_operater": 1.0}, "oracle_operater"),
+        # the tolerances are fixed, so the section itself is an unknown case key
+        (0, "tolerances", {"oracle_operater": 1.0}, "unknown case key.*tolerances"),
         (2, "mc", {"replicate": 20_000}, "replicate"),
         # a misspelled top-level key is refused, not skipped for the defaults
         (0, "operater", {"N": 50}, "operater"),
@@ -679,7 +738,11 @@ class TestRunSuite:
         ({"sead": 5}, harness.ConfigError, "unknown config key.*sead"),
         ({"seed": 1.9}, ValueError, "seed must be an integer, got 1.9"),
         ({"seed": True}, ValueError, "seed must be an integer, got True"),
-    ], ids=["misspelled_key", "fractional_seed", "bool_seed"])
+        ({"threads": "x"}, ValueError, "threads must be an integer, got 'x'"),
+        ({"threads": 2.5}, ValueError, "threads must be an integer, got 2.5"),
+        ({"threads": True}, ValueError, "threads must be an integer, got True"),
+    ], ids=["misspelled_key", "fractional_seed", "bool_seed", "string_threads",
+            "fractional_threads", "bool_threads"])
     def test_config_keys_checked_before_any_case_runs(self, tmp_path, change, error,
                                                       message):
         config = {**tiny_config(), **change}
@@ -695,7 +758,18 @@ class TestRunSuite:
         (2, "mc", {"method": "splitting", "particles": "many"},
          "particles must be an integer, got 'many'"),
         (0, "mc", {"horizons": [0, 4, 8.5]}, "horizon must be an integer, got 8.5"),
-    ], ids=["case_seed", "bool_seed", "operator_N", "replicates", "particles", "horizon"])
+        (0, "mc", {"threads": 2.5}, "threads must be an integer, got 2.5"),
+        (2, None, {"threads": [1, 2.5]}, "threads must be an integer, got 2.5"),
+        (2, None, {"threads": [True]}, "threads must be an integer, got True"),
+        (2, None, {"threads": []}, "threads must be a nonempty list"),
+        (2, None, {"threads": 2}, "threads must be a nonempty list"),
+        (1, None, {"check": "truncation", "Ms": []}, "Ms must be a nonempty list"),
+        (1, None, {"check": "conjugation", "deltas": []}, "deltas must be a nonempty list"),
+        (1, None, {"check": "qbound", "process": "ma", "mc": {"method": "none"}},
+         "the qbound check bounds a Monte Carlo estimate, so its mc method cannot be 'none'"),
+    ], ids=["case_seed", "bool_seed", "operator_N", "replicates", "particles", "horizon",
+            "mc_threads", "listed_threads", "bool_listed_threads", "empty_threads",
+            "scalar_threads", "empty_Ms", "empty_deltas", "qbound_without_mc"])
     def test_case_counts_checked_before_any_output(self, tmp_path, index, section, change,
                                                     message):
         config = tiny_config()
