@@ -189,6 +189,15 @@ def _section(case, name):
     return section
 
 
+def _mc_method(cfg):
+    """The method of an mc section; one other than crude, splitting or none is
+    a ConfigError."""
+    method = cfg.get("method", "crude")
+    if method not in ("crude", "splitting", "none"):
+        raise ConfigError(f"unknown mc method {method!r}")
+    return method
+
+
 def run_mc(model, cfg, seed):
     """The Monte Carlo estimate a config section asks for, or None for "none".
 
@@ -197,11 +206,9 @@ def run_mc(model, cfg, seed):
     the default one: two integers with 0 <= i0 < i1 <= len(horizons), on
     a horizon list in increasing order, checked before anything runs.
     """
-    method = cfg.get("method", "crude")
+    method = _mc_method(cfg)
     if method == "none":
         return None
-    if method not in ("crude", "splitting"):
-        raise ConfigError(f"unknown mc method {method!r}")
     horizons = cfg.get("horizons")
     if horizons is None:
         horizons = list(range(0, 17 if method == "crude" else 61))
@@ -228,8 +235,10 @@ def compare(case):
     """Run every applicable route for one case and score the differences.
 
     The case dict embeds the model schema plus optional "operator", "mc"
-    and "seed" sections; a top-level key outside _CASE_KEYS is a
-    ConfigError. Each route gives (lambda, band), and one rule scores every
+    and "seed" sections. It gets the suite's case checks before any route
+    runs (_check_case): a top-level key outside _CASE_KEYS, an unknown mc
+    method or an empty property list is a ConfigError, a malformed count a
+    ValueError. Each route gives (lambda, band), and one rule scores every
     pair: |lambda_a - lambda_b| <= max(band_a + band_b, TOLERANCES[pair]).
     A route that did not run, is labelled or has no finite exponent leaves
     its pairs unscored. Returns the report payload: the case, the oracle
@@ -237,8 +246,7 @@ def compare(case):
     not run), the scored diffs and checks, the tolerances and the verdict.
     Wall times are not part of it.
     """
-    _check_keys(case, _CASE_KEYS, "case")
-    model = model_from_json(case)
+    model = _check_case(case)
     seed = as_count(case.get("seed", 0), "seed")
     mccfg = _section(case, "mc")
     opcfg = _section(case, "operator")
@@ -511,9 +519,21 @@ def _check_counts(case):
             as_count(value, name)
 
 
+def _check_case(case):
+    """A case's model, once its top-level keys, sections, mc method and counts
+    are checked; nothing is run."""
+    _check_keys(case, _CASE_KEYS, "case")
+    for name in _SECTION_KEYS:
+        _section(case, name)
+    _mc_method(case.get("mc", {}))
+    model = model_from_json(case)
+    _check_counts(case)
+    return model
+
+
 def _validate_case(case, index):
-    """A case's type; its top-level keys, sections and model are checked too,
-    nothing is run."""
+    """A case's type; its keys, sections, mc method, model and counts are
+    checked too (_check_case), nothing is run."""
     if not isinstance(case, dict):
         raise ConfigError(f"case {index} is not an object")
     ctype = case.get("type", "compare")
@@ -527,15 +547,11 @@ def _validate_case(case, index):
     elif ctype != "compare":
         raise ConfigError(f"unknown case type {ctype!r} in case {index}")
     try:
-        _check_keys(case, _CASE_KEYS, "case")
-        for name in _SECTION_KEYS:
-            _section(case, name)
-        mc_method = _section(case, "mc").get("method")
+        _check_case(case)
+        mc_method = case.get("mc", {}).get("method")
         if ctype == "property" and case["check"] == "qbound" and mc_method == "none":
             raise ConfigError("the qbound check bounds a Monte Carlo estimate, "
                               "so its mc method cannot be 'none'")
-        model_from_json(case)
-        _check_counts(case)
     except (ConfigError, ValueError) as e:
         raise ConfigError(f"case {index}: {e}") from e
     return ctype

@@ -1,15 +1,19 @@
 """Process-level definitions: innovation laws, initial laws, AR/MA models.
 
 An innovation law enters everywhere through four handles: density, CDF,
-quantile, and an inverse-CDF sampler. Sampling is inverse-CDF throughout
-(no rejection steps) so that a replicate's draw sequence is a deterministic
-function of its stream, and streams are derived from (seed, path-tag) pairs
-via a keyed counter-based generator. Together these make every Monte Carlo
-result bit-reproducible under any thread schedule.
+quantile, and a sampler. Every draw goes through
+InnovationDistribution.sample, which calls the law's _draw: the Gaussian
+and exponential laws use the generator's ziggurat standard_normal and
+standard_exponential, scaled by their parameters, and the uniform and
+Rademacher laws map uniforms through their quantile. Streams are derived
+from (seed, path-tag) pairs, one SFC64 generator per tag, so a replicate's
+draw sequence is a fixed function of its tag. Together these make every
+Monte Carlo result bit-reproducible under any thread schedule, for the same
+seed and numpy version.
 
-In this module only the Gaussian law uses scipy: its cdf, quantile and tail_radius import
-ndtr and ndtri from scipy.special when first called, so that importing this
-module, and sampling the other laws, loads numpy only.
+In this module only the Gaussian law uses scipy: its cdf, quantile and
+tail_radius import ndtr and ndtri from scipy.special when first called, so
+that importing this module, and sampling any law, loads numpy only.
 """
 
 from __future__ import annotations
@@ -33,14 +37,15 @@ class RequestedDensityOfAtomicLaw(Exception):
 def substream(seed, *path):
     """Derive an independent random stream for (seed, *path).
 
-    The tag is hashed into the key of a counter-based generator (Philox), so
-    distinct tags give statistically independent streams and the draw order
+    The tag is hashed to a 128-bit entropy value that seeds an SFC64
+    generator through a SeedSequence, so distinct tags give statistically
+    independent streams, no stream reads OS entropy, and the draw order
     within one tag is fixed no matter how work is scheduled across threads.
     """
     tag = repr((int(seed),) + tuple(path)).encode()
     digest = hashlib.blake2b(tag, digest_size=16).digest()
-    key = np.frombuffer(digest, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    entropy = int.from_bytes(digest, "little")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +73,16 @@ class InnovationDistribution:
         raise NotImplementedError
 
     def sample(self, stream, size=None):
-        """Inverse-CDF draw(s) from the law using the given stream."""
+        """Draw(s) from the law using the given stream.
+
+        Every draw of every law passes through here; the law's own method is
+        its _draw. Draws concatenate along a stream: one (k, m) draw takes
+        the values of k successive m-long draws, in order.
+        """
+        return self._draw(stream, size)
+
+    def _draw(self, stream, size):
+        """Inverse-CDF draw, for laws without a direct sampler."""
         return self.quantile(stream.random(size))
 
     def tail_radius(self, eps):
@@ -125,9 +139,9 @@ class Uniform(InnovationDistribution):
 class Gaussian(InnovationDistribution):
     """Centered normal with standard deviation sd.
 
-    The quantile goes through ndtri, the standard rational approximation of
-    the inverse normal CDF (absolute accuracy well below 1e-9); it is the
-    single source of Gaussian randomness in the package.
+    Draws are sd times the generator's ziggurat standard normals. The
+    quantile goes through ndtri, the standard rational approximation of the
+    inverse normal CDF (absolute accuracy well below 1e-9).
     """
 
     sd: float = 1.0
@@ -154,6 +168,9 @@ class Gaussian(InnovationDistribution):
 
         u = np.asarray(u, dtype=float)
         return (self.sd * ndtri(u))[()]
+
+    def _draw(self, stream, size):
+        return self.sd * stream.standard_normal(size)
 
     @property
     def support(self):
@@ -185,6 +202,9 @@ class Exponential(InnovationDistribution):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return (-np.log1p(-u))[()]
+
+    def _draw(self, stream, size):
+        return stream.standard_exponential(size)
 
     @property
     def support(self):

@@ -12,7 +12,7 @@ per-step survival fraction, and resamples survivors back to the full
 population, so the product of fractions estimates p_n far below the reach
 of crude sampling. Its population is a C-ordered (d, P) array, one row per
 state coordinate; each step keeps the survivors with one compress and
-resamples them with one take.
+resamples them systematically with one take.
 """
 
 from __future__ import annotations
@@ -151,15 +151,19 @@ def estimate_splitting(model, horizons, particles, seed):
     """Fixed-effort splitting estimate of p_n over a horizon grid.
 
     All particles advance one transition per step; the survival fraction s_t
-    is recorded, dead particles are dropped, and survivors are resampled
-    uniformly with replacement back to the full population. p_n is the
+    is recorded, dead particles are dropped, and the survivors are resampled
+    systematically back to the full population (systematic_indices): each
+    of the n survivors gets floor(P/n) or ceil(P/n) copies. p_n is the
     product of the fractions up to n, an unbiased estimator for each horizon.
     The per-step fractions are kept for diagnostics, and
     var(log p_n) is approximated by sum_t (1 - s_t) / (s_t P).
 
-    The population is a C-ordered (d, P) array, one contiguous row per state
-    coordinate, oldest first, so the drift reads rows and the survivors are
-    kept and resampled along the particle axis in one compress and one take.
+    Step t draws from its own stream (seed, "split", t): its P innovations
+    (none while an AR population still reads its initial state), then the
+    one uniform of its resampling. The population is a C-ordered (d, P)
+    array, one contiguous row per state coordinate, oldest first, so the
+    drift reads rows and the survivors are kept and resampled along the
+    particle axis in one compress and one take.
     """
     horizons = _check_horizons(horizons)
     particles = as_count(particles, "particles")
@@ -177,11 +181,12 @@ def estimate_splitting(model, horizons, particles, seed):
 
     fractions = np.empty(n_max + 1)
     for t in range(n_max + 1):
+        rng = substream(seed, "split", t)
         if is_ar and t < d:
             z = state[t]
             new_state = state
         else:
-            xi = model.innovation.sample(substream(seed, "split", t), particles)
+            xi = model.innovation.sample(rng, particles)
             z = drift(model.coeffs, state) + xi
             new_state = np.empty_like(state)
             new_state[:-1] = state[1:]
@@ -191,7 +196,7 @@ def estimate_splitting(model, horizons, particles, seed):
         fractions[t] = n_alive / particles
         if n_alive == 0:
             raise PopulationExtinct(t)
-        idx = substream(seed, "resample", t).integers(0, n_alive, size=particles)
+        idx = systematic_indices(rng.random(), n_alive, particles)
         state = np.compress(alive, new_state, axis=1).take(idx, axis=1)
 
     log_p = np.cumsum(np.log(fractions))
@@ -210,6 +215,18 @@ def estimate_splitting(model, horizons, particles, seed):
         seed=seed,
         fractions=fractions,
     )
+
+
+def systematic_indices(u, n, size):
+    """Systematic resampling of n equally weighted particles to size.
+
+    Output k takes particle floor((k + u) n / size) for one uniform u in
+    [0, 1), so particle i gets floor(size/n) or ceil(size/n) copies and the
+    indices are sorted. With j = floor(u n) that index is exactly
+    (k n + j) // size, which integer arithmetic computes without rounding.
+    """
+    j = min(int(u * n), n - 1)
+    return (np.arange(size, dtype=np.int64) * n + j) // size
 
 
 # ---------------------------------------------------------------------------

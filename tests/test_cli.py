@@ -445,6 +445,25 @@ class TestCompareCommand:
         assert err.startswith("error: ValueError: ") and shown in err
         assert out == ""
 
+    @pytest.mark.parametrize("change, shown", [
+        ({"Ms": [], "threads": [2.5], "mc": {"method": "splitting", "threads": 2.5}},
+         "ConfigError: Ms must be a nonempty list, got []"),
+        ({"threads": [2.5]}, "ValueError: threads must be an integer, got 2.5"),
+        ({"mc": {"method": "splitting", "threads": 2.5}},
+         "ValueError: threads must be an integer, got 2.5"),
+        ({"mc": {"method": "crud"}}, "ConfigError: unknown mc method 'crud'"),
+    ], ids=["suite_example", "listed_threads", "mc_threads", "mc_method"])
+    def test_config_gets_the_suite_case_checks(self, capsys, tmp_path, change, shown):
+        # a compare case is refused as a suite case is, before any route runs,
+        # though compare reads neither Ms nor threads
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"method": "none"}, "operator": {"N": 60}, **change}))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert err == f"error: {shown}\n"
+
     def test_config_with_integral_float_counts(self, capsys, tmp_path):
         # JSON's 1e3 and 40.0 are counts
         reports = []
@@ -641,8 +660,22 @@ class TestScipyOnFirstUse:
             + SCIPY_LOADED)
         assert fresh_python(code).strip() == "[]"
 
+    def test_gaussian_monte_carlo_loads_no_scipy(self):
+        # Gaussian draws are ziggurat draws: crude at threads 1 and 2, and
+        # splitting, never reach the quantile
+        code = (
+            "import sys\n"
+            "from persistx import ARModel, Gaussian, IIDInnovation, SurvivalConvention\n"
+            "from persistx import estimate_crude, estimate_splitting\n"
+            "m = ARModel((0.5,), Gaussian(2.0), IIDInnovation(), SurvivalConvention.NON_NEGATIVE)\n"
+            "for threads in (1, 2):\n"
+            "    estimate_crude(m, range(9), 10_000, 3, threads=threads)\n"
+            "estimate_splitting(m, range(21), 2000, 3)\n"
+            + SCIPY_LOADED)
+        assert fresh_python(code).strip() == "[]"
+
     def test_first_gaussian_draw_inside_threads(self):
-        # with threads=2 the process imports scipy.special inside a worker thread
+        # with threads=2 the process draws its first Gaussian inside a worker thread
         code = (
             "import sys\n"
             "from persistx import (ARModel, Gaussian, IIDInnovation, SurvivalConvention,\n"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from persistx import harness, oracle
+from persistx import simulate as sim
 from persistx.model import (
     ARModel,
     Exponential,
@@ -295,23 +296,46 @@ class TestCompare:
         del case["tolerances"]
         assert harness.compare(case)["tolerances"] == harness.TOLERANCES
 
-    def test_mc_pair_within_its_band_passes(self):
-        # 20,000 paths leave a half-width far above the fixed 5e-3: the Monte
-        # Carlo band, not the tolerance, passes both pairs
+    def test_mc_pair_within_its_band_passes(self, monkeypatch):
+        # a Monte Carlo exponent two half-widths above 1/pi, with a half-width
+        # far above the fixed 5e-3: the Monte Carlo band, not the tolerance,
+        # passes both pairs
+        hw = 0.02
+        lam_hat = 1.0 / math.pi + 2.0 * hw
+        n = np.arange(9)
+        est = sim.PersistenceEstimate(
+            method="crude", horizons=n, p_hat=lam_hat ** n, se=np.zeros(9),
+            log_var=np.zeros(9), effort=20_000, seed=3, window=(4, 9),
+            lambda_hat=lam_hat, half_width=hw)
+        monkeypatch.setattr(harness, "run_mc", lambda model, cfg, seed: est)
         case = {
             "process": "ar", "coeffs": [-1.0],
             "innovation": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
-            "seed": 3,
-            "mc": {"method": "crude", "replicates": 20_000, "horizons": list(range(0, 9))},
-            "operator": {"N": 100},
+            "seed": 3, "mc": {"method": "crude"}, "operator": {"N": 100},
         }
         report = harness.compare(case)
-        hw = report["mc"]["half_width"]
+        assert report["mc"]["half_width"] == hw
         for key in ("oracle_mc", "operator_mc"):
             diff = report["diffs"][key]
             assert harness.TOLERANCES[key] < hw < diff <= harness.MC_BAND * hw
             assert report["checks"][key]
         assert report["passed"]
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"Ms": [], "threads": [2.5], "mc": {"method": "splitting", "threads": 2.5}},
+         harness.ConfigError, r"Ms must be a nonempty list, got \[\]"),
+        ({"mc": {"method": "crud"}}, harness.ConfigError, "unknown mc method 'crud'"),
+        ({"threads": [1, 2.5]}, ValueError, "threads must be an integer, got 2.5"),
+    ], ids=["suite_example", "mc_method", "listed_threads"])
+    def test_suite_case_checks_before_any_route(self, monkeypatch, change, error, message):
+        def no_route(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(harness, "detect_oracle", no_route)
+        case = {"process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+                "operator": {"N": 60}, **change}
+        with pytest.raises(error, match=message):
+            harness.compare(case)
 
     def test_mc_pair_beyond_both_bands_fails(self):
         # a fit over horizons 1..4 of AR(1) 0.9 sits far below the exponent
@@ -767,9 +791,12 @@ class TestRunSuite:
         (1, None, {"check": "conjugation", "deltas": []}, "deltas must be a nonempty list"),
         (1, None, {"check": "qbound", "process": "ma", "mc": {"method": "none"}},
          "the qbound check bounds a Monte Carlo estimate, so its mc method cannot be 'none'"),
+        (0, "mc", {"method": "crud"}, "unknown mc method 'crud'"),
+        (2, "mc", {"method": "crud"}, "unknown mc method 'crud'"),
     ], ids=["case_seed", "bool_seed", "operator_N", "replicates", "particles", "horizon",
             "mc_threads", "listed_threads", "bool_listed_threads", "empty_threads",
-            "scalar_threads", "empty_Ms", "empty_deltas", "qbound_without_mc"])
+            "scalar_threads", "empty_Ms", "empty_deltas", "qbound_without_mc",
+            "mc_method", "property_mc_method"])
     def test_case_counts_checked_before_any_output(self, tmp_path, index, section, change,
                                                     message):
         config = tiny_config()

@@ -146,6 +146,15 @@ class TestSampling:
         assert set(np.unique(x)) == {-1.0, 1.0}
         assert abs(x.mean()) < 5e-3
 
+    # 2e5 ziggurat draws at a fixed seed, held to the law's own cdf
+    @pytest.mark.parametrize("law", [Gaussian(0.5), Gaussian(3.0), Exponential()],
+                             ids=["gaussian_0.5", "gaussian_3", "exponential"])
+    def test_direct_sampler_passes_ks(self, law):
+        from scipy.stats import kstest
+
+        x = law.sample(substream(0, "ks", repr(law)), 200_000)
+        assert kstest(x, law.cdf).pvalue > 1e-3
+
     def test_sample_shapes(self):
         g = Gaussian()
         s = substream(1, "shape")

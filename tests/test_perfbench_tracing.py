@@ -58,3 +58,25 @@ def test_every_apply_is_traced():
             assert len(applies) == res.iterations
     finally:
         tracer.restore()
+
+
+def test_crude_blocks_record_their_draws():
+    # a law's direct sampler is a hook of the base class's sample, so the
+    # traced span still holds every draw
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    laws = (model.Gaussian(), model.Exponential())
+    try:
+        tracing.instrument(tracer)
+        for law in laws:
+            seen = len(tracer.spans)
+            m = model.ARModel((0.4,), law, model.PointMass((0.5,)),
+                              model.SurvivalConvention.NON_NEGATIVE)
+            simulate.estimate_crude(m, range(5), 100, 0)
+            spans = tracer.spans[seen:]
+            blocks = {s.sid for s in spans if s.name == "simulate.crude_block"}
+            draws = [s for s in spans if s.name == "model.sample"]
+            assert len(blocks) == 1
+            assert [s.parent for s in draws] == list(blocks)
+    finally:
+        tracer.restore()

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistx import operator as op
 from persistx import simulate as sim
@@ -41,21 +43,21 @@ class TestPaths:
         assert z[2] == pytest.approx(0.5 * 1.0 + 0.25 * 1.0, abs=1e-7)
         assert z[3] == pytest.approx(0.5 * z[2] + 0.25 * z[1], abs=1e-7)
 
-    # Z_0..Z_5 at substream(5, "path"), pinned: a change in the order in
-    # which a path consumes its stream moves every value
+    # Z_0..Z_5 at substream(5, "path"), pinned from per_step_paths: a change
+    # in the order in which a path consumes its stream moves every value
     @pytest.mark.parametrize("coeffs, innovation, initial, expected", [
         ((0.4,), Gaussian(), IIDInnovation(),
-         [-0.14082972677712058, 0.10144076959792095, 0.6944054442524106,
-          0.11086801363382923, 2.1990818828279624, 1.207134897761386]),
+         [-0.9081024544769456, -0.9338070469999035, 1.4855026849670603,
+          0.04452721986983044, 0.6433916209048944, 0.21332466988403725]),
         ((0.4,), Gaussian(), PointMass((0.3,)),
-         [0.3, -0.020829726777120583, 0.14944076959792096, 0.7136054442524107,
-          0.1185480136338293, 2.2021538828279623]),
+         [0.3, -0.7881024544769456, -0.8858070469999035, 1.5047026849670602,
+          0.05220721986983046, 0.6464636209048944]),
         ((0.4,), Gaussian(), StationaryAR1Gaussian(0.4),
-         [-0.15365782929907246, 0.0963095285891402, 0.6923529478488983,
-          0.11004701507242434, 2.1987534834034004, 1.2070035379915613]),
+         [-0.9908210086704268, -0.966894468677296, 1.472267716296103,
+          0.039233232401447604, 0.6412740259175413, 0.21247763188909602]),
         ((0.5, -0.3), Exponential(), IIDInnovation(),
-         [0.5869909942023351, 0.8270947252352214, 1.5976442328111145,
-          1.119372087871926, 4.241434905399198, 2.7747245355178505]),
+         [2.4029291660945895, 0.4991343058805953, 0.739529903447181,
+          1.1860453139210212, 0.5788044806673878, -0.06291721317138628]),
     ], ids=["iid", "point", "stationary", "ar2_iid"])
     def test_ar_path_pinned(self, coeffs, innovation, initial, expected):
         m = ARModel(coeffs, innovation, initial, GE)
@@ -150,45 +152,45 @@ class TestCrude:
 
 
 # Crude counts at seed 7 with 10,001 replicates (two full blocks and a
-# one-path partial block), pinned from the path-major layout that drew one
-# innovation per step; the step-major layout must take the same draws.
-# (model, horizons, counts)
+# one-path partial block), pinned from per_step_counts, the path-major
+# reference that draws one innovation per step; the step-major layout must
+# take the same draws. (model, horizons, counts)
 DRAW_ORDER_CASES = {
     "ar1_gauss_iid": (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                      [5019, 3126, 1989, 778, 146]),
+                      [4981, 3092, 1987, 816, 171]),
     "ar1_gauss_point": (ARModel((0.4,), Gaussian(), PointMass((0.3,)), GE), [0, 1, 2, 4, 8],
-                        [10001, 5473, 3433, 1361, 256]),
+                        [10001, 5481, 3417, 1417, 273]),
     "ar1_gauss_stationary": (ARModel((0.4,), Gaussian(), StationaryAR1Gaussian(0.4), GE),
-                             [0, 1, 2, 4, 8], [5019, 3184, 2029, 793, 151]),
+                             [0, 1, 2, 4, 8], [4981, 3138, 2023, 832, 175]),
     "ar1_unif_iid": (ARModel((0.4,), Uniform(-1.0, 1.0), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                     [5019, 3015, 1842, 665, 106]),
+                     [5072, 3061, 1877, 765, 132]),
     "ar1_unif_point": (ARModel((0.4,), Uniform(-1.0, 1.0), PointMass((0.3,)), GE),
-                       [0, 1, 2, 4, 8], [10001, 5611, 3432, 1258, 214]),
+                       [0, 1, 2, 4, 8], [10001, 5663, 3468, 1351, 206]),
     "ar1_unif_stationary": (ARModel((0.4,), Uniform(-1.0, 1.0), StationaryAR1Gaussian(0.4), GE),
-                            [0, 1, 2, 4, 8], [5019, 3384, 2146, 803, 131]),
+                            [0, 1, 2, 4, 8], [4981, 3325, 2091, 823, 115]),
     "ar1_exp_iid": (ARModel((-0.5,), Exponential(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                    [10001, 6619, 4386, 1950, 363]),
+                    [10001, 6630, 4377, 1946, 394]),
     "ar1_exp_point": (ARModel((-0.5,), Exponential(), PointMass((0.3,)), GE), [0, 1, 2, 4, 8],
-                      [10001, 8597, 5731, 2490, 468]),
+                      [10001, 8702, 5811, 2539, 512]),
     "ar1_exp_stationary": (ARModel((-0.5,), Exponential(), StationaryAR1Gaussian(-0.5), GE),
-                           [0, 1, 2, 4, 8], [5019, 3318, 2219, 977, 172]),
+                           [0, 1, 2, 4, 8], [4981, 3284, 2188, 957, 194]),
     "ar2_gauss": (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                  [5013, 2496, 1628, 741, 189]),
+                  [4985, 2511, 1645, 766, 194]),
     "ar3_unif_point": (ARModel((0.3, -0.2, 0.1), Uniform(-1.0, 1.0), PointMass((0.1, 0.2, 0.3)),
-                               GE), [0, 2, 3, 7], [10001, 10001, 5322, 435]),
+                               GE), [0, 2, 3, 7], [10001, 10001, 5353, 525]),
     # horizons shorter than the order: the block draws its initial state only
     "ar3_short": (ARModel((0.3, -0.2, 0.1), Gaussian(), IIDInnovation(), GE), [0, 1],
-                  [4942, 2431]),
+                  [4982, 2495]),
     "ar1_sparse_unsorted": (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [9, 0, 5],
-                            [5019, 495, 91]),
+                            [4981, 568, 112]),
     "ar1_rademacher_gt": (ARModel((0.5,), Rademacher(), IIDInnovation(), GT), [0, 1, 2, 3],
-                          [5019, 2518, 1219, 569]),
+                          [5072, 2564, 1278, 652]),
     "ma1_gauss": (MAModel((1.0,), Gaussian(), GE), [0, 1, 2, 4, 8],
-                  [4989, 3302, 2059, 831, 140]),
+                  [4966, 3302, 2032, 844, 150]),
     "ma2_exp": (MAModel((-0.5, 0.3), Exponential(), GE), [0, 1, 2, 4, 8],
-                [7887, 5831, 4260, 2382, 766]),
+                [7943, 5780, 4332, 2467, 778]),
     "ma1_rademacher_gt": (MAModel((1.0,), Rademacher(), GT), [0, 1, 2, 3],
-                          [2464, 1219, 593, 312]),
+                          [2502, 1276, 643, 313]),
 }
 
 
@@ -210,7 +212,24 @@ def per_step_paths(model, n, size, rng):
     return z
 
 
+def per_step_counts(model, horizons, replicates, seed):
+    """Reference crude counts: per_step_paths on each block's own stream."""
+    horizons = sorted(horizons)
+    counts = np.zeros(len(horizons), dtype=np.int64)
+    for m, start in enumerate(range(0, replicates, sim.BLOCK)):
+        size = min(sim.BLOCK, replicates - start)
+        z = per_step_paths(model, horizons[-1], size, substream(seed, "crude", m))
+        alive = np.logical_and.accumulate(model.convention.survives(z), axis=1)
+        counts += alive[:, horizons].sum(axis=0)
+    return counts.tolist()
+
+
 class TestDrawOrder:
+    @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
+    def test_per_step_reference_gives_the_pins(self, name):
+        m, horizons, counts = DRAW_ORDER_CASES[name]
+        assert per_step_counts(m, horizons, 10_001, 7) == counts
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
     def test_crude_counts_pinned(self, name, threads):
@@ -229,15 +248,15 @@ class TestDrawOrder:
         assert z.shape == (size, n + 1)
         assert np.array_equal(z, ref)
 
-    # two paths Z_0..Z_3 at substream(5, "block"), pinned from the
-    # path-major layout
+    # two paths Z_0..Z_3 at substream(5, "block"), pinned from per_step_paths,
+    # the path-major reference
     @pytest.mark.parametrize("m, expected", [
         (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE),
-         [[-0.008443990098901049, 0.6025345932547507, -0.31344229147067326, 1.4279189935628103],
-          [2.1168530974261595, -0.3103323135626886, -0.643838151268432, -0.9677668234168891]]),
+         [[1.4685396464903988, -0.4132880701175604, -0.1702315695266362, -0.05021147694201136],
+          [-0.8725343065037309, -0.5550925857805066, 0.5796742700110094, 0.9730974285726747]]),
         (MAModel((-0.5, 0.3), Exponential(), GE),
-         [[3.624101359249777, -1.1691834955519196, 1.3552103169421055, 0.1364576493764539],
-          [3.1197738800333736, 2.5036638538978906, -1.0118093913625874, 2.9286770351150935]]),
+         [[0.2762586790816077, 0.42969650586110214, 0.6489500778117604, 0.8664036384489935],
+          [0.43785774821936213, 0.6869666045400262, 0.8552508189389032, 1.0723767731825848]]),
     ], ids=["ar2", "ma2"])
     def test_block_paths_pinned(self, m, expected):
         z = sim.sample_paths(m, 3, 2, substream(5, "block"))
@@ -285,22 +304,59 @@ class TestSplitting:
 
 
 # sha256 of p_hat.tobytes() + fractions.tobytes() at seed 7 over horizons
-# 0..n, pinned from the particle-major (P, d) loop that indexed survivors
-# with a boolean mask and a fancy gather. (model, {P: (n, digest)})
+# 0..n, pinned from reference_splitting. (model, {P: (n, digest)})
 SPLIT_PINS = {
     "ar1_gauss_0.9": (ARModel((0.9,), Gaussian(), IIDInnovation(), GE), {
-        65_536: (8, "94d1f80126165f294a26b4b47fe4b953464ad7646c09469765221112fbb60d89"),
-        2000: (30, "b547c71049cb673a47b20ab81b42f53bb311cea81af437dd0933a3d749b78e87")}),
+        65_536: (8, "a11c386bd72ae2b06b90d0ccdbe66eef3e500a438afc933b78ef0a19f98d7b24"),
+        2000: (30, "c8a1ac0197abbd70e7b379c3df853f89478dfcd224bfacb10b34b0a6cc53c508")}),
     "ar2_gauss": (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE), {
-        65_536: (8, "6828837dc0092e5f1788cf8a21f1f13802858d61d21288178cf174a4220a3636"),
-        2000: (30, "71c218cdf22a75acb4fa690192139e065d87a36ec142441b63364b1437d9a360")}),
+        65_536: (8, "bd1b1aa3ff04704f7ce233d8e50783e390d110cbbadbf711a9c8d8299242913b"),
+        2000: (30, "5c208d69312f057a0a92bb6bd2fe8a0b63e68c02489c6a246ce2cbce6776c8fb")}),
     "ma1_exp_m0.5": (MAModel((-0.5,), Exponential(), GE), {
-        65_536: (8, "b8f41f9099a67c3a3f5e9711a6e23ff38bb91d9ec6e0e0b629fd8ae13233ad09"),
-        2000: (30, "3a0429c0bcbf5ca6dbf44b14706970d56782a3ddcd6416ec65d995f46eaebd60")}),
+        65_536: (8, "7bb90594f2c02cadacff88841ca5e98b9b528d24590a958622e5807765644f09"),
+        2000: (30, "5c454480f489a2e175d88e1632c594f208decd7c7f76e20a7e786d62bfd54e51")}),
     "ma2_rademacher_gt": (MAModel((0.5, 0.5), Rademacher(), GT), {
-        65_536: (8, "0e75d193de46dfbd8f690738967dec8d0608de48526b886ecc2efa069e92160c"),
-        2000: (30, "fd986805439e293d0a298bd102423460606c66bd1ba14795f88054fbf042e386")}),
+        65_536: (8, "581b434fd6fc2e032f87342e1184fdde7944ec0d3db07ecd22e70b77dd28dc4d"),
+        2000: (30, "a329508cfa4654642fb05cc54cc7dd8c73b5d407c9bef7bd5cc0cb6a18890041")}),
 }
+
+
+def reference_splitting(model, n, particles, seed):
+    """Reference splitting loop: a particle-major (P, d) state, survivors
+    picked by a boolean mask, and a plain-loop systematic resampler. Returns
+    p_hat and the fractions over horizons 0..n."""
+    d = model.order
+    is_ar = isinstance(model, ARModel)
+    init = substream(seed, "split", "init")
+    if is_ar:
+        state = model.initial.sample(d, init, size=particles)
+    else:
+        state = model.innovation.sample(init, (particles, d))
+    fractions = []
+    for t in range(n + 1):
+        rng = substream(seed, "split", t)
+        if is_ar and t < d:
+            z = state[:, t]
+        else:
+            xi = model.innovation.sample(rng, particles)
+            z = sum(a * state[:, d - j] for j, a in enumerate(model.coeffs, start=1)) + xi
+            state = np.column_stack([state[:, 1:], z if is_ar else xi])
+        survivors = state[model.convention.survives(z)]
+        fractions.append(len(survivors) / particles)
+        state = survivors[plain_systematic(rng.random(), len(survivors), particles)]
+    fractions = np.array(fractions)
+    return np.exp(np.cumsum(np.log(fractions))), fractions
+
+
+def plain_systematic(u, n, size):
+    """Kitagawa's systematic resampling of n equal weights, as a plain loop:
+    output k takes the particle i whose cell [i/n, (i+1)/n) holds (k + u)/size."""
+    picks, i = [], 0
+    for k in range(size):
+        while (k + u) * n >= (i + 1) * size:
+            i += 1
+        picks.append(i)
+    return picks
 
 
 class TestSplittingLoop:
@@ -313,6 +369,41 @@ class TestSplittingLoop:
         got = hashlib.sha256(est.p_hat.tobytes() + est.fractions.tobytes()).hexdigest()
         assert got == digest
 
+    @pytest.mark.parametrize("particles", [65_536, 2000])
+    @pytest.mark.parametrize("name", sorted(SPLIT_PINS))
+    def test_reference_loop_gives_the_pins(self, name, particles):
+        m, pins = SPLIT_PINS[name]
+        n, digest = pins[particles]
+        p_hat, fractions = reference_splitting(m, n, particles, 7)
+        assert hashlib.sha256(p_hat.tobytes() + fractions.tobytes()).hexdigest() == digest
+
+    def test_one_uniform_per_step_after_its_innovations(self, monkeypatch):
+        # every draw of a run, by stream: the initial state, then per step its
+        # P innovations (none while AR reads its initial state) and one uniform
+        log = {}
+
+        class Recorded:
+            def __init__(self, rng, calls):
+                self.rng, self.calls = rng, calls
+
+            def __getattr__(self, name):
+                def draw(size=None):
+                    self.calls.append((name, size))
+                    return getattr(self.rng, name)(size)
+                return draw
+
+        monkeypatch.setattr(sim, "substream", lambda seed, *path: Recorded(
+            substream(seed, *path), log.setdefault(path, [])))
+        m = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
+        est = sim.estimate_splitting(m, range(6), 500, 4)
+        monkeypatch.undo()
+        assert np.array_equal(est.p_hat, sim.estimate_splitting(m, range(6), 500, 4).p_hat)
+        assert log == {
+            ("split", "init"): [("standard_normal", (500, 2))],
+            **{("split", t): [("random", None)] for t in (0, 1)},
+            **{("split", t): [("standard_normal", 500), ("random", None)] for t in range(2, 6)},
+        }
+
     def test_extinct_after_first_step(self):
         # Z_0 = 1 survives; Z_1 = -10 + xi < -9 kills every particle
         m = ARModel((-10.0,), Uniform(-1.0, 1.0), PointMass((1.0,)), GE)
@@ -321,16 +412,40 @@ class TestSplittingLoop:
         assert exc.value.step == 1
 
 
+class TestSystematicIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000), st.integers(2, 3000),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_floor_or_ceil_copies(self, n, size, u):
+        idx = sim.systematic_indices(u, n, size)
+        copies = np.bincount(idx, minlength=n)
+        assert len(copies) == n and copies.sum() == size
+        assert set(copies.tolist()) <= {size // n, -(-size // n)}
+        assert np.all(np.diff(idx) >= 0)
+
+    @pytest.mark.parametrize("u", [0.0, 0.37, 0.999])
+    @pytest.mark.parametrize("n, size", [(1, 7), (7, 7), (3, 10), (999, 1000), (2, 65_536)])
+    def test_matches_plain_loop(self, n, size, u):
+        assert sim.systematic_indices(u, n, size).tolist() == plain_systematic(u, n, size)
+
+    def test_largest_uniform_stays_in_range(self):
+        u = 1.0 - 2.0 ** -53
+        for n in (1, 3, 7, 2 ** 20, 10 ** 5):
+            assert sim.systematic_indices(u, n, 2 * n).max() == n - 1
+
+
 # Fixed-seed values of every route. The coefficients are asymmetric, so a
 # reversed or shifted coefficient in model.drift moves every value below.
+# The Monte Carlo values are pinned from per_step_counts and
+# reference_splitting, which spell the coefficient order out themselves.
 COEFFICIENT_ORDER_CASES = [
     (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
-     [9989, 5023, 2814, 1601, 845, 466, 257, 139, 85, 54, 30, 16, 9, 5, 3, 3, 2],
-     [0.0012883976017018205, 8.876705363780745e-09, 5.820778430605072e-14],
+     [10014, 5006, 2813, 1572, 852, 471, 271, 149, 80, 44, 27, 14, 9, 5, 2, 1, 1],
+     [0.0013379222315355037, 8.465551682490946e-09, 5.94329120364211e-14],
      0.5521365107944121),
     (MAModel((0.5, -0.2), Gaussian(), GE),
-     [10128, 6028, 3287, 1849, 1020, 563, 322, 182, 99, 55, 31, 13, 9, 5, 3, 1, 1],
-     [0.0016855043529172124, 1.4531336319765406e-08, 1.202842803903613e-13],
+     [10028, 6091, 3290, 1817, 980, 527, 291, 166, 92, 45, 22, 15, 9, 7, 4, 1, 1],
+     [0.001620508523458125, 1.3086173669869438e-08, 1.1301430276757393e-13],
      0.5581422033717083),
 ]
 
@@ -345,6 +460,13 @@ class TestCoefficientOrder:
         est = sim.estimate_splitting(m, range(51), 2000, 3)
         assert est.p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
         assert op.solve_operator(m, n=80).lam == pytest.approx(lam, abs=1e-12)
+
+    @pytest.mark.parametrize("m, counts, split_p, lam", COEFFICIENT_ORDER_CASES,
+                             ids=["ar2", "ma2"])
+    def test_references_give_the_pins(self, m, counts, split_p, lam):
+        assert per_step_counts(m, range(17), 20_000, 3) == counts
+        p_hat, _ = reference_splitting(m, 50, 2000, 3)
+        assert p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
 
 
 class TestFitExponent:
