@@ -180,6 +180,8 @@ def cmd_operator(args):
 def cmd_oracle(args):
     convention = SurvivalConvention(args.convention)
     case = args.case
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be a nonnegative horizon, got {args.n}")
     payload = {"case": case}
     if case == "ar1-uniform":
         payload["parameters"] = {"a": args.a, "b": args.b}
@@ -187,11 +189,11 @@ def cmd_oracle(args):
     elif case == "ar1-exponential":
         payload["parameters"] = {"a1": args.a1}
         payload["exponent"] = oracle_mod.ar1_exponential_exponent(args.a1)
-        initial = None
-        if args.initial:
-            innovation = Exponential()
-            initial = parse_initial(args.initial, innovation)
-        if args.n is not None and initial is not None:
+        if (args.n is None) != (args.initial is None):
+            missing = "--initial" if args.initial is None else "--n"
+            raise ValueError(f"ar1-exponential p_n needs {missing} as well")
+        if args.n is not None:
+            initial = parse_initial(args.initial, Exponential())
             payload["pn"] = [
                 {"n": n, "p": oracle_mod.ar1_exponential_pn(args.a1, n, initial)}
                 for n in range(1, args.n + 1)

@@ -34,6 +34,7 @@ from .model import (
     Rademacher,
     Uniform,
     as_count,
+    as_threads,
     drift,
     model_from_json,
     substream,
@@ -502,21 +503,25 @@ def load_config(config):
 
 def _check_counts(case):
     """The property lists Ms, deltas and threads, where given, must be nonempty
-    lists; the seed, operator N, mc replicates, particles, threads and each
-    horizon, and each listed thread count must be counts (model.as_count)."""
+    lists; the seed, operator N, mc replicates, particles and each horizon
+    must be counts (model.as_count), and the mc threads and each listed
+    thread count positive counts (model.as_threads)."""
     for key in ("Ms", "deltas", "threads"):
         if key in case and not (isinstance(case[key], list) and case[key]):
             raise ConfigError(f"{key} must be a nonempty list, got {case[key]!r}")
     opcfg, mccfg = case.get("operator", {}), case.get("mc", {})
     for section, key in ((case, "seed"), (opcfg, "N"), (mccfg, "replicates"),
-                         (mccfg, "particles"), (mccfg, "threads")):
+                         (mccfg, "particles")):
         if key in section:
             as_count(section[key], key)
+    if "threads" in mccfg:
+        as_threads(mccfg["threads"])
     # a scalar horizon is a list of one
     horizons = np.atleast_1d(np.asarray(mccfg.get("horizons", []), dtype=object)).tolist()
-    for name, values in (("horizon", horizons), ("threads", case.get("threads", []))):
-        for value in values:
-            as_count(value, name)
+    for value in horizons:
+        as_count(value, "horizon")
+    for value in case.get("threads", []):
+        as_threads(value)
 
 
 def _check_case(case):
@@ -586,8 +591,8 @@ def run_suite(config, out_dir, threads=None):
     if not isinstance(cases, list):
         raise ConfigError("'cases' must be a list")
     seed = as_count(cfg.get("seed", 0), "seed")
-    config_threads = as_count(cfg["threads"], "threads") if "threads" in cfg else None
-    threads = as_count(threads, "threads") if threads is not None else config_threads
+    config_threads = as_threads(cfg["threads"]) if "threads" in cfg else None
+    threads = as_threads(threads) if threads is not None else config_threads
 
     prepared = []
     names = set()

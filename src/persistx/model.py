@@ -380,6 +380,14 @@ def as_count(value, name):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_threads(value):
+    """A thread count: a count (as_count) of at least 1, as an int."""
+    threads = as_count(value, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be a positive count, got {value!r}")
+    return threads
+
+
 @dataclass(frozen=True)
 class ARModel:
     """Z_i = sum_j a_j Z_{i-j} + xi_i, driven by iid innovations."""

@@ -74,11 +74,11 @@ class MaxIterationsExceeded(Exception):
 class QuadratureGrid:
     """Tensorized per-axis quadrature rule on [lo, hi]^d.
 
-    build_grid makes a Gauss-Legendre rule; truncation_lambdas restricts one
-    to a run of its consecutive cells, so that the smaller operators are
-    principal submatrices of the solve's. Edges partition [lo, hi] into one
-    cell per node by cumulative weights; each node lies inside its cell,
-    which the cut-cell logic of the MA assembly relies on.
+    build_grid makes a Gauss-Legendre rule; _restrict narrows one to a run
+    of its consecutive cells, so that the smaller operators are principal
+    submatrices of the solve's. Edges partition [lo, hi] into one cell per
+    node by cumulative weights; each node lies inside its cell, which the
+    cut-cell logic of the MA assembly relies on.
     """
 
     d: int
@@ -128,8 +128,8 @@ def build_grid(lo, hi, n, d=1):
     """Per-axis Gauss-Legendre rule with n nodes on [lo, hi], tensorized to d axes."""
     lo = float(lo)
     hi = float(hi)
-    if not lo < hi:
-        raise ValueError(f"invalid axis bounds [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"invalid axis bounds [{lo}, {hi}]: need finite lo < hi")
     n = as_count(n, "N")
     if n < 2:
         raise ValueError(f"need at least 2 nodes per axis, got {n}")
@@ -187,12 +187,18 @@ def _axis_bounds(model, m):
     return 0.0, m
 
 
+def _truncation(m):
+    """m as a float, which must be a finite truncation M > 0."""
+    m = float(m)
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"need a finite truncation M > 0, got {m}")
+    return m
+
+
 def default_grid(model, m, n):
     """State-axis grid for the model at truncation m, clamped to the reachable
     set; m=None means default_truncation of the innovation."""
-    m = default_truncation(model.innovation) if m is None else float(m)
-    if m <= 0:
-        raise ValueError(f"need truncation M > 0, got {m}")
+    m = default_truncation(model.innovation) if m is None else _truncation(m)
     lo, hi = _axis_bounds(model, m)
     return build_grid(lo, hi, n, d=model.order)
 
@@ -343,7 +349,8 @@ def assemble_ar(model, grid, delta=0.0):
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
     n = grid.n
     delta = float(delta)
-    if _tabulates_drift(model, n):
+    if (d >= 2 and n ** (d + 1) > EXACT_TABLE_BUDGET
+            and model.innovation.support == (-math.inf, math.inf)):
         return _assemble_drift_table(model, grid, delta)
     cols = _coordinates(grid)
     edges = grid.edges.reshape((1,) * d + (-1,))
@@ -365,15 +372,6 @@ def assemble_ar(model, grid, delta=0.0):
             slab *= tilt_to
             slab *= tilt_from[rows]
     return DiscretizedOperator(grid=grid, kmat=kmat, delta=delta)
-
-
-def _tabulates_drift(model, n):
-    """True when assemble_ar tabulates the model's kernel over the drift at n
-    nodes per axis: an AR model of order >= 2 whose exact table would exceed
-    EXACT_TABLE_BUDGET, on an innovation law supported on the whole line."""
-    d = model.order
-    return (isinstance(model, ARModel) and d >= 2 and n ** (d + 1) > EXACT_TABLE_BUDGET
-            and model.innovation.support == (-math.inf, math.inf))
 
 
 def _assemble_drift_table(model, grid, delta):
@@ -442,11 +440,13 @@ def assemble(model, grid, delta=0.0):
 
     Every route to an operator (solve_operator, convergence_sweep,
     truncation_lambdas) passes through here, so "auto" is resolved once.
-    The MA kernel takes no tilt: a delta other than 0 or "auto" is a ValueError.
+    An AR tilt that is not finite is a ValueError. The MA kernel takes no
+    tilt: a delta other than 0 or "auto" is a ValueError.
     """
     if isinstance(model, ARModel):
-        if delta == "auto":
-            delta = default_delta(model)
+        delta = default_delta(model) if delta == "auto" else float(delta)
+        if not math.isfinite(delta):
+            raise ValueError(f"need a finite tilt delta, got {delta!r}")
         return assemble_ar(model, grid, delta=delta)
     if delta != "auto" and delta != 0:
         raise ValueError(f"the MA operator takes no tilt, got delta={delta!r}")
@@ -546,50 +546,51 @@ def solve_operator(model, m=None, n=400, delta=0.0):
 # convergence sweeps
 
 
-def _restrict(op, grid):
-    """A drift-table operator restricted to the box of grid, which is the
-    first grid.n cells of op's grid on every axis (every AR axis starts at
-    0): a principal submatrix that keeps op's drift nodes."""
-    n, d = op.grid.n, op.grid.d
-    box = (slice(0, grid.n),) * d
-    states = np.arange(n ** d).reshape((n,) * d)[box].reshape(-1)
-    return DiscretizedOperator(grid=grid, kmat=np.ascontiguousarray(op.kmat[:, box[0]]),
-                               delta=op.delta, start=op.start[states], coef=op.coef[:, states])
+def _restrict(op, i0, i1):
+    """op restricted to cells i0..i1-1 of every axis: a principal submatrix, in
+    op's own form. An exact table's member is a view of its kmat's block; a
+    drift table keeps its drift nodes; an MA row's start shifts and clips to
+    the box, and a cut cell outside the box is dropped."""
+    big, d, n = op.grid, op.grid.d, int(i1 - i0)
+    grid = replace(big, lo=float(big.edges[i0]), hi=float(big.edges[i1]), n=n,
+                   nodes=big.nodes[i0:i1], weights=big.weights[i0:i1],
+                   edges=big.edges[i0:i1 + 1])
+    box = (slice(i0, i1),) * d
+    if op.start is None:
+        return DiscretizedOperator(grid=grid, kmat=op.kmat[box + box[:1]], delta=op.delta)
+    states = np.arange(big.n ** d).reshape((big.n,) * d)[box].reshape(-1)
+    start = op.start[states]
+    if op.kmat is not None:
+        return DiscretizedOperator(grid=grid, kmat=np.ascontiguousarray(op.kmat[:, box[0]]),
+                                   delta=op.delta, start=start, coef=op.coef[:, states])
+    # the cut cell is start - 1
+    coef = np.where((start > i0) & (start <= i1), op.coef[states], 0.0)
+    return DiscretizedOperator(grid=grid, base=op.base[i0:i1],
+                               start=np.clip(start - i0, 0, n), coef=coef)
 
 
 def truncation_lambdas(model, ms, n_ref, delta=0.0):
     """Spectral radii on a nested family of truncations of the solve grid.
 
-    The grid is the one solve_operator builds at (largest M, n_ref); each
-    smaller M keeps the nodes inside its own clamped axis. Every smaller
-    operator is then a principal submatrix of the largest one, so the Perron
-    root cannot decrease along the family, and the largest member is the
-    (largest M, n_ref) solve itself. Returns {"Ms", "lambdas", "monotone"},
-    where monotone checks that nondecrease up to a 1e-9 slack.
+    The operator solve_operator builds at (largest M, n_ref) is assembled
+    once, and each smaller M's member is it restricted to the cells of the
+    nodes inside that M's clamped axis. Every smaller operator is then a
+    principal submatrix of the largest one, so the Perron root cannot
+    decrease along the family, and the largest member is the (largest M,
+    n_ref) solve itself. Returns {"Ms", "lambdas", "monotone"}, where
+    monotone checks that nondecrease up to a 1e-9 slack.
     """
-    ms = sorted(float(m) for m in ms)
-    big = default_grid(model, ms[-1], n_ref)
-    # a drift table depends on the drift range of its box, so each member of a
-    # drift-table family is the largest member restricted, not assembled anew
-    full = assemble(model, big, delta=delta) if _tabulates_drift(model, big.n) else None
+    ms = sorted(_truncation(m) for m in ms)
+    if not ms:
+        raise ValueError("need a nonempty list of truncations M")
+    full = assemble(model, default_grid(model, ms[-1], n_ref), delta=delta)
     lams = []
     for m in ms:
         lo_m, hi_m = _axis_bounds(model, m)
-        keep = np.flatnonzero((big.nodes >= lo_m) & (big.nodes <= hi_m))
+        keep = np.flatnonzero((full.grid.nodes >= lo_m) & (full.grid.nodes <= hi_m))
         if len(keep) < 2:
             raise ValueError(f"truncation M={m} keeps fewer than 2 nodes of the reference grid")
-        i0, i1 = keep[0], keep[-1] + 1
-        sub = replace(
-            big,
-            lo=float(big.edges[i0]),
-            hi=float(big.edges[i1]),
-            n=int(i1 - i0),
-            nodes=big.nodes[i0:i1],
-            weights=big.weights[i0:i1],
-            edges=big.edges[i0:i1 + 1],
-        )
-        op = assemble(model, sub, delta=delta) if full is None else _restrict(full, sub)
-        lams.append(spectral_radius(op).lam)
+        lams.append(spectral_radius(_restrict(full, keep[0], keep[-1] + 1)).lam)
     monotone = all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
     return {"Ms": ms, "lambdas": lams, "monotone": monotone}
 

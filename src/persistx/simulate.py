@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ARModel, as_count, drift, substream
+from .model import ARModel, as_count, as_threads, drift, substream
 
 BLOCK = 4096
 
@@ -115,7 +115,7 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
         size = min(BLOCK, replicates - m * BLOCK)
         return _survival_counts_block(model, horizons, size, substream(seed, "crude", m))
 
-    threads = 1 if threads is None else as_count(threads, "threads")
+    threads = 1 if threads is None else as_threads(threads)
     if threads <= 1:
         counts = sum(run_block(m) for m in range(n_blocks))
     else:

@@ -149,6 +149,19 @@ class TestOracleCommand:
         code, _, err = run(capsys, ["oracle", "--case", "ma1-exponential", "--a1", "0.5"])
         assert code == 1 and "a1" in err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--case", "ar1-exponential", "--n", "3"], "p_n needs --initial as well"),
+        (["--case", "ar1-exponential", "--initial", "point:0"], "p_n needs --n as well"),
+        (["--case", "rademacher", "--n", "-1"], "--n must be a nonnegative horizon, got -1"),
+        (["--case", "degenerate-ma", "--n", "-2"], "--n must be a nonnegative horizon, got -2"),
+    ], ids=["n_without_initial", "initial_without_n", "negative_n_rademacher",
+            "negative_n_degenerate"])
+    def test_dropped_flag_exits_one(self, capsys, argv, shown):
+        # each printed no pn, or an empty one, and exited 0
+        code, out, err = run(capsys, ["oracle", *argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ValueError: ") and shown in err
+
     @pytest.mark.parametrize("argv, expected", [
         (["--case", "ma1-symmetric", "--c", "2", "--terms", "50"],
          '{\n  "case": "ma1-symmetric",\n  "exponent": 0.63661977236758138,\n'
@@ -258,6 +271,15 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert "MA models take no initial law" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_exit_one(self, capsys, threads):
+        # both ran serial and exited 0
+        code, out, err = run(capsys, [
+            "simulate", "--process", "ar", "--coeffs", "0.5", "--n", "3", "--reps", "1000",
+            "--threads", threads])
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: threads must be a positive count, got {threads}\n"
+
     def test_all_paths_died_exits_one(self, capsys):
         code, _, err = run(capsys, [
             "simulate", "--process", "ar", "--coeffs", "0.0",
@@ -291,6 +313,14 @@ class TestOperatorCommand:
             "--innovation", "gaussian:1", "--N", "150", "--delta", "auto"])
         payload = json.loads(out)
         assert payload["result"]["delta"] == 0.5
+
+    @pytest.mark.parametrize("process, m", [("ma", "inf"), ("ma", "nan"), ("ar", "inf")])
+    def test_non_finite_truncation_exits_one(self, capsys, process, m):
+        # MA printed lambda 0 on a grid [-inf, inf]; AR died in an AssertionError
+        code, out, err = run(capsys, [
+            "operator", "--process", process, "--coeffs", "1", "--N", "50", "--M", m])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ValueError: need a finite truncation M > 0")
 
     def test_ma_tilt_exits_one(self, capsys):
         code, out, err = run(capsys, [
@@ -451,8 +481,12 @@ class TestCompareCommand:
         ({"threads": [2.5]}, "ValueError: threads must be an integer, got 2.5"),
         ({"mc": {"method": "splitting", "threads": 2.5}},
          "ValueError: threads must be an integer, got 2.5"),
+        ({"threads": [1, 0]}, "ValueError: threads must be a positive count, got 0"),
+        ({"mc": {"method": "crude", "threads": -3}},
+         "ValueError: threads must be a positive count, got -3"),
         ({"mc": {"method": "crud"}}, "ConfigError: unknown mc method 'crud'"),
-    ], ids=["suite_example", "listed_threads", "mc_threads", "mc_method"])
+    ], ids=["suite_example", "listed_threads", "mc_threads", "zero_listed_threads",
+            "negative_mc_threads", "mc_method"])
     def test_config_gets_the_suite_case_checks(self, capsys, tmp_path, change, shown):
         # a compare case is refused as a suite case is, before any route runs,
         # though compare reads neither Ms nor threads

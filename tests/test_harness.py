@@ -765,13 +765,22 @@ class TestRunSuite:
         ({"threads": "x"}, ValueError, "threads must be an integer, got 'x'"),
         ({"threads": 2.5}, ValueError, "threads must be an integer, got 2.5"),
         ({"threads": True}, ValueError, "threads must be an integer, got True"),
+        ({"threads": 0}, ValueError, "threads must be a positive count, got 0"),
+        ({"threads": -3}, ValueError, "threads must be a positive count, got -3"),
     ], ids=["misspelled_key", "fractional_seed", "bool_seed", "string_threads",
-            "fractional_threads", "bool_threads"])
+            "fractional_threads", "bool_threads", "zero_threads", "negative_threads"])
     def test_config_keys_checked_before_any_case_runs(self, tmp_path, change, error,
                                                       message):
         config = {**tiny_config(), **change}
         with pytest.raises(error, match=message):
             harness.run_suite(config, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_suite_threads_refused_before_any_case_runs(self, tmp_path, threads):
+        # the caller's count, as the CLI's --threads passes it, ran serial
+        with pytest.raises(ValueError, match=f"threads must be a positive count, got {threads}"):
+            harness.run_suite(tiny_config(), tmp_path / "o", threads=threads)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("index, section, change, message", [
@@ -785,6 +794,8 @@ class TestRunSuite:
         (0, "mc", {"threads": 2.5}, "threads must be an integer, got 2.5"),
         (2, None, {"threads": [1, 2.5]}, "threads must be an integer, got 2.5"),
         (2, None, {"threads": [True]}, "threads must be an integer, got True"),
+        (0, "mc", {"threads": 0}, "threads must be a positive count, got 0"),
+        (2, None, {"threads": [1, -3]}, "threads must be a positive count, got -3"),
         (2, None, {"threads": []}, "threads must be a nonempty list"),
         (2, None, {"threads": 2}, "threads must be a nonempty list"),
         (1, None, {"check": "truncation", "Ms": []}, "Ms must be a nonempty list"),
@@ -794,7 +805,8 @@ class TestRunSuite:
         (0, "mc", {"method": "crud"}, "unknown mc method 'crud'"),
         (2, "mc", {"method": "crud"}, "unknown mc method 'crud'"),
     ], ids=["case_seed", "bool_seed", "operator_N", "replicates", "particles", "horizon",
-            "mc_threads", "listed_threads", "bool_listed_threads", "empty_threads",
+            "mc_threads", "listed_threads", "bool_listed_threads", "zero_mc_threads",
+            "negative_listed_threads", "empty_threads",
             "scalar_threads", "empty_Ms", "empty_deltas", "qbound_without_mc",
             "mc_method", "property_mc_method"])
     def test_case_counts_checked_before_any_output(self, tmp_path, index, section, change,

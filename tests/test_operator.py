@@ -74,6 +74,25 @@ class TestGrids:
         with pytest.raises(ValueError):
             op.build_grid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                        (0.0, math.nan)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            op.build_grid(lo, hi, 4)
+
+    @pytest.mark.parametrize("model", [
+        ARModel((0.5,), Gaussian(), IIDInnovation(), GE),
+        MAModel((1.0,), Gaussian(), GE),
+    ], ids=["ar1", "ma1"])
+    @pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+    def test_non_finite_truncation_rejected(self, model, m):
+        # an infinite M gave an AR grid an AssertionError and an MA grid
+        # [-inf, inf] with lambda 0
+        with pytest.raises(ValueError, match="need a finite truncation M > 0"):
+            op.default_grid(model, m, 10)
+        with pytest.raises(ValueError, match="need a finite truncation M > 0"):
+            op.truncation_lambdas(model, [2.0, m], 10)
+
     def test_default_truncation_tracks_tails(self):
         m = op.default_truncation(Gaussian())
         assert m == pytest.approx(1.5 * Gaussian().tail_radius(1e-10))
@@ -280,32 +299,6 @@ class TestDriftTable:
                 for d in (0.0, 0.1, 0.5)]
         assert max(lams) - min(lams) <= 1e-8
 
-    def test_truncation_family_restricts_the_largest_member(self, monkeypatch):
-        ops = []
-        solve = op.spectral_radius
-
-        def kept(kop, *args, **kwargs):
-            ops.append(kop)
-            return solve(kop, *args, **kwargs)
-
-        monkeypatch.setattr(op, "spectral_radius", kept)
-        family = op.truncation_lambdas(AR2, [2.0, 4.0, 6.0], PAST_BUDGET, delta="auto")
-        monkeypatch.undo()
-        assert family["monotone"] is True
-        assert family["lambdas"][-1] == op.solve_operator(
-            AR2, m=6.0, n=PAST_BUDGET, delta="auto").lam
-        largest = ops[-1]
-        rng = np.random.default_rng(11)
-        for kop in ops[:-1]:
-            k = kop.grid.n
-            assert k < PAST_BUDGET
-            assert np.array_equal(kop.grid.nodes, largest.grid.nodes[:k])
-            g = rng.random((k, k))
-            padded = np.zeros((PAST_BUDGET,) * 2)
-            padded[:k, :k] = g
-            expected = largest.apply(padded)[:k, :k]
-            assert np.abs(kop.apply(g) - expected).max() <= 1e-14 * np.abs(expected).max()
-
     def test_ar3_fits_and_exceeds_ar2(self):
         # the exact AR(3) table at N = 60 alone would take 60^4 * 8 B = 104 MB
         m = ARModel((0.3, 0.2, 0.1), Gaussian(), IIDInnovation(), GE)
@@ -338,6 +331,16 @@ class TestTilt:
         h = np.exp(0.3 * grid.nodes)
         back = k1 * h[:, None] / h[None, :]
         assert np.max(np.abs(back - k0)) <= 1e-10 * np.max(k0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_rejected(self, delta):
+        # a NaN tilt ran power iteration to its budget on NaN iterates
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="need a finite tilt delta"):
+            op.assemble(m, op.default_grid(m, None, 10), delta=delta)
+        m = MAModel((1.0,), Gaussian(), GE)
+        with pytest.raises(ValueError, match="MA operator takes no tilt"):
+            op.assemble(m, op.default_grid(m, None, 10), delta=delta)
 
     def test_ma_takes_no_tilt(self):
         m = MAModel((1.0,), Gaussian(), GE)
@@ -684,6 +687,99 @@ class TestSweeps:
         assert all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
         assert family["monotone"] is True
         assert lams[-1] == op.solve_operator(model, m=ms[-1], n=n_ref, delta=delta).lam
+
+    @pytest.mark.parametrize("model, ms, n, delta", [
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [2.0, 4.0, 6.0], 200, 0.0),
+        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), [3.0, 6.0, 12.0], 40, 0.2),
+        (MAModel((2.0,), Gaussian(), GE), [1.5, 3.0, 6.0], 200, 0.0),
+        (MAModel((-0.5,), Exponential(), GE), [2.0, 4.0, 9.0], 200, 0.0),
+        (MAModel((0.5, -0.2), Gaussian(), GE), [2.0, 4.0, 6.0], 60, 0.0),
+        (AR2, [2.0, 4.0, 6.0], PAST_BUDGET, "auto"),
+    ], ids=["exact_ar1_gauss", "exact_ar2_exp", "ma1_gauss_2", "ma1_exp_m0.5", "ma2_gauss",
+            "drift_table"])
+    def test_truncation_family_restricts_the_largest_member(self, monkeypatch, model, ms, n,
+                                                            delta):
+        assembled, ops = [], []
+        assemble, solve = op.assemble, op.spectral_radius
+
+        def counted(*args, **kwargs):
+            assembled.append(args)
+            return assemble(*args, **kwargs)
+
+        def kept(kop, *args, **kwargs):
+            ops.append(kop)
+            return solve(kop, *args, **kwargs)
+
+        monkeypatch.setattr(op, "assemble", counted)
+        monkeypatch.setattr(op, "spectral_radius", kept)
+        family = op.truncation_lambdas(model, ms, n, delta=delta)
+        monkeypatch.undo()
+        assert len(assembled) == 1
+        assert family["monotone"] is True
+        assert family["lambdas"][-1] == op.solve_operator(model, m=ms[-1], n=n, delta=delta).lam
+        largest, d = ops[-1], model.order
+        rng = np.random.default_rng(11)
+        for kop, lam in zip(ops[:-1], family["lambdas"]):
+            k = kop.grid.n
+            i0 = int(np.searchsorted(largest.grid.nodes, kop.grid.nodes[0]))
+            assert k < n
+            assert np.array_equal(kop.grid.nodes, largest.grid.nodes[i0:i0 + k])
+            if kop.start is None:
+                # the exact table's member is a view of the largest table
+                assert np.shares_memory(kop.kmat, largest.kmat)
+            if kop.kmat is None or kop.start is None:
+                # exact and MA members are the operators assembled on their
+                # own boxes, bit for bit
+                assert lam == op.spectral_radius(op.assemble(model, kop.grid, delta=delta)).lam
+                continue
+            # a drift table depends on its box's drift range: its member is the
+            # largest member's principal submatrix
+            g = rng.random((k,) * d)
+            padded = np.zeros((n,) * d)
+            padded[(slice(0, k),) * d] = g
+            expected = largest.apply(padded)[(slice(0, k),) * d]
+            assert np.abs(kop.apply(g) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("a1, innovation, m, sides", [
+        (2.0, Gaussian(), 6.0, {"left", "inside", "right"}),
+        (-0.5, Exponential(), 9.0, {"left", "inside"}),
+        (-2.0, Exponential(), 9.0, {"inside", "right"}),
+    ], ids=["gauss_2", "exp_m0.5", "exp_m2"])
+    def test_ma_restriction_is_the_box_assembly(self, a1, innovation, m, sides):
+        # a box that starts past the grid's first cell, with cut cells on
+        # either side of it: the restricted rows are the rows assembled on it
+        model = MAModel((a1,), innovation, GE)
+        full = op.assemble(model, op.default_grid(model, m, 120))
+        i0, i1 = 30, 80
+        kop = op._restrict(full, i0, i1)
+        cells = full.start[i0:i1][full.coef[i0:i1] > 0.0] - 1
+        assert set(np.where(cells < i0, "left", np.where(cells < i1, "inside", "right"))) == sides
+        ref = op.assemble(model, kop.grid)
+        for name in ("base", "start", "coef"):
+            assert np.array_equal(getattr(kop, name), getattr(ref, name))
+        assert op.spectral_radius(kop).lam == op.spectral_radius(ref).lam
+
+    def test_truncation_family_peaks_at_one_solve(self):
+        # the family holds one table, its largest member's, and every smaller
+        # member is a view of it; assembling each member anew read 1.24x here
+        model = ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE)
+        op.solve_operator(model, n=10)
+        peaks = []
+        for run in (lambda: op.truncation_lambdas(model, [6.0, 9.0, 12.0], 100),
+                    lambda: op.solve_operator(model, m=12.0, n=100)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 1% of the 8 MB table covers the family's index arrays and results
+        assert peaks[0] <= 1.01 * peaks[1]
+
+    def test_empty_truncation_list_named(self):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="need a nonempty list of truncations M"):
+            op.truncation_lambdas(m, [], 40)
 
     def test_bounded_support_saturates(self):
         # once the box covers the reachable states, growing it changes nothing

@@ -129,6 +129,12 @@ class TestCrude:
             est = sim.estimate_crude(m, [0, 3, 7], 30_000, 9, threads=threads)
             assert np.array_equal(est.counts, base.counts)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_must_be_positive(self, threads):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=f"threads must be a positive count, got {threads}"):
+            sim.estimate_crude(m, [0, 3], 1000, 0, threads=threads)
+
     def test_seed_changes_counts(self):
         m = ARModel((0.4,), Gaussian(), IIDInnovation(), GE)
         a = sim.estimate_crude(m, [0, 3], 30_000, 1)
