@@ -177,9 +177,20 @@ def cmd_operator(args):
     return 0
 
 
+# the oracle cases that read --n and --initial; any other case refuses them
+_ORACLE_FLAG_READERS = {
+    "n": ("ar1-exponential", "rademacher", "degenerate-ma"),
+    "initial": ("ar1-exponential",),
+}
+
+
 def cmd_oracle(args):
     convention = SurvivalConvention(args.convention)
     case = args.case
+    for flag, readers in _ORACLE_FLAG_READERS.items():
+        if getattr(args, flag) is not None and case not in readers:
+            raise ValueError(f"oracle case {case!r} does not read --{flag}; "
+                             f"it is read by {', '.join(readers)}")
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be a nonnegative horizon, got {args.n}")
     payload = {"case": case}

@@ -203,11 +203,14 @@ def run_mc(model, cfg, seed):
     """The Monte Carlo estimate a config section asks for, or None for "none".
 
     cfg keys: method (crude | splitting | none), horizons, replicates,
-    particles, threads, and an optional fit window (i0, i1) that replaces
-    the default one: two integers with 0 <= i0 < i1 <= len(horizons), on
-    a horizon list in increasing order, checked before anything runs.
+    particles, threads (a positive count whatever the method, though only
+    crude reads it), and an optional fit window (i0, i1) that replaces the
+    default one: two integers with 0 <= i0 < i1 <= len(horizons), on a
+    horizon list in increasing order, checked before anything runs.
     """
     method = _mc_method(cfg)
+    if cfg.get("threads") is not None:
+        as_threads(cfg["threads"])
     if method == "none":
         return None
     horizons = cfg.get("horizons")
@@ -459,7 +462,8 @@ def _prop_determinism(case, seed):
     model = model_from_json(case)
     mccfg = _section(case, "mc")
     horizons = mccfg.get("horizons", list(range(0, 9)))
-    replicates = mccfg.get("replicates", 30000)
+    # two full blocks and a partial one, so thread schedules differ
+    replicates = mccfg.get("replicates", 2 * simulate_mod.BLOCK + 1)
     payloads = []
     for threads in case.get("threads", [1, 2, 8]):
         est = simulate_mod.estimate_crude(model, horizons, replicates, seed, threads=threads)

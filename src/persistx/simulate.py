@@ -1,17 +1,17 @@
 """Path sampling and persistence-probability estimation.
 
-Two estimators are provided. The crude estimator simulates full paths in
-fixed-size blocks, each block on its own derived stream, and counts nested
-survival events at every horizon; summing integer counts makes the result
-independent of the thread schedule. An AR block is laid out step-major: it
-draws its initial state, then all its innovations in one call, one row per
-step. Draws concatenate along a stream, so this order equals one draw per
-step and the counts are bit-identical at any thread count. The splitting
-estimator advances a particle population one step at a time, records the
+Both estimators follow a population of paths killed when they leave S, and
+both advance it with one step, _step, on a C-ordered (d, size) state, one
+row per state coordinate, oldest first. The crude estimator runs its
+replicates in fixed blocks of 65,536 paths, each block on its own derived
+stream: a block draws its initial state, then at each step one innovation
+per path still alive, in path order; it counts the survivors, keeps only
+them with one compress, and stops once none are left. Summing integer
+counts makes the result independent of the thread schedule. The splitting
+estimator advances its population one step at a time, records the
 per-step survival fraction, and resamples survivors back to the full
 population, so the product of fractions estimates p_n far below the reach
-of crude sampling. Its population is a C-ordered (d, P) array, one row per
-state coordinate; each step keeps the survivors with one compress and
+of crude sampling; each step keeps the survivors with one compress and
 resamples them systematically with one take.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import ARModel, as_count, as_threads, drift, substream
 
-BLOCK = 4096
+BLOCK = 65_536
 
 
 class AllPathsDied(Exception):
@@ -45,35 +45,32 @@ class NonPositiveProbabilityInWindow(Exception):
 
 
 # ---------------------------------------------------------------------------
-# path sampling
+# one step of a killed population
 
 
-def sample_paths(model, n, size, rng):
-    """Z_0..Z_n of `size` independent paths, shape (size, n + 1).
-
-    This is the one AR/MA path recursion: every block of the crude
-    estimator calls it. An AR path takes its first p values from
-    the initial law; the innovations of all later steps then come from one
-    (n + 1 - p, size) draw, step-major, and each step adds the drift to its
-    contiguous row. Draws concatenate along a stream, so this takes the same
-    values in the same order as one size-long draw per step. The AR result
-    is the transpose of that step-major buffer. An MA path is built from one
-    (size, n + q + 1) draw of xi_{-q}..xi_n.
-    """
+def _initial_state(model, size, rng):
+    """The (d, size) starting state of `size` paths, C-ordered, oldest first:
+    an AR path's Z_0..Z_{p-1} from the initial law, or an MA path's past
+    innovations xi_{-q}..xi_{-1}, drawn as one (size, d) draw."""
     if isinstance(model, ARModel):
-        p = model.order
-        z = np.empty((n + 1, size))
-        z[:p] = model.initial.sample(p, rng, size=size)[:, : n + 1].T
-        if n >= p:
-            z[p:] = model.innovation.sample(rng, (n + 1 - p, size))
-        for i in range(p, n + 1):
-            # xi_i + drift rounds as drift + xi_i: addition commutes exactly
-            z[i] += drift(model.coeffs, z[i - p:i])
-        return z.T
-    q = model.order
-    xi = model.innovation.sample(rng, (size, n + q + 1))
-    cols = [xi[:, k:k + n + 1] for k in range(q)]
-    return drift(model.coeffs, cols) + xi[:, q:q + n + 1]
+        state = model.initial.sample(model.order, rng, size=size)
+    else:
+        state = model.innovation.sample(rng, (size, model.order))
+    return np.ascontiguousarray(np.asarray(state, dtype=float).T)
+
+
+def _step(model, state, xi):
+    """(z, next_state): one transition of every path in a (d, size) state.
+
+    This is the one AR/MA path recursion: z = drift + xi, and the state
+    shifts by one, taking z (AR) or xi (MA) as its newest coordinate.
+    """
+    z = drift(model.coeffs, state)
+    z += xi  # in place: drift + xi, exactly, with one array fewer
+    newest = (z if isinstance(model, ARModel) else xi)[np.newaxis]
+    if len(state) == 1:  # a one-row state is its newest row, with no copy
+        return z, newest
+    return z, np.concatenate((state[1:], newest))
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +80,26 @@ def sample_paths(model, n, size, rng):
 def _survival_counts_block(model, horizons, block_size, rng):
     """Survival counts at each horizon for one block of independent paths.
 
-    The paths are read step-major, one row per step (contiguous for AR):
-    a mask of the paths still alive is narrowed row by row and counted, so
-    no block-sized running-minimum table is built.
+    The block is a killed population that is never resampled: at step t
+    an AR path reads Z_t from its initial state while t < p; after that
+    every path still alive draws one innovation, in path order, and steps.
+    Only the survivors are kept, and the block stops once none are left.
     """
-    steps = sample_paths(model, int(horizons[-1]), block_size, rng).T
-    alive = np.ones(block_size, dtype=bool)
-    survivors = np.empty(len(steps), dtype=np.int64)
-    for t, row in enumerate(steps):
-        alive &= model.convention.survives(row)
+    n_max = int(horizons[-1])
+    reads_initial = model.order if isinstance(model, ARModel) else 0
+    state = _initial_state(model, block_size, rng)
+    survivors = np.zeros(n_max + 1, dtype=np.int64)
+    for t in range(n_max + 1):
+        if t < reads_initial:
+            z = state[t]
+        else:
+            z, state = _step(model, state, model.innovation.sample(rng, state.shape[1]))
+        alive = model.convention.survives(z)
         survivors[t] = np.count_nonzero(alive)
+        if survivors[t] == 0:
+            break
+        if survivors[t] < len(alive):
+            state = np.compress(alive, state, axis=1)
     return survivors[horizons]
 
 
@@ -101,9 +108,11 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
 
     Every replicate contributes one path evaluated at all horizons (the
     survival events are nested, so the estimates are monotone by
-    construction). Replicates are organised in fixed blocks of 4096 with one
-    derived stream per block; the integer count reduction is order
-    independent, so any thread count reproduces the same numbers bit for bit.
+    construction). A path that has left S adds nothing to a later count,
+    so it draws nothing more. Replicates are organised in fixed blocks of
+    BLOCK = 65,536 paths with one derived stream (seed, "crude", m) per
+    block m; the integer count reduction is order independent, so any
+    thread count reproduces the same numbers bit for bit.
     """
     horizons = _check_horizons(horizons)
     replicates = as_count(replicates, "replicates")
@@ -170,34 +179,23 @@ def estimate_splitting(model, horizons, particles, seed):
     if particles < 2:
         raise ValueError("need at least two particles")
     n_max = int(horizons[-1])
-    is_ar = isinstance(model, ARModel)
-    d = model.order
-    init_rng = substream(seed, "split", "init")
-    if is_ar:
-        state = model.initial.sample(d, init_rng, size=particles)
-    else:
-        state = model.innovation.sample(init_rng, (particles, d))
-    state = np.ascontiguousarray(np.asarray(state, dtype=float).T)
+    reads_initial = model.order if isinstance(model, ARModel) else 0
+    state = _initial_state(model, particles, substream(seed, "split", "init"))
 
     fractions = np.empty(n_max + 1)
     for t in range(n_max + 1):
         rng = substream(seed, "split", t)
-        if is_ar and t < d:
+        if t < reads_initial:
             z = state[t]
-            new_state = state
         else:
-            xi = model.innovation.sample(rng, particles)
-            z = drift(model.coeffs, state) + xi
-            new_state = np.empty_like(state)
-            new_state[:-1] = state[1:]
-            new_state[-1] = xi if not is_ar else z
+            z, state = _step(model, state, model.innovation.sample(rng, particles))
         alive = model.convention.survives(z)
         n_alive = np.count_nonzero(alive)
         fractions[t] = n_alive / particles
         if n_alive == 0:
             raise PopulationExtinct(t)
         idx = systematic_indices(rng.random(), n_alive, particles)
-        state = np.compress(alive, new_state, axis=1).take(idx, axis=1)
+        state = np.compress(alive, state, axis=1).take(idx, axis=1)
 
     log_p = np.cumsum(np.log(fractions))
     p_hat = np.exp(log_p[horizons])

@@ -258,7 +258,7 @@ def test_criterion_10_property_suite(tmp_path):
             {"name": "determinism", "type": "property", "check": "determinism",
              "process": "ar", "coeffs": [0.3],
              "innovation": {"kind": "gaussian", "sd": 1.0},
-             "threads": [1, 2, 8], "mc": {"replicates": 30_000}},
+             "threads": [1, 2, 8], "mc": {"replicates": 2 * sim.BLOCK + 1}},
         ],
     }
     res = harness.run_suite(config, tmp_path / "suite")

@@ -154,10 +154,15 @@ class TestOracleCommand:
         (["--case", "ar1-exponential", "--initial", "point:0"], "p_n needs --n as well"),
         (["--case", "rademacher", "--n", "-1"], "--n must be a nonnegative horizon, got -1"),
         (["--case", "degenerate-ma", "--n", "-2"], "--n must be a nonnegative horizon, got -2"),
+        (["--case", "ar1-uniform", "--n", "5"],
+         "oracle case 'ar1-uniform' does not read --n; "
+         "it is read by ar1-exponential, rademacher, degenerate-ma"),
+        (["--case", "ma1-exponential", "--initial", "point:0"],
+         "oracle case 'ma1-exponential' does not read --initial; it is read by ar1-exponential"),
     ], ids=["n_without_initial", "initial_without_n", "negative_n_rademacher",
-            "negative_n_degenerate"])
+            "negative_n_degenerate", "n_on_ar1_uniform", "initial_on_ma1_exponential"])
     def test_dropped_flag_exits_one(self, capsys, argv, shown):
-        # each printed no pn, or an empty one, and exited 0
+        # each printed no pn, an empty one or one that ignored the flag, and exited 0
         code, out, err = run(capsys, ["oracle", *argv])
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: ") and shown in err
@@ -195,8 +200,9 @@ class TestSimulateCommand:
         assert payload["model"]["process"] == "ar"
 
     def test_stdout_deterministic_in_seed_and_threads(self, capsys):
+        # two full crude blocks and a one-path block, so the threads split the work
         argv = ["simulate", "--process", "ma", "--coeffs", "0.5",
-                "--innovation", "gaussian:1", "--n", "5", "--reps", "30000",
+                "--innovation", "gaussian:1", "--n", "5", "--reps", "131073",
                 "--seed", "9"]
         _, out1, _ = run(capsys, argv + ["--threads", "1"])
         _, out2, _ = run(capsys, argv + ["--threads", "4"])
@@ -279,6 +285,14 @@ class TestSimulateCommand:
             "--threads", threads])
         assert code == 1 and out == ""
         assert err == f"error: ValueError: threads must be a positive count, got {threads}\n"
+
+    def test_non_positive_threads_exit_one_for_splitting(self, capsys):
+        # splitting reads no thread count, and ran and exited 0
+        code, out, err = run(capsys, [
+            "simulate", "--process", "ar", "--coeffs", "0.5", "--n", "3", "--method",
+            "splitting", "--particles", "1000", "--threads", "0"])
+        assert code == 1 and out == ""
+        assert err == "error: ValueError: threads must be a positive count, got 0\n"
 
     def test_all_paths_died_exits_one(self, capsys):
         code, _, err = run(capsys, [

@@ -62,7 +62,7 @@ def test_every_apply_is_traced():
 
 def test_crude_blocks_record_their_draws():
     # a law's direct sampler is a hook of the base class's sample, so the
-    # traced span still holds every draw
+    # traced block span holds every draw: one per step for the paths alive
     tracing = load_tracing()
     tracer = tracing.Tracer()
     laws = (model.Gaussian(), model.Exponential())
@@ -77,6 +77,6 @@ def test_crude_blocks_record_their_draws():
             blocks = {s.sid for s in spans if s.name == "simulate.crude_block"}
             draws = [s for s in spans if s.name == "model.sample"]
             assert len(blocks) == 1
-            assert [s.parent for s in draws] == list(blocks)
+            assert draws and all(s.parent in blocks for s in draws)
     finally:
         tracer.restore()

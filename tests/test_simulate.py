@@ -27,10 +27,24 @@ GE = SurvivalConvention.NON_NEGATIVE
 GT = SurvivalConvention.STRICTLY_POSITIVE
 
 
+def step_path(model, n, rng):
+    """Z_0..Z_n of one path: sim._initial_state, then sim._step per step
+    with one innovation drawn per step (none while AR reads its initial state)."""
+    state = sim._initial_state(model, 1, rng)
+    z = []
+    for t in range(n + 1):
+        if isinstance(model, ARModel) and t < model.order:
+            z.append(state[t, 0])
+        else:
+            zt, state = sim._step(model, state, model.innovation.sample(rng, 1))
+            z.append(zt[0])
+    return np.array(z)
+
+
 class TestPaths:
     def test_ar_path_recursion(self):
         m = ARModel((0.75,), Uniform(-1e-9, 1e-9), PointMass((1.0,)), GE)
-        z = sim.sample_paths(m, 4, 1, substream(0, "p"))[0]
+        z = step_path(m, 4, substream(0, "p"))
         # with near-zero noise the path is the deterministic skeleton
         assert z[0] == pytest.approx(1.0)
         for i in range(1, 5):
@@ -38,13 +52,13 @@ class TestPaths:
 
     def test_ar2_path_skeleton(self):
         m = ARModel((0.5, 0.25), Uniform(-1e-9, 1e-9), PointMass((1.0, 1.0)), GE)
-        z = sim.sample_paths(m, 3, 1, substream(0, "p"))[0]
+        z = step_path(m, 3, substream(0, "p"))
         assert z[0] == pytest.approx(1.0) and z[1] == pytest.approx(1.0)
         assert z[2] == pytest.approx(0.5 * 1.0 + 0.25 * 1.0, abs=1e-7)
         assert z[3] == pytest.approx(0.5 * z[2] + 0.25 * z[1], abs=1e-7)
 
-    # Z_0..Z_5 at substream(5, "path"), pinned from per_step_paths: a change
-    # in the order in which a path consumes its stream moves every value
+    # Z_0..Z_5 at substream(5, "path"): a change in the order in which a path
+    # consumes its stream moves every value
     @pytest.mark.parametrize("coeffs, innovation, initial, expected", [
         ((0.4,), Gaussian(), IIDInnovation(),
          [-0.9081024544769456, -0.9338070469999035, 1.4855026849670603,
@@ -61,25 +75,36 @@ class TestPaths:
     ], ids=["iid", "point", "stationary", "ar2_iid"])
     def test_ar_path_pinned(self, coeffs, innovation, initial, expected):
         m = ARModel(coeffs, innovation, initial, GE)
-        z = sim.sample_paths(m, 5, 1, substream(5, "path"))[0]
+        z = step_path(m, 5, substream(5, "path"))
         assert z.tolist() == pytest.approx(expected, rel=1e-12)
 
     def test_ma_path_telescoping_sum(self):
         # with a_1 = -1, partial sums telescope: sum_0^n Z_i = xi_n - xi_{-1}
         m = MAModel((-1.0,), Gaussian(), GE)
-        z = sim.sample_paths(m, 50, 1, substream(3, "tele"))[0]
+        z = step_path(m, 50, substream(3, "tele"))
         draws = m.innovation.sample(substream(3, "tele"), 52)
         assert z.shape == (51,)
         assert z.sum() == pytest.approx(draws[-1] - draws[0], abs=1e-10)
 
     def test_ma_path_matches_direct_formula(self):
         m = MAModel((0.4, -0.3), Exponential(), GE)
-        stream = substream(1, "ma")
-        z = sim.sample_paths(m, 6, 1, stream)[0]
+        z = step_path(m, 6, substream(1, "ma"))
         draws = m.innovation.sample(substream(1, "ma"), 9)  # xi_{-2}..xi_6
         for i in range(7):
             expected = draws[i + 2] + 0.4 * draws[i + 1] - 0.3 * draws[i]
             assert z[i] == pytest.approx(expected, abs=1e-12)
+
+    def test_step_shifts_the_state(self):
+        # the oldest coordinate leaves; AR keeps z, MA keeps xi as the newest
+        state = np.array([[1.0, 2.0], [3.0, 4.0]])
+        xi = np.array([0.5, -0.5])
+        z, nxt = sim._step(ARModel((0.5, 0.25), Gaussian(), IIDInnovation(), GE), state, xi)
+        assert z.tolist() == [2.25, 2.0]
+        assert nxt.tolist() == [[3.0, 4.0], [2.25, 2.0]]
+        z, nxt = sim._step(MAModel((0.5, 0.25), Gaussian(), GE), state, xi)
+        assert z.tolist() == [2.25, 2.0]
+        assert nxt.tolist() == [[3.0, 4.0], [0.5, -0.5]]
+        assert state.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestCrude:
@@ -123,10 +148,12 @@ class TestCrude:
             sim.estimate_crude(m, [0, 1], 1000, 0)
 
     def test_thread_count_does_not_change_counts(self):
+        # two full blocks and a partial one, so threads take different blocks
         m = ARModel((0.4,), Gaussian(), StationaryAR1Gaussian(0.4), GE)
-        base = sim.estimate_crude(m, [0, 3, 7], 30_000, 9, threads=1)
+        replicates = 2 * sim.BLOCK + 1
+        base = sim.estimate_crude(m, [0, 3, 7], replicates, 9, threads=1)
         for threads in (2, 8):
-            est = sim.estimate_crude(m, [0, 3, 7], 30_000, 9, threads=threads)
+            est = sim.estimate_crude(m, [0, 3, 7], replicates, 9, threads=threads)
             assert np.array_equal(est.counts, base.counts)
 
     @pytest.mark.parametrize("threads", [0, -3])
@@ -143,9 +170,9 @@ class TestCrude:
 
     def test_replicates_not_multiple_of_block(self):
         m = ARModel((0.0,), Gaussian(), IIDInnovation(), GE)
-        est = sim.estimate_crude(m, [0], 5000, 0)
-        assert est.effort == 5000
-        assert est.counts[0] <= 5000
+        est = sim.estimate_crude(m, [0], sim.BLOCK + 1, 0)
+        assert est.effort == sim.BLOCK + 1
+        assert est.counts[0] <= sim.BLOCK + 1
 
     def test_horizons_validation(self):
         m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
@@ -157,76 +184,87 @@ class TestCrude:
             sim.estimate_crude(m, [-1, 2], 1000, 0)
 
 
-# Crude counts at seed 7 with 10,001 replicates (two full blocks and a
-# one-path partial block), pinned from per_step_counts, the path-major
-# reference that draws one innovation per step; the step-major layout must
-# take the same draws. (model, horizons, counts)
+# Crude counts at seed 7 with 2 * BLOCK + 1 = 131,073 replicates (two full
+# blocks and a one-path partial block), pinned from per_step_counts, the
+# path-major reference that draws one innovation per living path per step.
+# (model, horizons, counts)
+DRAW_ORDER_REPLICATES = 2 * sim.BLOCK + 1
 DRAW_ORDER_CASES = {
     "ar1_gauss_iid": (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                      [4981, 3092, 1987, 816, 171]),
+                      [65683, 40517, 25767, 10657, 1989]),
     "ar1_gauss_point": (ARModel((0.4,), Gaussian(), PointMass((0.3,)), GE), [0, 1, 2, 4, 8],
-                        [10001, 5481, 3417, 1417, 273]),
+                        [131073, 71989, 44949, 18389, 3352]),
     "ar1_gauss_stationary": (ARModel((0.4,), Gaussian(), StationaryAR1Gaussian(0.4), GE),
-                             [0, 1, 2, 4, 8], [4981, 3138, 2023, 832, 175]),
+                             [0, 1, 2, 4, 8], [65683, 41156, 26258, 10931, 1992]),
     "ar1_unif_iid": (ARModel((0.4,), Uniform(-1.0, 1.0), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                     [5072, 3061, 1877, 765, 132]),
+                     [65486, 39144, 24221, 9433, 1505]),
     "ar1_unif_point": (ARModel((0.4,), Uniform(-1.0, 1.0), PointMass((0.3,)), GE),
-                       [0, 1, 2, 4, 8], [10001, 5663, 3468, 1351, 206]),
+                       [0, 1, 2, 4, 8], [131073, 73273, 44842, 17485, 2758]),
     "ar1_unif_stationary": (ARModel((0.4,), Uniform(-1.0, 1.0), StationaryAR1Gaussian(0.4), GE),
-                            [0, 1, 2, 4, 8], [4981, 3325, 2091, 823, 115]),
+                            [0, 1, 2, 4, 8], [65683, 44012, 28081, 11106, 1788]),
     "ar1_exp_iid": (ARModel((-0.5,), Exponential(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                    [10001, 6630, 4377, 1946, 394]),
+                    [131073, 87487, 58233, 25963, 5058]),
     "ar1_exp_point": (ARModel((-0.5,), Exponential(), PointMass((0.3,)), GE), [0, 1, 2, 4, 8],
-                      [10001, 8702, 5811, 2539, 512]),
+                      [131073, 112821, 75085, 33330, 6646]),
     "ar1_exp_stationary": (ARModel((-0.5,), Exponential(), StationaryAR1Gaussian(-0.5), GE),
-                           [0, 1, 2, 4, 8], [4981, 3284, 2188, 957, 194]),
+                           [0, 1, 2, 4, 8], [65683, 43837, 29244, 12919, 2569]),
     "ar2_gauss": (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE), [0, 1, 2, 4, 8],
-                  [4985, 2511, 1645, 766, 194]),
+                  [65122, 32634, 21295, 9961, 2432]),
     "ar3_unif_point": (ARModel((0.3, -0.2, 0.1), Uniform(-1.0, 1.0), PointMass((0.1, 0.2, 0.3)),
-                               GE), [0, 2, 3, 7], [10001, 10001, 5353, 525]),
+                               GE), [0, 2, 3, 7], [131073, 131073, 69399, 6425]),
     # horizons shorter than the order: the block draws its initial state only
     "ar3_short": (ARModel((0.3, -0.2, 0.1), Gaussian(), IIDInnovation(), GE), [0, 1],
-                  [4982, 2495]),
+                  [65686, 32876]),
     "ar1_sparse_unsorted": (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [9, 0, 5],
-                            [4981, 568, 112]),
+                            [65683, 6997, 1306]),
     "ar1_rademacher_gt": (ARModel((0.5,), Rademacher(), IIDInnovation(), GT), [0, 1, 2, 3],
-                          [5072, 2564, 1278, 652]),
+                          [65486, 32811, 16331, 8113]),
     "ma1_gauss": (MAModel((1.0,), Gaussian(), GE), [0, 1, 2, 4, 8],
-                  [4966, 3302, 2032, 844, 150]),
+                  [65418, 43641, 27457, 11111, 1816]),
     "ma2_exp": (MAModel((-0.5, 0.3), Exponential(), GE), [0, 1, 2, 4, 8],
-                [7943, 5780, 4332, 2467, 778]),
+                [103694, 76280, 56606, 31920, 10344]),
     "ma1_rademacher_gt": (MAModel((1.0,), Rademacher(), GT), [0, 1, 2, 3],
-                          [2502, 1276, 643, 313]),
+                          [32653, 16253, 8260, 4113]),
 }
 
 
-def per_step_paths(model, n, size, rng):
-    """Reference recursion: path-major, one size-long innovation draw per step."""
-    z = np.empty((size, n + 1))
+def per_step_survivors(model, n, size, rng):
+    """Reference block: the survivors at steps 0..n of `size` paths, from a
+    path-major array, a boolean mask of the living paths, and per step one
+    innovation draw sized to the living paths, written into their rows."""
+    d = model.order
+    alive = np.ones(size, dtype=bool)
+    survivors = []
     if isinstance(model, ARModel):
-        p = model.order
-        z[:, :p] = model.initial.sample(p, rng, size=size)[:, :n + 1]
-        for i in range(p, n + 1):
-            z[:, i] = (sum(a * z[:, i - j] for j, a in enumerate(model.coeffs, start=1))
-                       + model.innovation.sample(rng, size))
-        return z
-    q = model.order
-    xi = model.innovation.sample(rng, (size, n + q + 1))
-    for i in range(n + 1):
-        z[:, i] = (sum(a * xi[:, q + i - j] for j, a in enumerate(model.coeffs, start=1))
-                   + xi[:, q + i])
-    return z
+        z = np.full((size, max(n + 1, d)), np.nan)  # Z_0..Z_n
+        z[:, :d] = model.initial.sample(d, rng, size=size)
+        for i in range(n + 1):
+            if i >= d:
+                xi = np.full(size, np.nan)
+                xi[alive] = model.innovation.sample(rng, np.count_nonzero(alive))
+                z[:, i] = sum(a * z[:, i - j] for j, a in enumerate(model.coeffs, start=1)) + xi
+            alive &= model.convention.survives(z[:, i])
+            survivors.append(np.count_nonzero(alive))
+    else:
+        xi = np.full((size, d + n + 1), np.nan)  # xi_{-d}..xi_n
+        xi[:, :d] = model.innovation.sample(rng, (size, d))
+        for i in range(n + 1):
+            xi[alive, d + i] = model.innovation.sample(rng, np.count_nonzero(alive))
+            z = sum(a * xi[:, d + i - j]
+                    for j, a in enumerate(model.coeffs, start=1)) + xi[:, d + i]
+            alive &= model.convention.survives(z)
+            survivors.append(np.count_nonzero(alive))
+    return survivors
 
 
 def per_step_counts(model, horizons, replicates, seed):
-    """Reference crude counts: per_step_paths on each block's own stream."""
+    """Reference crude counts: per_step_survivors on each block's own stream."""
     horizons = sorted(horizons)
     counts = np.zeros(len(horizons), dtype=np.int64)
     for m, start in enumerate(range(0, replicates, sim.BLOCK)):
         size = min(sim.BLOCK, replicates - start)
-        z = per_step_paths(model, horizons[-1], size, substream(seed, "crude", m))
-        alive = np.logical_and.accumulate(model.convention.survives(z), axis=1)
-        counts += alive[:, horizons].sum(axis=0)
+        survivors = per_step_survivors(model, horizons[-1], size, substream(seed, "crude", m))
+        counts += np.asarray(survivors)[horizons]
     return counts.tolist()
 
 
@@ -234,39 +272,58 @@ class TestDrawOrder:
     @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
     def test_per_step_reference_gives_the_pins(self, name):
         m, horizons, counts = DRAW_ORDER_CASES[name]
-        assert per_step_counts(m, horizons, 10_001, 7) == counts
+        assert per_step_counts(m, horizons, DRAW_ORDER_REPLICATES, 7) == counts
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
     def test_crude_counts_pinned(self, name, threads):
         m, horizons, counts = DRAW_ORDER_CASES[name]
-        est = sim.estimate_crude(m, horizons, 10_001, 7, threads=threads)
+        est = sim.estimate_crude(m, horizons, DRAW_ORDER_REPLICATES, 7, threads=threads)
         assert est.counts.tolist() == counts
-        assert np.array_equal(est.p_hat, np.asarray(counts) / 10_001)
+        assert np.array_equal(est.p_hat, np.asarray(counts) / DRAW_ORDER_REPLICATES)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
     @pytest.mark.parametrize("size", [1, 5, 4096])
     @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CASES))
-    def test_sample_paths_match_per_step_reference(self, name, size, n):
+    def test_block_counts_match_per_step_reference(self, name, size, n):
+        # small blocks die out early, so this also checks the stop
         m = DRAW_ORDER_CASES[name][0]
-        z = sim.sample_paths(m, n, size, substream(2, "ref", n, size))
-        ref = per_step_paths(m, n, size, substream(2, "ref", n, size))
-        assert z.shape == (size, n + 1)
-        assert np.array_equal(z, ref)
+        counts = sim._survival_counts_block(m, np.arange(n + 1), size,
+                                            substream(2, "ref", n, size))
+        assert counts.tolist() == per_step_survivors(m, n, size, substream(2, "ref", n, size))
 
-    # two paths Z_0..Z_3 at substream(5, "block"), pinned from per_step_paths,
-    # the path-major reference
-    @pytest.mark.parametrize("m, expected", [
-        (ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE),
-         [[1.4685396464903988, -0.4132880701175604, -0.1702315695266362, -0.05021147694201136],
-          [-0.8725343065037309, -0.5550925857805066, 0.5796742700110094, 0.9730974285726747]]),
-        (MAModel((-0.5, 0.3), Exponential(), GE),
-         [[0.2762586790816077, 0.42969650586110214, 0.6489500778117604, 0.8664036384489935],
-          [0.43785774821936213, 0.6869666045400262, 0.8552508189389032, 1.0723767731825848]]),
-    ], ids=["ar2", "ma2"])
-    def test_block_paths_pinned(self, m, expected):
-        z = sim.sample_paths(m, 3, 2, substream(5, "block"))
-        assert z.tolist() == expected
+
+class TestDrawAccounting:
+    """Every draw of one crude block, by size: the initial state, then per
+    step one innovation per path alive after the previous step, and nothing
+    once the block is extinct."""
+
+    @pytest.mark.parametrize("m, first_draw", [
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [(1000, 1)]),
+        (ARModel((0.3, 0.2), Uniform(-1.0, 1.0), IIDInnovation(), GE), [(1000, 2)]),
+        (ARModel((-0.5,), Exponential(), PointMass((0.3,)), GE), []),
+        (MAModel((-0.5, 0.3), Exponential(), GE), [(1000, 2)]),
+        (MAModel((1.0,), Rademacher(), GT), [(1000, 1)]),
+        # Z_0 = 1 survives and Z_1 < -9 kills every path: the block stops
+        (ARModel((-10.0,), Uniform(-1.0, 1.0), PointMass((1.0,)), GE), []),
+    ], ids=["ar1", "ar2", "ar1_point", "ma2", "ma1_rademacher", "extinct"])
+    def test_each_step_draws_for_the_survivors(self, monkeypatch, m, first_draw):
+        sizes = []
+        sample = type(m.innovation).sample
+
+        def recorded(law, stream, size=None):
+            sizes.append(size)
+            return sample(law, stream, size)
+
+        monkeypatch.setattr(type(m.innovation), "sample", recorded)
+        horizons = np.arange(12)
+        survivors = sim._survival_counts_block(m, horizons, 1000, substream(4, "acct"))
+        monkeypatch.undo()
+        reads_initial = m.order if isinstance(m, ARModel) else 0
+        alive_before = [1000] + survivors[:-1].tolist()
+        steps = [alive_before[t] for t in range(reads_initial, 12)]
+        expected = first_draw + steps[:steps.index(0) if 0 in steps else None]
+        assert sizes == expected
 
 
 class TestSplitting:
@@ -442,15 +499,16 @@ class TestSystematicIndices:
 
 # Fixed-seed values of every route. The coefficients are asymmetric, so a
 # reversed or shifted coefficient in model.drift moves every value below.
-# The Monte Carlo values are pinned from per_step_counts and
-# reference_splitting, which spell the coefficient order out themselves.
+# The Monte Carlo values are pinned from per_step_counts (at
+# DRAW_ORDER_REPLICATES) and reference_splitting, which spell the
+# coefficient order out themselves.
 COEFFICIENT_ORDER_CASES = [
     (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
-     [10014, 5006, 2813, 1572, 852, 471, 271, 149, 80, 44, 27, 14, 9, 5, 2, 1, 1],
+     [65648, 32644, 18260, 10394, 5770, 3167, 1748, 947, 532, 296, 165, 98, 51, 24, 10, 8, 5],
      [0.0013379222315355037, 8.465551682490946e-09, 5.94329120364211e-14],
      0.5521365107944121),
     (MAModel((0.5, -0.2), Gaussian(), GE),
-     [10028, 6091, 3290, 1817, 980, 527, 291, 166, 92, 45, 22, 15, 9, 7, 4, 1, 1],
+     [65361, 39261, 21120, 12094, 6795, 3865, 2153, 1191, 652, 333, 183, 93, 50, 27, 17, 8, 4],
      [0.001620508523458125, 1.3086173669869438e-08, 1.1301430276757393e-13],
      0.5581422033717083),
 ]
@@ -461,7 +519,7 @@ class TestCoefficientOrder:
                              ids=["ar2", "ma2"])
     def test_routes_match_pinned_values(self, m, counts, split_p, lam):
         for threads in (1, 2):
-            est = sim.estimate_crude(m, range(17), 20_000, 3, threads=threads)
+            est = sim.estimate_crude(m, range(17), DRAW_ORDER_REPLICATES, 3, threads=threads)
             assert est.counts.tolist() == counts
         est = sim.estimate_splitting(m, range(51), 2000, 3)
         assert est.p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
@@ -470,7 +528,7 @@ class TestCoefficientOrder:
     @pytest.mark.parametrize("m, counts, split_p, lam", COEFFICIENT_ORDER_CASES,
                              ids=["ar2", "ma2"])
     def test_references_give_the_pins(self, m, counts, split_p, lam):
-        assert per_step_counts(m, range(17), 20_000, 3) == counts
+        assert per_step_counts(m, range(17), DRAW_ORDER_REPLICATES, 3) == counts
         p_hat, _ = reference_splitting(m, 50, 2000, 3)
         assert p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
 
