@@ -46,9 +46,9 @@ state's suffix, O(N^d) time. Power iteration normalizes its next iterate
 in place, so each step allocates only the apply's result, and it forms the
 residual only on steps where lambda has settled. After each normalization
 the iterate's subnormal entries are set to zero: they weigh nothing at the
-sup-norm scale, but they slow every later matvec several-fold. Building a
-grid loads no scipy: scipy.special loads only for Gaussian laws, through
-their cdf and tail radius, so importing this module loads numpy only.
+sup-norm scale, but they slow every later matvec several-fold. Grids,
+assembly and solves are numpy only, for every law: no path here loads
+scipy.
 """
 
 from __future__ import annotations

@@ -28,6 +28,26 @@ class BracketNotFound(Exception):
     """A root scan failed to bracket a sign change; widen the scan range."""
 
 
+def _bisect(f, lo, hi):
+    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign.
+
+    The bracket is halved until its ends are adjacent floats and its lower
+    end is returned, unless a midpoint is an exact zero of f.
+    """
+    f_lo = f(lo)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+
+
 # ---------------------------------------------------------------------------
 # iid sequences (every coefficient zero)
 
@@ -97,12 +117,9 @@ def _ma1_uniform_root(a, b, tol=1e-12, step=1e-3):
 
     Scanning lambda downward from 1 in small steps finds the first sign
     change, which brackets the largest real root; the bracket is then
-    refined until the equation residual is below tol.
+    bisected down to adjacent floats, and the root must leave an equation
+    residual below tol.
     """
-    # imported here so that `import persistx` does not load scipy.optimize;
-    # only the two root finders use it
-    from scipy.optimize import brentq
-
     # the tan argument hits pi/2 at lam = 2a/((a+b) pi); stay above the pole
     pole = 2.0 * a / ((a + b) * math.pi)
     lam = 1.0
@@ -115,8 +132,7 @@ def _ma1_uniform_root(a, b, tol=1e-12, step=1e-3):
         if f_lo == 0.0:
             return lam_next
         if (f_lo < 0.0) != (f_hi < 0.0):
-            root = brentq(_ma1_uniform_equation, lam_next, lam, args=(a, b),
-                          xtol=1e-15, rtol=8.9e-16)
+            root = _bisect(lambda x: _ma1_uniform_equation(x, a, b), lam_next, lam)
             if abs(_ma1_uniform_equation(root, a, b)) > tol:
                 raise BracketNotFound(
                     f"bracketed root at {root} but residual exceeds tol={tol}"
@@ -276,13 +292,11 @@ def characteristic_root(coeffs):
     def g(rho):
         return sum(aj * rho ** -(j + 1) for j, aj in enumerate(a)) - 1.0
 
-    from scipy.optimize import brentq
-
     lo = 1.0
     hi = 2.0
     for _ in range(200):
         if g(hi) < 0.0:
-            return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            return _bisect(g, lo, hi)
         lo, hi = hi, hi * 2.0
     raise BracketNotFound("characteristic-root scan did not bracket a sign change")
 

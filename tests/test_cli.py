@@ -683,8 +683,44 @@ def fresh_python(code, *args):
 SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 
+# command lines that once loaded scipy: the Gaussian cdf and quantile
+# (scipy.special) and the oracle's root finders (scipy.optimize)
+GAUSSIAN_AND_ROOT_LINES = [
+    ["operator", "--process", "ma", "--coeffs", "1", "--innovation", "gaussian:1",
+     "--M", "8", "--N", "200"],
+    ["sweep", "--kind", "monotonicity", "--process", "ar", "--coeffs", "0",
+     "--innovation", "gaussian:1", "--coeff-grid", "0;0.2", "--N", "100", "--delta", "auto"],
+    ["sweep", "--kind", "convergence", "--process", "ar", "--coeffs", "0.4",
+     "--innovation", "gaussian:1", "--Ms", "4,6", "--Ns", "50,100"],
+    ["compare", "--process", "ar", "--coeffs", "0.4", "--innovation", "gaussian:1",
+     "--reps", "2000", "--N", "100", "--seed", "1"],
+    ["sweep", "--kind", "suite", "--config", "{config}", "--out-dir", "{out_dir}"],
+    ["oracle", "--case", "ma1-uniform", "--a", "1", "--b", "3"],
+    ["compare", "--process", "ar", "--coeffs", "0.8,0.8", "--innovation", "gaussian:1",
+     "--reps", "2000", "--N", "40", "--seed", "1"],
+]
+GAUSSIAN_SUITE = {"seed": 0, "cases": [
+    {"name": "qbound", "type": "property", "check": "qbound", "process": "ma",
+     "coeffs": [0.5, 0.5], "innovation": {"kind": "gaussian", "sd": 1.0},
+     "mc": {"replicates": 2000}},
+    {"name": "truncation", "type": "property", "check": "truncation", "process": "ar",
+     "coeffs": [0.4], "innovation": {"kind": "gaussian", "sd": 1.0}, "operator": {"N": 100}},
+    {"name": "conjugation", "type": "property", "check": "conjugation", "process": "ar",
+     "coeffs": [0.5], "innovation": {"kind": "gaussian", "sd": 1.0}, "operator": {"N": 100}},
+]}
+# runs each line of argv[1] (JSON) through cli.main, quietly; prints the
+# exit code and the scipy modules loaded after each
+RUN_LINES = (
+    "import contextlib, io, json, sys\n"
+    "from persistx import cli\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "        code = cli.main(argv)\n"
+    "    print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+
+
 class TestScipyOnFirstUse:
-    """scipy is imported by the calls that need it, never by `import persistx`."""
+    """No persistx code path imports scipy: not `import persistx`, not any law."""
 
     def test_import_loads_no_scipy(self):
         code = "import sys, persistx, persistx.cli\n" + SCIPY_LOADED
@@ -721,6 +757,24 @@ class TestScipyOnFirstUse:
             "estimate_splitting(m, range(21), 2000, 3)\n"
             + SCIPY_LOADED)
         assert fresh_python(code).strip() == "[]"
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps(GAUSSIAN_SUITE))
+        fill = {"{config}": str(config), "{out_dir}": str(tmp_path / "out")}
+        return json.dumps([[fill.get(tok, tok) for tok in argv]
+                           for argv in GAUSSIAN_AND_ROOT_LINES])
+
+    def test_gaussian_laws_and_root_finders_load_no_scipy(self, lines):
+        out = fresh_python(RUN_LINES, lines).splitlines()
+        assert out == ["0 []"] * len(GAUSSIAN_AND_ROOT_LINES)
+
+    def test_commands_run_where_scipy_cannot_import(self, lines):
+        # a None entry makes every `import scipy...` raise ImportError
+        code = "import sys\nsys.modules['scipy'] = None\n" + RUN_LINES
+        codes = [line.split(" ", 1)[0] for line in fresh_python(code, lines).splitlines()]
+        assert codes == ["0"] * len(GAUSSIAN_AND_ROOT_LINES)
 
     def test_first_gaussian_draw_inside_threads(self):
         # with threads=2 the process draws its first Gaussian inside a worker thread

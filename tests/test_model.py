@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistx import model as model_mod
 from persistx.model import (
     ARModel,
     Exponential,
@@ -83,19 +84,6 @@ class TestDistributionValues:
         with pytest.raises(ValueError):
             Gaussian(0.0)
 
-    @pytest.mark.parametrize("sd", [0.5, 1.0, 3.0])
-    def test_gaussian_is_scipy_special(self, sd):
-        # the law imports ndtr and ndtri on first use: the same ufuncs on the same inputs
-        from scipy.special import ndtr, ndtri
-
-        g = Gaussian(sd)
-        x = np.linspace(-40.0, 40.0, 801)
-        u = np.linspace(0.0, 1.0, 801)
-        assert np.array_equal(g.cdf(x), ndtr(x / sd))
-        assert np.array_equal(g.quantile(u), sd * ndtri(u))
-        for eps in (0.5, 1e-6, 1e-12):
-            assert g.tail_radius(eps) == float(sd * ndtri(1.0 - eps / 2.0))
-
     def test_tail_radius_bounds_tail_mass(self):
         for dist in (Uniform(-1.0, 3.0), Gaussian(1.5), Exponential(), Rademacher()):
             r = dist.tail_radius(1e-6)
@@ -106,6 +94,86 @@ class TestDistributionValues:
         assert Uniform(-1.0, 1.0).exponential_decay_rate() == math.inf
         assert Gaussian(2.0).exponential_decay_rate() == pytest.approx(0.5)
         assert Exponential().exponential_decay_rate() == 1.0
+
+
+class TestStandardNormal:
+    """Gaussian() is Phi: the cephes ndtr and a Newton-refined inverse in
+    numpy, held to scipy.special's ndtr and ndtri as references."""
+
+    def test_cdf_within_8_ulp_of_ndtr(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-1.0, 8.3, 400_001)
+        want = ndtr(x)
+        assert np.all(np.abs(Gaussian().cdf(x) - want) <= 8 * np.spacing(want))
+
+    def test_cdf_lower_tail_relative_to_ndtr(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-37.0, -1.0, 400_001)
+        want = ndtr(x)
+        assert np.all(np.abs(Gaussian().cdf(x) - want) <= 1e-12 * want)
+
+    def test_quantile_within_1e13_of_ndtri(self):
+        from scipy.special import ndtri
+
+        u = np.concatenate([np.geomspace(1e-300, 0.5, 200_001),
+                            1.0 - np.geomspace(1e-15, 0.5, 200_001)])
+        assert np.max(np.abs(Gaussian().quantile(u) - ndtri(u))) <= 1e-13
+
+    def test_cdf_of_quantile_round_trip(self):
+        g = Gaussian()
+        lower = np.geomspace(1e-300, 0.5, 20_001)
+        assert np.all(np.abs(g.cdf(g.quantile(lower)) - lower) <= 1e-12 * lower)
+        u = np.concatenate([np.linspace(0.0, 1.0, 20_001), 1.0 - np.geomspace(1e-15, 0.5, 2001)])
+        assert np.all(np.abs(g.cdf(g.quantile(u)) - u) <= 2.0 ** -52)
+
+    @pytest.mark.parametrize("sd", [0.5, 3.0])
+    def test_scaled_law_matches_scipy(self, sd):
+        from scipy.special import ndtr, ndtri
+
+        g = Gaussian(sd)
+        x = np.linspace(-40.0, 40.0, 801) * sd
+        u = np.linspace(0.0, 1.0, 801)
+        want = ndtr(x / sd)
+        assert np.all(np.abs(g.cdf(x) - want) <= 1e-12 * want)
+        assert np.allclose(g.quantile(u), sd * ndtri(u), rtol=0.0, atol=1e-13 * sd)
+        for eps in (0.5, 1e-6, 1e-12):
+            assert g.tail_radius(eps) == pytest.approx(sd * ndtri(1.0 - eps / 2.0),
+                                                       rel=0.0, abs=1e-13 * sd)
+
+    def test_special_values(self):
+        g = Gaussian()
+        assert g.cdf(-np.inf) == 0.0 and g.cdf(np.inf) == 1.0 and np.isnan(g.cdf(np.nan))
+        assert g.cdf(0.0) == 0.5 and g.cdf(-0.0) == 0.5
+        assert g.quantile(0.0) == -np.inf and g.quantile(1.0) == np.inf
+        assert g.quantile(0.5) == 0.0
+        outside = g.quantile([-1.0, -1e-300, 1.0 + 2.0 ** -52, 2.0, np.nan])
+        assert np.all(np.isnan(outside))
+
+    @pytest.mark.parametrize("method", ["cdf", "quantile"])
+    def test_shapes_kept(self, method):
+        f = getattr(Gaussian(), method)
+        for arg in (0.3, np.float64(0.3), np.array(0.3)):
+            assert np.ndim(f(arg)) == 0 and isinstance(f(arg), np.float64)
+        for shape in ((0,), (2, 3), (3, 0, 2)):
+            assert f(np.full(shape, 0.3)).shape == shape
+        strided = np.linspace(0.01, 0.99, 24).reshape(4, 6)[:, ::2]
+        assert np.array_equal(f(strided), f(strided.copy()))
+
+    def test_chunks_do_not_change_values(self):
+        # a point's value is the same whatever chunk, or chunk position, it falls in
+        n = 2 * model_mod._NDTR_CHUNK + 1
+        x = substream(0, "chunks").uniform(-40.0, 40.0, n)
+        x[::1001] = np.resize([np.nan, np.inf, -np.inf, 0.0], x[::1001].size)
+        g = Gaussian()
+        whole = g.cdf(x)
+        pieces = np.concatenate([g.cdf(x[i:i + 9973]) for i in range(0, n, 9973)])
+        assert np.array_equal(whole, pieces, equal_nan=True)
+        ends = [i + d for i in range(0, n, model_mod._NDTR_CHUNK) for d in (-1, 0, 1)]
+        one = [i for i in sorted(set(ends) | set(range(0, n, 61))) if 0 <= i < n]
+        singles = np.array([g.cdf(x[i]) for i in one])
+        assert np.array_equal(whole[one], singles, equal_nan=True)
 
 
 class TestQuantileCdfInverse:

@@ -295,7 +295,7 @@ class TestLogConcaveConditionalMean:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the root finders import scipy.optimize when called, not at import time
+    # no persistx code imports scipy.optimize: the root finders bisect
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
