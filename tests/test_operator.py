@@ -228,7 +228,7 @@ class TestApply:
         ((0.4,), Gaussian(), 400, 0.3, 0.647769920818495, 15),
         ((-0.5,), Exponential(), 400, 0.3, 0.666647748564583, 3),
         ((0.5, -0.3), Gaussian(), 60, 0.0, 0.552143527351515, 23),
-        ((0.3, 0.2), Gaussian(), 60, "auto", 0.700536421450535, 29),
+        ((0.3, 0.2), Gaussian(), 60, "auto", 0.7005364214623473, 25),
     ], ids=["ar1_gauss_0.4", "ar1_exp_m0.5", "ar2_0.5_m0.3", "ar2_0.3_0.2_auto"])
     def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, delta, lam, iterations):
         res = op.solve_operator(ARModel(coeffs, innovation, IIDInnovation(), GE), n=n, delta=delta)
@@ -491,14 +491,14 @@ class TestMatrixFreeMa:
         kmat = _dense_ma_kmat(m, grid)
         assert np.abs(kop.apply(g) - kmat @ g).max() <= 1e-14 * np.abs(kmat @ g).max()
 
-    # lambda and iterations of the table-based apply this form replaced
+    # lambda and iterations of the matrix-free apply
     @pytest.mark.parametrize("coeffs,innovation,n,lam,iterations", [
         ((1.0,), Gaussian(), 400, 0.6365503548414224, 23),
-        ((-0.99,), Gaussian(), 400, 0.01559607409157369, 12935),
-        ((-0.5,), Exponential(), 400, 0.4999998004999089, 33),
-        ((0.5, -0.2), Gaussian(), 100, 0.5583245207760867, 29),
+        ((-0.99,), Gaussian(), 400, 0.01559514468294227, 4373),
+        ((-0.5,), Exponential(), 400, 0.4999998004420251, 25),
+        ((0.5, -0.2), Gaussian(), 100, 0.5583245207830102, 25),
         ((0.5, 0.5), Gaussian(), 100, 0.6801429268434205, 29),
-        ((0.3, 0.3, 0.3), Gaussian(), 20, 0.6779448128950532, 39),
+        ((0.3, 0.3, 0.3), Gaussian(), 20, 0.677944812933027, 33),
     ], ids=["ma1_gauss_1", "ma1_gauss_m0.99", "ma1_exp_m0.5", "ma2_0.5_m0.2", "ma2_0.5_0.5",
             "ma3_0.3"])
     def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, lam, iterations):
@@ -529,16 +529,34 @@ class TestMatrixFreeMa:
 
 
 def _eager_power_iteration(kop, tol=1e-10, max_iter=50000):
-    """Power iteration that forms the residual on every step: (lam, it, residual, psi)."""
+    """spectral_radius's loop, forming the residual on every step and with
+    fresh arrays throughout: (lam, it, residual, psi). The Ritz pair comes
+    from the same op._ritz_pair, over the last op.RITZ_BLOCK iterates."""
     v = np.ones((kop.grid.n,) * kop.grid.d)
-    lam_prev = math.inf
+    iterates, lams = [], []
+    check, ritz = op.RITZ_FIRST, None
+    lam_prev = theta_prev = math.inf
     for it in range(1, max_iter + 1):
         w = kop.apply(v)
         lam = float(w.max())
-        residual = float(np.abs(w - v * lam).max())
-        if residual < tol * max(1.0, lam) and abs(lam - lam_prev) < tol:
-            return lam, it, residual, v
+        estimate = lam if ritz is None else ritz
+        residual = float(np.abs(w - v * estimate).max())
+        settled = ritz is not None or abs(lam - lam_prev) < tol
+        if residual < tol * max(1.0, estimate) and settled:
+            return estimate, it, residual, v
+        ritz = None
+        iterates = (iterates + [v.reshape(-1).copy()])[-op.RITZ_BLOCK:]
+        lams = (lams + [lam])[-op.RITZ_BLOCK:]
         v = w / lam
+        if it == check:
+            check += max(op.RITZ_FIRST, it // op.RITZ_SPACING)
+            u = np.empty(v.size)
+            theta, block_residual = op._ritz_pair(np.array(iterates), np.array(lams),
+                                                  w.reshape(-1), u, np.empty(v.size))
+            if abs(theta - theta_prev) < tol and block_residual < tol * max(1.0, theta):
+                ritz = theta
+                v = np.maximum(u, 0.0).reshape(v.shape)
+            theta_prev = theta
         v[v < np.finfo(float).tiny] = 0.0
         lam_prev = lam
     raise AssertionError("reference power iteration did not converge")
@@ -596,24 +614,39 @@ class TestPowerIteration:
         assert (res.lam, res.iterations, res.residual) == (lam, it, residual)
         assert res.psi.tobytes() == psi.tobytes()
 
-    def test_periodic_kernel_ends_in_named_error(self):
+    def test_periodic_kernel_yields_its_perron_root(self):
         # a permutation-like kernel drives power iteration into a 2-cycle
-        # (estimates 2, 0.5, 2, ...); that ends in an error, never a wrong lambda
+        # (estimates 2, 0.5, 2, ...); the Ritz block spans both phases and
+        # holds the Perron pair rho = 1, psi = (1, 0.5)
         grid = op.build_grid(0.0, 1.0, 2)
         kmat = np.array([[0.0, 2.0], [0.5, 0.0]])
         kop = op.DiscretizedOperator(grid, kmat)
-        with pytest.raises(op.MaxIterationsExceeded):
-            op.spectral_radius(kop, tol=1e-12, max_iter=200)
+        res = op.spectral_radius(kop, tol=1e-12, max_iter=200)
+        assert res.lam == pytest.approx(1.0, abs=1e-12)
+        assert res.psi == pytest.approx([1.0, 0.5], abs=1e-12)
+        assert res.residual < 1e-12
 
     def test_slow_mixing_ma1_pinned_without_subnormals(self):
-        # MA(1) a1=-1 mixes slowly: 4,691 iterations drive the iterate's tail
+        # MA(1) a1=-1 mixes slowly: 3,874 iterations drive the iterate's tail
         # below the normal range, where it is flushed to zero
         m = MAModel((-1.0,), Gaussian(), GE)
         res = op.solve_operator(m, n=400)
-        assert res.lam == pytest.approx(0.015178141722145669, abs=1e-12)
-        assert res.iterations == 4691
+        assert res.lam == pytest.approx(0.015178073361816272, abs=1e-12)
+        assert res.iterations == 3874
         tiny = np.finfo(float).tiny
         assert not np.any((res.psi > 0.0) & (res.psi < tiny))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        kop = op.DiscretizedOperator(op.build_grid(0.0, 1.0, 2), np.eye(2))
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            op.spectral_radius(kop, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "10"])
+    def test_max_iter_must_be_a_positive_count(self, max_iter):
+        kop = op.DiscretizedOperator(op.build_grid(0.0, 1.0, 2), np.eye(2))
+        with pytest.raises(ValueError, match="max_iter"):
+            op.spectral_radius(kop, max_iter=max_iter)
 
     @pytest.mark.parametrize("model,delta", [
         (ARModel((0.3,), Gaussian(), IIDInnovation(), GE), "auto"),
@@ -626,6 +659,35 @@ class TestPowerIteration:
         assert payload["grid"]["n"] == 60
         # the AR tilt as resolved from "auto"; the MA kernel takes none
         assert payload["delta"] == (op.default_delta(model) if isinstance(model, ARModel) else 0.0)
+
+
+def _dense_kernel(kop):
+    """A d = 1 operator as a matrix, column by column from apply."""
+    return np.column_stack([kop.apply(e) for e in np.eye(kop.grid.n)])
+
+
+class TestDenseReference:
+    # (model, N, delta, gate on |lambda - dense Perron root|); the gate is
+    # looser only where the top two eigenvalues nearly meet (lambda_2 /
+    # lambda_1 = 0.99995 at a1 = -0.99 and 0.9985 at a1 = -1)
+    @pytest.mark.parametrize("model,n,delta,gate", [
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 400, 0.3, 1e-10),
+        (ARModel((0.9,), Gaussian(), IIDInnovation(), GE), 400, "auto", 1e-10),
+        (ARModel((-1.0,), Uniform(-1.0, 1.0), IIDInnovation(), GE), 400, 0.0, 1e-10),
+        (ARModel((-0.5,), Exponential(), IIDInnovation(), GE), 400, 0.3, 1e-10),
+        (MAModel((1.0,), Gaussian(), GE), 400, 0.0, 1e-10),
+        (MAModel((-0.5,), Exponential(), GE), 400, 0.0, 1e-10),
+        (MAModel((-0.99,), Gaussian(), GE), 400, 0.0, 1e-8),
+        (MAModel((-1.0,), Gaussian(), GE), 400, 0.0, 1e-8),
+    ], ids=["ar1_gauss_0.4_tilted", "ar1_gauss_0.9_auto", "ar1_unif_m1", "ar1_exp_m0.5",
+            "ma1_gauss_1", "ma1_exp_m0.5", "ma1_gauss_m0.99", "ma1_gauss_m1"])
+    def test_lambda_is_the_dense_perron_root(self, model, n, delta, gate):
+        kop = op.assemble(model, op.default_grid(model, None, n), delta=delta)
+        lam_dense = float(np.linalg.eigvals(_dense_kernel(kop)).real.max())
+        res = op.spectral_radius(kop)
+        assert abs(res.lam - lam_dense) <= gate
+        assert res.psi.min() >= 0.0
+        assert res.psi.max() == 1.0
 
 
 class TestReferenceValues:

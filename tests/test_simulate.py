@@ -510,7 +510,7 @@ COEFFICIENT_ORDER_CASES = [
     (MAModel((0.5, -0.2), Gaussian(), GE),
      [65361, 39261, 21120, 12094, 6795, 3865, 2153, 1191, 652, 333, 183, 93, 50, 27, 17, 8, 4],
      [0.001620508523458125, 1.3086173669869438e-08, 1.1301430276757393e-13],
-     0.5581422033717083),
+     0.558142203379211),
 ]
 
 
