@@ -6,8 +6,10 @@ s(x) = sum_j a_j x_{p+1-j}; the substituted variable z shares the grid with
 the state, so the discretization needs no interpolation in z. Each kernel
 row is assembled from exact innovation mass per grid cell (CDF
 differences), which keeps the rank-one i.i.d. case and bounded-support
-truncations exact; past a size budget, rows are interpolated linearly in
-the drift instead (assemble_ar).
+truncations exact. The kernel form follows the model alone (assemble_ar):
+AR(1) and laws with a support endpoint keep the exact table, AR of order
+>= 2 on a law supported on the whole line interpolates its rows linearly
+in the drift, and MA is stored as suffix sums.
 
 The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
@@ -37,14 +39,13 @@ is built once per N: later grids of the same N rescale the cached rule, and
 grids on the same axis share the rescaled arrays. The exact AR kernel table
 is filled in slabs of its leading axis, so memory is the table (N^(d+1)
 floats) plus one slab. One exact AR apply is a batched matrix-vector
-product (np.matmul) on a strided view of the table, not a copy of it. An AR
-kernel of order d >= 2 on a law supported on the whole line
-whose exact table would exceed EXACT_TABLE_BUDGET entries (2^21, 16 MB) is
-tabulated over the drift instead: L = 8N drift nodes, O(L*N + N^d) memory,
-and one apply is one GEMM of the (L, N) table with g's rows plus two
-gathers, O(L*N^d) time. MA memory is O(N^d): one MA apply is a suffix sum
-of the weighted iterate along the new coordinate plus a gather of each
-state's suffix, O(N^d) time. Power iteration normalizes its next iterate
+product (np.matmul) on a strided view of the table, not a copy of it. A
+drift table has L = 8N drift nodes, O(L*N + N^d) memory, and one apply is
+one GEMM of the (L, N) table with g's rows plus two gathers, O(L*N^d)
+time: an AR(2) solve at N = 128 peaks at 4.5 MB, one on the exact table
+at 20.0 MB. MA memory is O(N^d): one MA apply is a suffix sum of the
+weighted iterate along the new coordinate plus a gather of each state's
+suffix, O(N^d) time. Power iteration normalizes its next iterate
 in place, so each step allocates only the apply's result, and it forms the
 residual only on steps where lambda has settled. After each normalization
 the iterate's subnormal entries are set to zero: they weigh nothing at the
@@ -327,10 +328,8 @@ class DiscretizedOperator:
 
 # entries per assembly slab of assemble_ar
 _SLAB = 1 << 16
-# an AR kernel of order >= 2 on a law supported on the whole line whose exact
-# table would hold more entries than this is tabulated over the drift, on
-# DRIFT_NODES_PER_NODE drift nodes per grid node
-EXACT_TABLE_BUDGET = 1 << 21
+# an AR kernel of order >= 2 on a law supported on the whole line is
+# tabulated over the drift, on DRIFT_NODES_PER_NODE drift nodes per grid node
 DRIFT_NODES_PER_NODE = 8
 
 
@@ -347,16 +346,18 @@ def assemble_ar(model, grid, delta=0.0):
     entry is multiplied by h(x')/h(x) = exp(delta (z - x_1)), a diagonal
     similarity that leaves the spectral radius unchanged.
 
-    The row depends on x only through s(x). So for order >= 2, an innovation
-    law supported on the whole line, and an exact table past
-    EXACT_TABLE_BUDGET entries, the rows are tabulated on L =
-    DRIFT_NODES_PER_NODE * n uniform drift nodes spanning the states' drift
-    range, and each state interpolates linearly between its two nodes. The
-    tilt's exp(delta z) scales the table's columns and its exp(-delta x_1)
-    each state's weights, so every entry stays nonnegative and the tilt stays
-    an exact similarity. A law with a support endpoint keeps the exact table:
-    its cell masses have a kink in s that linear interpolation resolves
-    poorly.
+    The form follows the model alone, at every n:
+    - AR(1), and any order on a law with a support endpoint (uniform,
+      exponential), keep the exact table of shape (n,)*d + (n,). A support
+      endpoint puts a kink in s into the cell masses, which linear
+      interpolation resolves poorly.
+    - Order >= 2 on a law supported on the whole line (the Gaussian) is
+      tabulated over the drift: the row depends on x only through s(x), so
+      the rows are tabulated on L = DRIFT_NODES_PER_NODE * n uniform drift
+      nodes spanning the states' drift range, and each state interpolates
+      linearly between its two nodes. The tilt's exp(delta z) scales the
+      table's columns and its exp(-delta x_1) each state's weights, so every
+      entry stays nonnegative and the tilt stays an exact similarity.
     """
     if not isinstance(model, ARModel):
         raise ValueError("assemble_ar expects an AR model")
@@ -371,8 +372,7 @@ def assemble_ar(model, grid, delta=0.0):
         raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
     n = grid.n
     delta = float(delta)
-    if (d >= 2 and n ** (d + 1) > EXACT_TABLE_BUDGET
-            and model.innovation.support == (-math.inf, math.inf)):
+    if d >= 2 and model.innovation.support == (-math.inf, math.inf):
         return _assemble_drift_table(model, grid, delta)
     cols = _coordinates(grid)
     edges = grid.edges.reshape((1,) * d + (-1,))

@@ -244,7 +244,6 @@ class PersistenceEstimate:
     seed: int
     counts: np.ndarray = None
     fractions: np.ndarray = None
-    window_slopes: np.ndarray = None
     window: tuple = None
     lambda_hat: float = math.nan
     half_width: float = math.nan
@@ -296,12 +295,6 @@ def default_window(p_hat):
 
 
 def _finish_estimate(method, horizons, p_hat, se, log_var, counts, effort, seed, fractions):
-    slopes = np.full(max(len(horizons) - 1, 0), np.nan)
-    for j in range(len(horizons) - 1):
-        if p_hat[j] > 0 and p_hat[j + 1] > 0:
-            slopes[j] = (math.log(p_hat[j + 1]) - math.log(p_hat[j])) / (
-                horizons[j + 1] - horizons[j]
-            )
     est = PersistenceEstimate(
         method=method,
         horizons=horizons,
@@ -312,7 +305,6 @@ def _finish_estimate(method, horizons, p_hat, se, log_var, counts, effort, seed,
         fractions=fractions,
         effort=effort,
         seed=seed,
-        window_slopes=slopes,
     )
     lo, hi = default_window(p_hat)
     est.window = (int(lo), int(hi))

@@ -156,7 +156,8 @@ class TestAssembleAr:
             op.assemble_ar(m, grid)
 
     def test_ar2_operator_shape_and_apply(self):
-        m = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
+        # a law with a support endpoint keeps the exact table at order 2
+        m = ARModel((0.3, 0.2), Exponential(), IIDInnovation(), GE)
         grid = op.build_grid(0.0, 4.0, 12, d=2)
         kop = op.assemble_ar(m, grid)
         assert kop.kmat.shape == (12, 12, 12)
@@ -200,7 +201,7 @@ class TestSlabAssembly:
     @pytest.mark.parametrize("coeffs,innovation,n", [
         ((0.4,), Gaussian(), 400),
         ((-0.7,), Exponential(), 300),
-        ((0.3, 0.2), Gaussian(), 60),
+        ((0.3, 0.2), Uniform(-1.0, 1.0), 60),
         ((0.5, -0.3), Exponential(), 45),
     ])
     @pytest.mark.parametrize("delta", [0.0, 0.35])
@@ -214,7 +215,8 @@ class TestSlabAssembly:
 class TestApply:
     @pytest.mark.parametrize("coeffs,n", [((0.3, 0.2), 50), ((0.3, 0.2, 0.1), 14)])
     def test_matches_einsum(self, coeffs, n):
-        m = ARModel(coeffs, Gaussian(), IIDInnovation(), GE)
+        # the exact table at order >= 2 serves the laws with a support endpoint
+        m = ARModel(coeffs, Exponential(), IIDInnovation(), GE)
         kop = op.assemble_ar(m, op.default_grid(m, 6.0, n), delta=0.3)
         d = len(coeffs)
         g = np.random.default_rng(5).random((n,) * d)
@@ -227,8 +229,8 @@ class TestApply:
     @pytest.mark.parametrize("coeffs,innovation,n,delta,lam,iterations", [
         ((0.4,), Gaussian(), 400, 0.3, 0.647769920818495, 15),
         ((-0.5,), Exponential(), 400, 0.3, 0.666647748564583, 3),
-        ((0.5, -0.3), Gaussian(), 60, 0.0, 0.552143527351515, 23),
-        ((0.3, 0.2), Gaussian(), 60, "auto", 0.7005364214623473, 25),
+        ((0.5, -0.3), Gaussian(), 60, 0.0, 0.5521435068094849, 23),
+        ((0.3, 0.2), Gaussian(), 60, "auto", 0.7005364266035168, 25),
     ], ids=["ar1_gauss_0.4", "ar1_exp_m0.5", "ar2_0.5_m0.3", "ar2_0.3_0.2_auto"])
     def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, delta, lam, iterations):
         res = op.solve_operator(ARModel(coeffs, innovation, IIDInnovation(), GE), n=n, delta=delta)
@@ -245,56 +247,83 @@ def _dense_drift_kmat(kop):
     return rows.reshape((n,) * d + (n,))
 
 
-# the smallest AR(2) grid whose exact table (n^3 entries) exceeds the budget
-PAST_BUDGET = 129
+# the AR(2) grid size of the drift-table tests
+N_DRIFT = 129
 AR2 = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
 
 
 class TestDriftTable:
-    def test_tabulated_past_the_budget_only(self):
-        assert (PAST_BUDGET - 1) ** 3 <= op.EXACT_TABLE_BUDGET < PAST_BUDGET ** 3
-        kop = op.assemble_ar(AR2, op.default_grid(AR2, None, PAST_BUDGET))
-        assert kop.kmat.shape == (op.DRIFT_NODES_PER_NODE * PAST_BUDGET, PAST_BUDGET)
-        inside = op.assemble_ar(AR2, op.default_grid(AR2, None, PAST_BUDGET - 1))
-        assert inside.kmat.shape == (PAST_BUDGET - 1,) * 3
-
-    @pytest.mark.parametrize("model, n", [
-        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), PAST_BUDGET),
-        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 1500),
-    ], ids=["exponential_ar2", "gaussian_ar1"])
-    def test_support_endpoint_and_order_one_keep_the_exact_table(self, model, n):
+    # the kernel form follows the order and the law's support, at every n
+    @pytest.mark.parametrize("model, n, tabulated", [
+        (AR2, 12, True),
+        (AR2, 60, True),
+        (AR2, 128, True),
+        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), 12, False),
+        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), N_DRIFT, False),
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 1500, False),
+    ], ids=["gaussian_ar2_12", "gaussian_ar2_60", "gaussian_ar2_128", "exponential_ar2_12",
+            "exponential_ar2_129", "gaussian_ar1_1500"])
+    def test_kernel_form_follows_the_law(self, model, n, tabulated):
         grid = op.default_grid(model, None, n)
         kop = op.assemble_ar(model, grid, delta=0.3)
-        assert kop.kmat.shape == (n,) * (model.order + 1)
-        assert np.array_equal(kop.kmat, _one_shot_kmat(model, grid, 0.3))
+        if tabulated:
+            assert kop.kmat.shape == (op.DRIFT_NODES_PER_NODE * n, n)
+            assert kop.start is not None
+        else:
+            assert kop.kmat.shape == (n,) * (model.order + 1)
+            assert kop.start is None
+            assert np.array_equal(kop.kmat, _one_shot_kmat(model, grid, 0.3))
 
-    def test_lambda_within_one_percent_of_the_discretization_error(self):
-        delta = op.default_delta(AR2)
-        grid = op.default_grid(AR2, None, PAST_BUDGET)
-        lam = op.spectral_radius(op.assemble_ar(AR2, grid, delta=delta)).lam
-        exact = op.DiscretizedOperator(grid, _one_shot_kmat(AR2, grid, delta), delta)
+    @pytest.mark.parametrize("coeffs, n", [
+        ((0.3, 0.2), 16),
+        ((0.3, 0.2), 60),
+        ((0.3, 0.2), 128),
+        ((0.5, -0.3), 16),
+        ((0.3, 0.2, 0.1), 20),
+        ((0.3, 0.2, 0.1), 38),
+    ], ids=["ar2_0.3_0.2_16", "ar2_0.3_0.2_60", "ar2_0.3_0.2_128", "ar2_0.5_m0.3_16",
+            "ar3_0.3_0.2_0.1_20", "ar3_0.3_0.2_0.1_38"])
+    def test_lambda_within_one_percent_of_the_discretization_error(self, coeffs, n):
+        # the exact table on the same grid is the reference, down to small n
+        m = ARModel(coeffs, Gaussian(), IIDInnovation(), GE)
+        delta = op.default_delta(m)
+        grid = op.default_grid(m, None, n)
+        lam = op.spectral_radius(op.assemble_ar(m, grid, delta=delta)).lam
+        exact = op.DiscretizedOperator(grid, _one_shot_kmat(m, grid, delta), delta)
         lam_exact = op.spectral_radius(exact).lam
-        lam_half = op.solve_operator(AR2, n=PAST_BUDGET // 2, delta=delta).lam
+        lam_half = op.solve_operator(m, n=n // 2, delta=delta).lam
         assert abs(lam - lam_exact) <= 0.01 * abs(lam_exact - lam_half)
 
+    def test_ar2_solve_peaks_below_the_exact_table(self):
+        # the exact AR(2) table at N = 128 alone would take 128^3 * 8 B =
+        # 16.8 MB; the drift table's solve peaks at about 4.5 MB
+        op.solve_operator(AR2, n=10)
+        tracemalloc.start()
+        try:
+            op.solve_operator(AR2, n=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_apply_matches_dense_interpolated_kernel(self):
-        kop = op.assemble_ar(AR2, op.default_grid(AR2, None, PAST_BUDGET), delta=0.3)
-        g = np.random.default_rng(5).random((PAST_BUDGET,) * 2)
+        kop = op.assemble_ar(AR2, op.default_grid(AR2, None, N_DRIFT), delta=0.3)
+        g = np.random.default_rng(5).random((N_DRIFT,) * 2)
         expected = _dense_apply(_dense_drift_kmat(kop), g)
         assert np.abs(kop.apply(g) - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_entries_and_images_nonnegative(self):
-        kop = op.assemble(AR2, op.default_grid(AR2, None, PAST_BUDGET), delta="auto")
+        kop = op.assemble(AR2, op.default_grid(AR2, None, N_DRIFT), delta="auto")
         assert kop.kmat.min() >= 0.0 and kop.coef.min() >= 0.0
-        g = np.random.default_rng(3).random((PAST_BUDGET,) * 2)
+        g = np.random.default_rng(3).random((N_DRIFT,) * 2)
         assert kop.apply(g).min() >= 0.0
         case = {"process": "ar", "coeffs": [0.3, 0.2], "innovation": {"kind": "gaussian"},
-                "operator": {"N": PAST_BUDGET, "delta": "auto"}}
+                "operator": {"N": N_DRIFT, "delta": "auto"}}
         ok, details = harness._prop_nonnegativity(case, 0)
         assert ok and details["min_entry_or_image"] >= 0.0
 
     def test_tilt_leaves_lambda_unchanged(self):
-        grid = op.default_grid(AR2, None, PAST_BUDGET)
+        grid = op.default_grid(AR2, None, N_DRIFT)
         lams = [op.spectral_radius(op.assemble_ar(AR2, grid, delta=d)).lam
                 for d in (0.0, 0.1, 0.5)]
         assert max(lams) - min(lams) <= 1e-8
@@ -756,7 +785,7 @@ class TestSweeps:
         (MAModel((2.0,), Gaussian(), GE), [1.5, 3.0, 6.0], 200, 0.0),
         (MAModel((-0.5,), Exponential(), GE), [2.0, 4.0, 9.0], 200, 0.0),
         (MAModel((0.5, -0.2), Gaussian(), GE), [2.0, 4.0, 6.0], 60, 0.0),
-        (AR2, [2.0, 4.0, 6.0], PAST_BUDGET, "auto"),
+        (AR2, [2.0, 4.0, 6.0], N_DRIFT, "auto"),
     ], ids=["exact_ar1_gauss", "exact_ar2_exp", "ma1_gauss_2", "ma1_exp_m0.5", "ma2_gauss",
             "drift_table"])
     def test_truncation_family_restricts_the_largest_member(self, monkeypatch, model, ms, n,

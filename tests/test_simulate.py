@@ -506,7 +506,7 @@ COEFFICIENT_ORDER_CASES = [
     (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
      [65648, 32644, 18260, 10394, 5770, 3167, 1748, 947, 532, 296, 165, 98, 51, 24, 10, 8, 5],
      [0.0013379222315355037, 8.465551682490946e-09, 5.94329120364211e-14],
-     0.5521365107944121),
+     0.5521364679494509),
     (MAModel((0.5, -0.2), Gaussian(), GE),
      [65361, 39261, 21120, 12094, 6795, 3865, 2153, 1191, 652, 333, 183, 93, 50, 27, 17, 8, 4],
      [0.001620508523458125, 1.3086173669869438e-08, 1.1301430276757393e-13],
