@@ -4,8 +4,8 @@ Subcommands: simulate (Monte Carlo estimates), operator (discretized spectral
 problem), oracle (closed forms), compare (cross-validate routes on one case),
 sweep (convergence / monotonicity / continuity / full suite). All output is
 canonical JSON with floats at 17 significant digits, so identical invocations
-produce identical bytes. Exit codes: 0 success, 1 computation or validation
-failure, 2 usage error.
+produce identical bytes. Exit codes: 0 success, 1 computation, validation or
+I/O failure (a file that cannot be read or written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from . import simulate as simulate_mod
 from .harness import ConfigError, canonical_json
 from .model import (
     INNOVATIONS,
-    MA_TAKES_NO_INITIAL,
-    ARModel,
     Exponential,
-    MAModel,
     RequestedDensityOfAtomicLaw,
     SurvivalConvention,
     initial_from_json,
     innovation_from_json,
+    model_from_json,
 )
 
 COMPUTE_ERRORS = (
@@ -42,6 +40,7 @@ COMPUTE_ERRORS = (
     RequestedDensityOfAtomicLaw,
     ConfigError,
     ValueError,
+    OSError,
 )
 
 
@@ -73,38 +72,40 @@ def float_or_auto(text):
 
 
 def parse_initial(text, innovation):
-    """Map iid | point:v1,... | stationary:a1 onto a JSON initial law and build it."""
+    """Build the initial law of iid | point:v1,... | stationary:a1 (_initial_json)."""
+    return initial_from_json(_initial_json(text), innovation)
+
+
+def _initial_json(text):
+    """Map iid | point:v1,... | stationary:a1 onto a JSON initial law."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "iid":
         if rest.strip():
             raise ValueError(f"iid initial law takes no parameters, got {rest.strip()!r}")
-        obj = {"kind": "iid"}
-    elif kind == "point":
+        return {"kind": "iid"}
+    if kind == "point":
         values = _parse_floats(rest)
         if not values:
             raise ValueError("point initial law needs values, e.g. point:0.0")
-        obj = {"kind": "point_mass", "values": values}
-    elif kind == "stationary":
+        return {"kind": "point_mass", "values": values}
+    if kind == "stationary":
         params = _parse_floats(rest)
         if len(params) != 1:
             raise ValueError("stationary initial law takes one parameter, a1")
-        obj = {"kind": "stationary_ar1_gaussian", "a1": params[0]}
-    else:
-        raise ValueError(f"unknown initial law {kind!r}")
-    return initial_from_json(obj, innovation)
+        return {"kind": "stationary_ar1_gaussian", "a1": params[0]}
+    raise ValueError(f"unknown initial law {kind!r}")
 
 
 def build_model(args):
-    coeffs = _parse_floats(args.coeffs)
-    innovation = parse_innovation(args.innovation)
-    convention = SurvivalConvention(args.convention)
-    if args.process == "ar":
-        initial = parse_initial("iid" if args.init is None else args.init, innovation)
-        return ARModel(coeffs, innovation, initial, convention)
+    """The model of the model flags, built by model_from_json from their schema."""
+    obj = {"process": args.process, "coeffs": _parse_floats(args.coeffs),
+           "innovation": parse_innovation(args.innovation).to_json(),
+           "convention": args.convention}
     if args.init is not None:
-        raise ValueError(MA_TAKES_NO_INITIAL)
-    return MAModel(coeffs, innovation, convention)
+        # the schema refuses an MA model any initial law, so only AR reads the text
+        obj["initial"] = _initial_json(args.init) if args.process == "ar" else args.init
+    return model_from_json(obj)
 
 
 def add_model_arguments(sub, process_required=True):
@@ -162,11 +163,11 @@ def cmd_simulate(args):
 
 def cmd_operator(args):
     model = build_model(args)
+    if args.eigenfunction and model.order != 1:
+        raise ValueError("--eigenfunction output requires a one-dimensional grid")
     res = operator_mod.solve_operator(model, m=args.M, n=args.N, delta=args.delta)
     payload = {"model": model.to_json(), "result": res.to_json()}
     if args.eigenfunction:
-        if res.grid.d != 1:
-            raise ValueError("--eigenfunction output requires a one-dimensional grid")
         with open(args.eigenfunction, "w") as fh:
             fh.write("x,psi\n")
             for x, v in zip(res.grid.nodes, res.psi):

@@ -126,7 +126,7 @@ def detect_oracle(model):
             return None, info, EXPLORATORY_LABEL
         if regime["regime"] == "supercritical":
             info["characteristic_root"] = regime["characteristic_root"]
-            return 1.0, info, None
+            return regime["exponent"], info, None
     elif regime["degenerate"]:
         info["degenerate"] = True
         return 0.0, info, DEGENERATE_LABEL
@@ -421,8 +421,8 @@ def _prop_truncation(case, seed):
 
 
 def _ma_p0(model):
-    """P(Z_0 >= 0) for an MA model, computed, not sampled: exact over the
-    2^(q+1) sign patterns of a Rademacher law, else E[1 - F(-s)], s the drift
+    """P(Z_0 >= 0) for an MA model, computed, not sampled: exact for a
+    Rademacher law (oracle.rademacher_ma_pn), else E[1 - F(-s)], s the drift
     of xi_{-q}..xi_{-1}, on a q-fold Gauss-Legendre rule in u = F(xi)."""
     q = model.order
     # the rule takes the largest N with N^q <= 2^18 nodes, at most 2000; at
@@ -431,9 +431,7 @@ def _ma_p0(model):
         raise ConfigError(f"qbound computes p_0 for MA orders 1 to 4, got order {q}")
     innov = model.innovation
     if isinstance(innov, Rademacher):
-        xi = 2.0 * np.indices((2,) * (q + 1)) - 1.0
-        z0 = drift(model.coeffs, xi[:q]) + xi[q]
-        return int(np.count_nonzero(model.convention.survives(z0))) / z0.size
+        return oracle_mod.rademacher_ma_pn(model, 0)
     x, w = operator_mod.leggauss(min(2000, int(2.0 ** (18 / q))))
     xi = innov.quantile((x + 1.0) / 2.0)
     # xi_{k-q} varies along axis k of the tensor grid

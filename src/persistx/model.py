@@ -660,10 +660,6 @@ def convention_from_json(tag):
     raise ValueError(f"unknown convention {tag!r} (expected 'ge' or 'gt')")
 
 
-# the schema's error for an MA model given an initial law; the CLI raises it too
-MA_TAKES_NO_INITIAL = "MA models take no initial law; the state is built from innovations"
-
-
 def model_from_json(obj):
     """Build an ARModel or MAModel from the experiment schema.
 
@@ -692,5 +688,5 @@ def model_from_json(obj):
         initial = initial_from_json(obj.get("initial"), innovation)
         return ARModel(coeffs, innovation, initial, convention)
     if "initial" in obj:
-        raise ValueError(MA_TAKES_NO_INITIAL)
+        raise ValueError("MA models take no initial law; the state is built from innovations")
     return MAModel(coeffs, innovation, convention)

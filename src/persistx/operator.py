@@ -36,16 +36,17 @@ last iterates.
 Cost. The Gauss-Legendre rule is Newton's method on the three-term
 recurrence, O(N^2) in numpy (numpy's leggauss is an O(N^3) eigen-solve), and
 is built once per N: later grids of the same N rescale the cached rule, and
-grids on the same axis share the rescaled arrays. The exact AR kernel table
-is filled in slabs of its leading axis, so memory is the table (N^(d+1)
-floats) plus one slab. One exact AR apply is a batched matrix-vector
-product (np.matmul) on a strided view of the table, not a copy of it. A
-drift table has L = 8N drift nodes, O(L*N + N^d) memory, and one apply is
-one GEMM of the (L, N) table with g's rows plus two gathers, O(L*N^d)
-time: an AR(2) solve at N = 128 peaks at 4.5 MB, one on the exact table
-at 20.0 MB. MA memory is O(N^d): one MA apply is a suffix sum of the
-weighted iterate along the new coordinate plus a gather of each state's
-suffix, O(N^d) time. Power iteration normalizes its next iterate
+grids on the same axis share the rescaled arrays. Both AR tables are
+filled through one routine (_cell_masses) whose temporaries are one slab of
+about 2^16 entries, so assembly memory is the table (N^(d+1) floats exact,
+L*N over the drift) plus one slab. One exact AR apply is a batched
+matrix-vector product (np.matmul) on a strided view of the table, not a
+copy of it. A drift table has L = 8N drift nodes, O(L*N + N^d) memory,
+and one apply is one GEMM of the (L, N) table with g's rows plus two
+gathers, O(L*N^d) time: an AR(2) solve at N = 128 peaks at 4.8 MB, one on
+the exact table at 20.0 MB. MA memory is O(N^d): one MA apply is a suffix
+sum of the weighted iterate along the new coordinate plus a gather of each
+state's suffix, O(N^d) time. Power iteration normalizes its next iterate
 in place, so each step allocates only the apply's result, and it forms the
 residual only on steps where lambda has settled. After each normalization
 the iterate's subnormal entries are set to zero: they weigh nothing at the
@@ -326,7 +327,7 @@ class DiscretizedOperator:
         return out.reshape(g.shape)
 
 
-# entries per assembly slab of assemble_ar
+# entries per slab of _cell_masses, which fills both AR tables
 _SLAB = 1 << 16
 # an AR kernel of order >= 2 on a law supported on the whole line is
 # tabulated over the drift, on DRIFT_NODES_PER_NODE drift nodes per grid node
@@ -374,26 +375,32 @@ def assemble_ar(model, grid, delta=0.0):
     delta = float(delta)
     if d >= 2 and model.innovation.support == (-math.inf, math.inf):
         return _assemble_drift_table(model, grid, delta)
-    cols = _coordinates(grid)
-    edges = grid.edges.reshape((1,) * d + (-1,))
-    kmat = np.empty((n,) * d + (n,))
-    if delta != 0.0:
-        tilt_to = np.exp(delta * grid.nodes)
-        tilt_from = np.exp(-delta * grid.nodes).reshape((n,) + (1,) * d)
-    # fill kmat in slabs of the leading axis, about _SLAB entries each, so
-    # the temporaries stay small next to kmat
-    step = max(1, _SLAB // (n ** (d - 1) * (n + 1)))
-    for i0 in range(0, n, step):
-        rows = slice(i0, i0 + step)
-        s = drift(model.coeffs, [cols[0][rows]] + cols[1:])
-        cdf_vals = model.innovation.cdf(edges - s[..., None])
-        slab = kmat[rows]
-        np.subtract(cdf_vals[..., 1:], cdf_vals[..., :-1], out=slab)
+    s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
+    kmat = _cell_masses(model.innovation, grid.edges, s, np.exp(delta * grid.nodes),
+                        np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1)))
+    return DiscretizedOperator(grid=grid, kmat=kmat.reshape((n,) * d + (n,)), delta=delta)
+
+
+def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from=None):
+    """Row k, column j: clip(F(e_{j+1} - s_k) - F(e_j - s_k), 0), the
+    innovation mass of cell j shifted by the k-th of the flat drifts, times
+    tilt_to[j] and then tilt_from[k] if given (at delta = 0 both are 1.0,
+    and multiplying by 1.0 is exact).
+
+    The rows are filled and tilted in slabs of about _SLAB entries, so the
+    temporaries stay small next to the result.
+    """
+    out = np.empty((len(drifts), len(edges) - 1))
+    step = max(1, _SLAB // len(edges))
+    for k0 in range(0, len(drifts), step):
+        cdf_vals = innovation.cdf(edges - drifts[k0:k0 + step, None])
+        slab = out[k0:k0 + step]
+        np.subtract(cdf_vals[:, 1:], cdf_vals[:, :-1], out=slab)
         np.clip(slab, 0.0, None, out=slab)
-        if delta != 0.0:
-            slab *= tilt_to
-            slab *= tilt_from[rows]
-    return DiscretizedOperator(grid=grid, kmat=kmat, delta=delta)
+        slab *= tilt_to
+        if tilt_from is not None:
+            slab *= tilt_from[k0:k0 + step, None]
+    return out
 
 
 def _assemble_drift_table(model, grid, delta):
@@ -410,15 +417,13 @@ def _assemble_drift_table(model, grid, delta):
     lo = float(s.min())
     # a constant drift sits on node 0 with weight 1, whatever the spacing
     step = (float(s.max()) - lo) / (count - 1) or 1.0
-    cdf_vals = model.innovation.cdf(grid.edges - (lo + step * np.arange(count))[:, None])
-    table = np.clip(cdf_vals[:, 1:] - cdf_vals[:, :-1], 0.0, None)
+    table = _cell_masses(model.innovation, grid.edges, lo + step * np.arange(count),
+                         np.exp(delta * grid.nodes))
     pos = (s - lo) / step
     start = np.minimum(pos.astype(np.intp), count - 2)
     upper = np.clip(pos - start, 0.0, 1.0)
     coef = np.stack((1.0 - upper, upper))
-    if delta != 0.0:
-        table *= np.exp(delta * grid.nodes)
-        coef *= np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
+    coef *= np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
     return DiscretizedOperator(grid=grid, kmat=table, delta=delta, start=start, coef=coef)
 
 

@@ -2,10 +2,10 @@
 
 Everything here is an independent ground truth for the operator and Monte
 Carlo routes: iid sequences, AR(1) with uniform or exponential innovations,
-MA(1) with uniform, symmetric, Rademacher, or exponential innovations, the
-degenerate moving average with factorially decaying probabilities, and
-regime classification (degenerate / contractive / nonpositive /
-supercritical with its characteristic root).
+MA(1) with uniform, symmetric, Rademacher, or exponential innovations, exact
+survival of any Rademacher MA(q), the degenerate moving average with
+factorially decaying probabilities, and regime classification (degenerate /
+contractive / nonpositive / supercritical with its characteristic root).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from .model import (
     IIDInnovation,
     MAModel,
     PointMass,
+    Rademacher,
     SurvivalConvention,
+    drift,
 )
 
 
@@ -112,20 +114,25 @@ def _ma1_uniform_equation(lam, a, b):
     return math.tan(a / ((a + b) * lam)) - (1.0 - r / lam) / (1.0 + r / lam)
 
 
-def _ma1_uniform_root(a, b, tol=1e-12, step=1e-3):
+# the MA(1) uniform root scan's step in lambda, and its root's residual bound
+_MA1_UNIFORM_STEP = 1e-3
+_MA1_UNIFORM_TOL = 1e-12
+
+
+def _ma1_uniform_root(a, b):
     """Largest root in (0, 1] of the tan equation, by downward scan + bracketing.
 
-    Scanning lambda downward from 1 in small steps finds the first sign
-    change, which brackets the largest real root; the bracket is then
-    bisected down to adjacent floats, and the root must leave an equation
-    residual below tol.
+    Scanning lambda downward from 1 in _MA1_UNIFORM_STEP steps finds the
+    first sign change, which brackets the largest real root; the bracket is
+    then bisected down to adjacent floats, and the root must leave an
+    equation residual below _MA1_UNIFORM_TOL.
     """
     # the tan argument hits pi/2 at lam = 2a/((a+b) pi); stay above the pole
     pole = 2.0 * a / ((a + b) * math.pi)
     lam = 1.0
     f_hi = _ma1_uniform_equation(lam, a, b)
-    while lam - step > pole * (1.0 + 1e-9):
-        lam_next = lam - step
+    while lam - _MA1_UNIFORM_STEP > pole * (1.0 + 1e-9):
+        lam_next = lam - _MA1_UNIFORM_STEP
         f_lo = _ma1_uniform_equation(lam_next, a, b)
         if f_hi == 0.0:
             return lam
@@ -133,10 +140,9 @@ def _ma1_uniform_root(a, b, tol=1e-12, step=1e-3):
             return lam_next
         if (f_lo < 0.0) != (f_hi < 0.0):
             root = _bisect(lambda x: _ma1_uniform_equation(x, a, b), lam_next, lam)
-            if abs(_ma1_uniform_equation(root, a, b)) > tol:
-                raise BracketNotFound(
-                    f"bracketed root at {root} but residual exceeds tol={tol}"
-                )
+            if abs(_ma1_uniform_equation(root, a, b)) > _MA1_UNIFORM_TOL:
+                raise BracketNotFound(f"bracketed root at {root} but residual exceeds "
+                                      f"tol={_MA1_UNIFORM_TOL}")
             return root
         lam, f_hi = lam_next, f_lo
     raise BracketNotFound(
@@ -144,7 +150,7 @@ def _ma1_uniform_root(a, b, tol=1e-12, step=1e-3):
     )
 
 
-def ma1_uniform_exponent(a, b, tol=1e-12):
+def ma1_uniform_exponent(a, b):
     """Exponent of the MA(1) process with a1 = 1 and Uniform(-a, b) innovations.
 
     For a >= b the exponent is 4b / (pi (a+b)); for a < b it is the largest
@@ -155,7 +161,7 @@ def ma1_uniform_exponent(a, b, tol=1e-12):
         raise ValueError(f"need a, b > 0, got ({a}, {b})")
     if a >= b:
         return 4.0 * b / (math.pi * (a + b))
-    return _ma1_uniform_root(a, b, tol=tol)
+    return _ma1_uniform_root(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,7 @@ def ma1_symmetric_exponent():
 
 
 # ---------------------------------------------------------------------------
-# MA(1) Rademacher case
+# Rademacher MA cases
 
 
 def rademacher_pn(n, convention):
@@ -202,26 +208,31 @@ def rademacher_pn(n, convention):
     ) * ((1.0 - s5) / 4.0) ** (n + 1)
 
 
-def rademacher_pn_transfer(n, convention):
-    """Same probability via the 2-state transfer matrix, for cross-validation.
+def rademacher_ma_pn(model, n):
+    """Exact p_n of an MA(q) model with Rademacher innovations, any coefficients.
 
-    The state is the previous innovation; each of the n+1 steps multiplies by
-    the 0/1-masked half-transition matrix and the initial sign is uniform.
+    The state is the last q signs, oldest first, so there are 2^q states. A
+    step draws a new sign and survives where drift(coeffs, past signs) + new
+    sign passes the model's convention, the level the Monte Carlo forms:
+    T[s, s'] = 1/2 if the step from s to s' survives, and p_n = mu T^(n+1) 1
+    with mu uniform over the states.
     """
+    if not (isinstance(model, MAModel) and isinstance(model.innovation, Rademacher)):
+        raise ValueError("rademacher_ma_pn needs an MA model with Rademacher innovations")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    strict = convention is SurvivalConvention.STRICTLY_POSITIVE
-    # state order (-1, +1); entry [s, s'] = 1/2 if the step s -> s' survives
-    m = np.zeros((2, 2))
-    for i, s in enumerate((-1, 1)):
-        for j, t in enumerate((-1, 1)):
-            z = s + t
-            ok = z > 0 if strict else z >= 0
-            if ok:
-                m[i, j] = 0.5
-    vec = np.array([0.5, 0.5])
+    q = model.order
+    states = 2 ** q
+    # axis k of the sign patterns is xi_{k-q}; the last axis is the new sign
+    xi = 2.0 * np.indices((2,) * (q + 1)) - 1.0
+    alive = model.convention.survives(drift(model.coeffs, xi[:q]) + xi[q]).reshape(states, 2)
+    # the new sign enters as the last bit of the next state, the oldest drops out
+    s = np.arange(states)[:, None]
+    t = np.zeros((states, states))
+    t[s, (2 * s + np.arange(2)) % states] = np.where(alive, 0.5, 0.0)
+    vec = np.full(states, 1.0 / states)
     for _ in range(n + 1):
-        vec = vec @ m
+        vec = vec @ t
     return float(vec.sum())
 
 
@@ -302,44 +313,29 @@ def characteristic_root(coeffs):
 
 
 def classify_regime(model):
-    """Regime flags for a model, with the characteristic root when supercritical.
+    """The model's regime, with its exponent and characteristic root when supercritical.
 
-    MA: degenerate (exponent 0) iff sum(a) == -1. AR: supercritical (exponent 1)
-    if a >= 0 with sum(a) > 1; contractive if sum |a| < 1; nonpositive if every
-    coefficient is <= 0; otherwise unclassified.
+    MA: {"regime", "degenerate"}, degenerate (exponent 0) iff sum(a) == -1.
+    AR: {"regime"}, the first that holds of supercritical (a >= 0 with
+    sum(a) > 1; exponent 1, and "exponent" and "characteristic_root" are
+    added), contractive (sum |a| < 1), nonpositive (every coefficient is
+    <= 0), and unclassified.
     """
     a = np.asarray(model.coeffs, dtype=float)
     if isinstance(model, MAModel):
         degenerate = bool(abs(a.sum() + 1.0) < 1e-12)
-        return {
-            "process": "ma",
-            "degenerate": degenerate,
-            "regime": "degenerate" if degenerate else "nondegenerate",
-        }
+        return {"regime": "degenerate" if degenerate else "nondegenerate",
+                "degenerate": degenerate}
     if not isinstance(model, ARModel):
         raise ValueError(f"cannot classify {type(model).__name__}")
-    supercritical = bool(np.all(a >= 0.0) and a.sum() > 1.0)
-    contractive = bool(np.abs(a).sum() < 1.0)
-    nonpositive = bool(np.all(a <= 0.0))
-    if supercritical:
-        regime = "supercritical"
-    elif contractive:
-        regime = "contractive"
-    elif nonpositive:
-        regime = "nonpositive"
-    else:
-        regime = "unclassified"
-    report = {
-        "process": "ar",
-        "supercritical": supercritical,
-        "contractive": contractive,
-        "nonpositive": nonpositive,
-        "regime": regime,
-    }
-    if supercritical:
-        report["exponent"] = 1.0
-        report["characteristic_root"] = characteristic_root(a)
-    return report
+    if np.all(a >= 0.0) and a.sum() > 1.0:
+        return {"regime": "supercritical", "exponent": 1.0,
+                "characteristic_root": characteristic_root(a)}
+    if np.abs(a).sum() < 1.0:
+        return {"regime": "contractive"}
+    if np.all(a <= 0.0):
+        return {"regime": "nonpositive"}
+    return {"regime": "unclassified"}
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_criterion_06_rademacher():
     for conv in (GE, GT):
         for n in range(0, 41):
             closed = oracle.rademacher_pn(n, conv)
-            transfer = oracle.rademacher_pn_transfer(n, conv)
+            transfer = oracle.rademacher_ma_pn(MAModel((1.0,), Rademacher(), conv), n)
             rel_err = max(rel_err, abs(closed - transfer) / transfer)
 
     m_strict = MAModel((1.0,), Rademacher(), GT)

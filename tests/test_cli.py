@@ -321,6 +321,19 @@ class TestOperatorCommand:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,psi" and len(lines) == 101
 
+    def test_eigenfunction_of_order_two_refused_before_the_solve(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        def solve(*args, **kwargs):
+            raise AssertionError("solve_operator ran")
+
+        monkeypatch.setattr(cli.operator_mod, "solve_operator", solve)
+        code, out, err = run(capsys, [
+            "operator", "--process", "ar", "--coeffs", "0.3,0.2", "--N", "20",
+            "--eigenfunction", str(tmp_path / "psi.csv")])
+        assert code == 1 and out == ""
+        assert "--eigenfunction output requires a one-dimensional grid" in err
+        assert not (tmp_path / "psi.csv").exists()
+
     def test_auto_delta(self, capsys):
         code, out, _ = run(capsys, [
             "operator", "--process", "ar", "--coeffs", "0.5",
@@ -668,6 +681,26 @@ class TestReadme:
         known = {opt for sub in subparsers.choices.values()
                  for opt in sub._option_string_actions}
         assert sorted(flags - known) == []
+
+
+class TestFileErrors:
+    # a file that cannot be read or written is an error line and exit 1
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--config", "{missing}/case.json"],
+        ["operator", "--process", "ar", "--coeffs", "0.5", "--N", "20",
+         "--out", "{missing}/x.json"],
+    ], ids=["compare_config", "operator_out"])
+    def test_missing_path_exits_one_without_traceback(self, tmp_path, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        missing = str(tmp_path / "no_such_dir")
+        proc = subprocess.run(
+            [sys.executable, "-m", "persistx.cli", *(a.format(missing=missing) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: FileNotFoundError")
+        assert "Traceback" not in proc.stderr
 
 
 def fresh_python(code, *args):

@@ -296,7 +296,7 @@ class TestDriftTable:
 
     def test_ar2_solve_peaks_below_the_exact_table(self):
         # the exact AR(2) table at N = 128 alone would take 128^3 * 8 B =
-        # 16.8 MB; the drift table's solve peaks at about 4.5 MB
+        # 16.8 MB; the drift table's solve peaks at about 4.8 MB
         op.solve_operator(AR2, n=10)
         tracemalloc.start()
         try:
@@ -305,6 +305,33 @@ class TestDriftTable:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_rows_are_the_cell_masses_at_the_drift_nodes(self):
+        # the reference is written in one piece, as _one_shot_kmat is
+        grid = op.default_grid(AR2, None, N_DRIFT)
+        kop = op.assemble_ar(AR2, grid, delta=0.3)
+        cols = [grid.nodes.reshape((-1, 1)), grid.nodes.reshape((1, -1))]
+        s = drift(AR2.coeffs, cols)
+        count = op.DRIFT_NODES_PER_NODE * N_DRIFT
+        lo = float(s.min())
+        nodes = lo + (float(s.max()) - lo) / (count - 1) * np.arange(count)
+        cdf_vals = AR2.innovation.cdf(grid.edges - nodes[:, None])
+        table = np.clip(cdf_vals[:, 1:] - cdf_vals[:, :-1], 0.0, None)
+        assert np.array_equal(kop.kmat, table * np.exp(0.3 * grid.nodes))
+
+    def test_ar2_assembly_peak_is_the_table_and_one_slab(self):
+        # at N = 400 the (3200, 400) table and the apply's image buffer take
+        # 10.2 MB each; the cell masses of all drift nodes at once took three
+        # table-sized temporaries, 43.6 MB in all
+        grid = op.default_grid(AR2, None, 400)
+        op.assemble(AR2, op.default_grid(AR2, None, 10), delta="auto")
+        tracemalloc.start()
+        try:
+            op.assemble(AR2, grid, delta="auto")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 38e6
 
     def test_apply_matches_dense_interpolated_kernel(self):
         kop = op.assemble_ar(AR2, op.default_grid(AR2, None, N_DRIFT), delta=0.3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -146,8 +147,24 @@ class TestRademacher:
         for conv in (GE, GT):
             for n in range(0, 41):
                 closed = oracle.rademacher_pn(n, conv)
-                transfer = oracle.rademacher_pn_transfer(n, conv)
+                transfer = oracle.rademacher_ma_pn(MAModel((1.0,), Rademacher(), conv), n)
                 assert closed == pytest.approx(transfer, rel=1e-12), (conv, n)
+
+    @pytest.mark.parametrize("conv", [GE, GT], ids=["ge", "gt"])
+    @pytest.mark.parametrize("coeffs", [(1.0, 1.0), (0.5, 0.5, 1.0), (1.0, -0.4, 0.3)],
+                             ids=["1_1", "0.5_0.5_1", "1_m0.4_0.3"])
+    def test_ma_pn_matches_every_sign_path(self, coeffs, conv):
+        # every path xi_{-q}..xi_n has probability 2^-(q+n+1); Z_t = xi_t +
+        # sum_j a_j xi_{t-j}, the sum taken j = 1..q from zero
+        q = len(coeffs)
+        model = MAModel(coeffs, Rademacher(), conv)
+        for n in range(5):
+            alive = 0
+            for xi in itertools.product((-1.0, 1.0), repeat=q + n + 1):
+                levels = [sum(a * xi[q + t - j] for j, a in enumerate(coeffs, start=1))
+                          + xi[q + t] for t in range(n + 1)]
+                alive += all(conv.survives(z) for z in levels)
+            assert oracle.rademacher_ma_pn(model, n) == alive / 2 ** (q + n + 1), n
 
     def test_exponents(self):
         assert oracle.rademacher_exponent(GT) == pytest.approx(0.5)
@@ -263,6 +280,20 @@ class TestClassifyRegime:
     def test_nondegenerate_ma(self):
         m = MAModel((0.5,), Gaussian())
         assert oracle.classify_regime(m)["degenerate"] is False
+
+
+    @pytest.mark.parametrize("model, keys", [
+        (ARModel((1.2,), Gaussian(), IIDInnovation()),
+         {"regime", "exponent", "characteristic_root"}),
+        (ARModel((0.5, 0.25), Gaussian(), IIDInnovation()), {"regime"}),
+        (ARModel((-0.5, -1.5), Gaussian(), IIDInnovation()), {"regime"}),
+        (ARModel((0.8, -0.4), Gaussian(), IIDInnovation()), {"regime"}),
+        (MAModel((-1.0,), Gaussian()), {"regime", "degenerate"}),
+        (MAModel((0.5,), Gaussian()), {"regime", "degenerate"}),
+    ], ids=["supercritical", "contractive", "nonpositive", "unclassified", "degenerate_ma",
+            "nondegenerate_ma"])
+    def test_returns_only_the_keys_read(self, model, keys):
+        assert set(oracle.classify_regime(model)) == keys
 
 
 class TestLogConcaveConditionalMean:
