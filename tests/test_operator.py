@@ -321,8 +321,8 @@ class TestDriftTable:
 
     def test_ar2_assembly_peak_is_the_table_and_one_slab(self):
         # at N = 400 the (3200, 400) table and the apply's image buffer take
-        # 10.2 MB each; the cell masses of all drift nodes at once took three
-        # table-sized temporaries, 43.6 MB in all
+        # 10.2 MB each and the per-state arrays about 9 MB; the cell masses of
+        # every drift node at once would add three table-sized temporaries
         grid = op.default_grid(AR2, None, 400)
         op.assemble(AR2, op.default_grid(AR2, None, 10), delta="auto")
         tracemalloc.start()
