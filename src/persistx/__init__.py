@@ -11,7 +11,14 @@ exponent lambda three independent ways:
 
 The harness module cross-validates the routes against each other and runs
 theorem-driven sweeps; the command line entry point is ``persistx``.
+
+``import persistx`` loads the model layer (and numpy) only. The routes load
+on first use: a name of ``simulate``, ``operator``, ``oracle`` or ``harness``
+imports its module the first time it is read from the package, and so does
+the submodule attribute itself (``persistx.operator``).
 """
+
+import importlib
 
 from .model import (
     ARModel,
@@ -28,48 +35,49 @@ from .model import (
     model_from_json,
     substream,
 )
-from .simulate import (
-    AllPathsDied,
-    NonPositiveProbabilityInWindow,
-    PersistenceEstimate,
-    PopulationExtinct,
-    estimate_crude,
-    estimate_splitting,
-    fit_exponent,
-)
-from .operator import (
-    MaxIterationsExceeded,
-    QuadratureGrid,
-    SpectralResult,
-    assemble_ar,
-    assemble_ma,
-    build_grid,
-    convergence_sweep,
-    solve_operator,
-    spectral_radius,
-)
-from .oracle import (
-    BracketNotFound,
-    ar1_exponential_pn,
-    ar1_uniform_exponent,
-    characteristic_root,
-    classify_regime,
-    degenerate_factorial_pn,
-    ma1_exponential_exponent,
-    ma1_symmetric_series,
-    ma1_uniform_exponent,
-    rademacher_pn,
-)
-from .harness import (
-    ConfigError,
-    canonical_json,
-    compare,
-    continuity_sweep,
-    monotonicity_sweep,
-    run_suite,
-)
 
 __version__ = "0.1.0"
+
+# public name -> the route module that defines it, imported on first use
+_ROUTE_NAMES = {
+    **dict.fromkeys(
+        ("AllPathsDied", "NonPositiveProbabilityInWindow", "PersistenceEstimate",
+         "PopulationExtinct", "estimate_crude", "estimate_splitting", "fit_exponent"),
+        "simulate"),
+    **dict.fromkeys(
+        ("MaxIterationsExceeded", "QuadratureGrid", "SpectralResult", "assemble_ar",
+         "assemble_ma", "build_grid", "convergence_sweep", "solve_operator",
+         "spectral_radius"),
+        "operator"),
+    **dict.fromkeys(
+        ("BracketNotFound", "ar1_exponential_pn", "ar1_uniform_exponent",
+         "characteristic_root", "classify_regime", "degenerate_factorial_pn",
+         "ma1_exponential_exponent", "ma1_symmetric_series", "ma1_uniform_exponent",
+         "rademacher_pn"),
+        "oracle"),
+    **dict.fromkeys(
+        ("ConfigError", "canonical_json", "compare", "continuity_sweep",
+         "monotonicity_sweep", "run_suite"),
+        "harness"),
+}
+_ROUTES = ("simulate", "operator", "oracle", "harness")
+
+
+def __getattr__(name):
+    # import_module holds the module's import lock, so a first use from two
+    # threads at once sees one fully executed module
+    if name in _ROUTES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ROUTE_NAMES:
+        value = getattr(importlib.import_module(f"{__name__}.{_ROUTE_NAMES[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ROUTE_NAMES) | set(_ROUTES))
+
 
 __all__ = [
     "ARModel", "MAModel", "Uniform", "Gaussian", "Exponential", "Rademacher",

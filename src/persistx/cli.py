@@ -5,43 +5,39 @@ problem), oracle (closed forms), compare (cross-validate routes on one case),
 sweep (convergence / monotonicity / continuity / full suite). All output is
 canonical JSON with floats at 17 significant digits, so identical invocations
 produce identical bytes. Exit codes: 0 success, 1 computation, validation or
-I/O failure (a file that cannot be read or written), 2 usage error.
+I/O failure (a file that cannot be read or written), 2 usage error. Exit 1
+prints one `error: <Type>: <message>` line for a model.PersistxError (every
+error persistx raises for a run or a config it refuses), a ValueError or an
+OSError; an output file whose directory is missing is refused before
+anything is computed. Each command imports only the route it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
 from . import harness as harness_mod
-from . import operator as operator_mod
-from . import oracle as oracle_mod
-from . import simulate as simulate_mod
-from .harness import ConfigError, canonical_json
+from .harness import canonical_json
 from .model import (
     INNOVATIONS,
+    ARModel,
     Exponential,
-    RequestedDensityOfAtomicLaw,
+    Gaussian,
+    IIDInnovation,
+    PersistxError,
     SurvivalConvention,
     initial_from_json,
     innovation_from_json,
     model_from_json,
 )
 
-COMPUTE_ERRORS = (
-    simulate_mod.AllPathsDied,
-    simulate_mod.PopulationExtinct,
-    simulate_mod.NonPositiveProbabilityInWindow,
-    oracle_mod.BracketNotFound,
-    operator_mod.MaxIterationsExceeded,
-    RequestedDensityOfAtomicLaw,
-    ConfigError,
-    ValueError,
-    OSError,
-)
+COMPUTE_ERRORS = (PersistxError, ValueError, OSError)
 
 
 def _parse_floats(text):
@@ -120,6 +116,16 @@ def add_model_arguments(sub, process_required=True):
                      help="survival event Z >= 0 (ge) or Z > 0 (gt)")
 
 
+def _check_outputs(args):
+    """Refuse, before anything is computed, an output file whose directory is
+    missing or not a directory: the error open() would raise after the run."""
+    for path in (getattr(args, flag, None) for flag in ("out", "csv", "eigenfunction")):
+        parent = Path(path).parent if path else None
+        if parent is not None and not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def _emit(payload, out):
     text = canonical_json(payload)
     if out:
@@ -162,6 +168,8 @@ def cmd_simulate(args):
 
 
 def cmd_operator(args):
+    from . import operator as operator_mod
+
     model = build_model(args)
     if args.eigenfunction and model.order != 1:
         raise ValueError("--eigenfunction output requires a one-dimensional grid")
@@ -186,6 +194,8 @@ _ORACLE_FLAG_READERS = {
 
 
 def cmd_oracle(args):
+    from . import oracle as oracle_mod
+
     convention = SurvivalConvention(args.convention)
     case = args.case
     for flag, readers in _ORACLE_FLAG_READERS.items():
@@ -236,9 +246,14 @@ def cmd_oracle(args):
         ]
     elif case == "supercritical-ar":
         coeffs = _parse_floats(args.coeffs)
+        # the regime reads only the coefficients, so any law will do
+        regime = oracle_mod.classify_regime(ARModel(coeffs, Gaussian(), IIDInnovation()))
+        if regime["regime"] != "supercritical":
+            raise ValueError(f"supercritical-ar needs a >= 0 with sum(a) > 1; "
+                             f"coefficients {coeffs} are in the {regime['regime']} regime")
         payload["parameters"] = {"coeffs": coeffs}
-        payload["exponent"] = 1.0
-        payload["characteristic_root"] = oracle_mod.characteristic_root(coeffs)
+        payload["exponent"] = regime["exponent"]
+        payload["characteristic_root"] = regime["characteristic_root"]
     elif case == "iid":
         innovation = parse_innovation(args.innovation)
         payload["parameters"] = {"innovation": innovation.to_json()}
@@ -292,6 +307,8 @@ def cmd_sweep(args):
 
     model = build_model(args)
     if args.kind == "convergence":
+        from . import operator as operator_mod
+
         ms = _parse_floats(args.Ms) if args.Ms else None
         ns = _parse_floats(args.Ns) if args.Ns else None
         if ms is None or ns is None:
@@ -415,6 +432,7 @@ def main(argv=None):
             and (args.process is None or args.coeffs is None)):
         parser.error(f"{args.command} requires --process and --coeffs")
     try:
+        _check_outputs(args)
         return args.func(args)
     except COMPUTE_ERRORS as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")

@@ -8,6 +8,9 @@ coefficient paths, and convergence in the truncation; run_suite() executes
 a JSON config of cases and property checks, writing one canonical JSON
 report per case and a summary CSV. Reports are byte-reproducible from
 (config, seed): wall times live only in the CSV.
+
+Importing this module loads the model layer only; each function imports the
+route modules it calls where it calls them.
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle as oracle_mod
-from . import operator as operator_mod
-from . import simulate as simulate_mod
 from .model import (
     ARModel,
     Exponential,
     Gaussian,
     MAModel,
+    PersistxError,
     Rademacher,
     Uniform,
     as_count,
@@ -44,7 +45,7 @@ EXPLORATORY_LABEL = "unsupported regime - exploratory"
 DEGENERATE_LABEL = "degenerate, beta=0"
 
 
-class ConfigError(Exception):
+class ConfigError(PersistxError):
     """A suite config failed validation; the message names the offending tag."""
 
 
@@ -116,6 +117,8 @@ def detect_oracle(model):
     degenerate MA cases and AR coefficient vectors outside every regime the
     theory covers.
     """
+    from . import oracle as oracle_mod
+
     a = np.asarray(model.coeffs, dtype=float)
     innov = model.innovation
     info = {}
@@ -208,6 +211,8 @@ def run_mc(model, cfg, seed):
     default one: two integers with 0 <= i0 < i1 <= len(horizons), on a
     horizon list in increasing order, checked before anything runs.
     """
+    from . import simulate as simulate_mod
+
     method = _mc_method(cfg)
     if cfg.get("threads") is not None:
         as_threads(cfg["threads"])
@@ -250,6 +255,8 @@ def compare(case):
     not run), the scored diffs and checks, the tolerances and the verdict.
     Wall times are not part of it.
     """
+    from . import operator as operator_mod
+
     model = _check_case(case)
     seed = as_count(case.get("seed", 0), "seed")
     mccfg = _section(case, "mc")
@@ -308,6 +315,8 @@ def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto", threshold
     log-concave innovation density with mass below zero. Passes when every
     consecutive increment exceeds the grid threshold.
     """
+    from . import operator as operator_mod
+
     if not isinstance(model, ARModel):
         raise ValueError("the monotonicity sweep is for AR families")
     grid_vecs = [tuple(float(c) for c in np.atleast_1d(v)) for v in coeff_grid]
@@ -350,6 +359,8 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
     Passes when the gaps |lambda(a_k) - lambda(a)| are nonincreasing along
     the path and the final gap is below CONTINUITY_GAP_TOL.
     """
+    from . import operator as operator_mod
+
     target = tuple(float(c) for c in np.atleast_1d(target_coeffs))
     path = [tuple(float(c) for c in np.atleast_1d(v)) for v in path_coeffs]
     if not path:
@@ -381,6 +392,8 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
 
 
 def _prop_nonnegativity(case, seed):
+    from . import operator as operator_mod
+
     model = model_from_json(case)
     opcfg = _section(case, "operator")
     # N defaults to 200 here and in the conjugation check; an absent M is
@@ -398,6 +411,8 @@ def _prop_nonnegativity(case, seed):
 
 
 def _prop_conjugation(case, seed):
+    from . import operator as operator_mod
+
     del seed
     model = model_from_json(case)
     if not isinstance(model, ARModel):
@@ -412,6 +427,8 @@ def _prop_conjugation(case, seed):
 
 
 def _prop_truncation(case, seed):
+    from . import operator as operator_mod
+
     del seed
     model = model_from_json(case)
     opcfg = _section(case, "operator")
@@ -424,6 +441,8 @@ def _ma_p0(model):
     """P(Z_0 >= 0) for an MA model, computed, not sampled: exact for a
     Rademacher law (oracle.rademacher_ma_pn), else E[1 - F(-s)], s the drift
     of xi_{-q}..xi_{-1}, on a q-fold Gauss-Legendre rule in u = F(xi)."""
+    from . import operator as operator_mod, oracle as oracle_mod
+
     q = model.order
     # the rule takes the largest N with N^q <= 2^18 nodes, at most 2000; at
     # order 5 that N is 12, too few to beat the error of a Monte Carlo p_0
@@ -457,6 +476,8 @@ def _prop_qbound(case, seed):
 
 
 def _prop_determinism(case, seed):
+    from . import simulate as simulate_mod
+
     model = model_from_json(case)
     mccfg = _section(case, "mc")
     horizons = mccfg.get("horizons", list(range(0, 9)))

@@ -19,7 +19,6 @@ that cdf. No law loads scipy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -27,7 +26,12 @@ from enum import Enum
 import numpy as np
 
 
-class RequestedDensityOfAtomicLaw(Exception):
+class PersistxError(Exception):
+    """Base of the errors persistx raises for a computation or a config it
+    refuses; the command line prints each one as an error line."""
+
+
+class RequestedDensityOfAtomicLaw(PersistxError):
     """A density was requested from a law with atoms (Rademacher)."""
 
 
@@ -43,6 +47,8 @@ def substream(seed, *path):
     independent streams, no stream reads OS entropy, and the draw order
     within one tag is fixed no matter how work is scheduled across threads.
     """
+    import hashlib  # loads OpenSSL, so only once a stream is asked for
+
     tag = repr((int(seed),) + tuple(path)).encode()
     digest = hashlib.blake2b(tag, digest_size=16).digest()
     entropy = int.from_bytes(digest, "little")

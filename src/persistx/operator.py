@@ -69,10 +69,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ARModel, MAModel, RequestedDensityOfAtomicLaw, as_count, drift
+from .model import (
+    ARModel,
+    MAModel,
+    PersistxError,
+    RequestedDensityOfAtomicLaw,
+    as_count,
+    drift,
+)
 
 
-class MaxIterationsExceeded(Exception):
+class MaxIterationsExceeded(PersistxError):
     """Power iteration hit its budget; the message gives the last residual and lambda."""
 
 

@@ -19,6 +19,7 @@ from .model import (
     Exponential,
     IIDInnovation,
     MAModel,
+    PersistxError,
     PointMass,
     Rademacher,
     SurvivalConvention,
@@ -26,7 +27,7 @@ from .model import (
 )
 
 
-class BracketNotFound(Exception):
+class BracketNotFound(PersistxError):
     """A root scan failed to bracket a sign change; widen the scan range."""
 
 

@@ -23,16 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ARModel, as_count, as_threads, drift, substream
+from .model import ARModel, PersistxError, as_count, as_threads, drift, substream
 
 BLOCK = 65_536
 
 
-class AllPathsDied(Exception):
+class AllPathsDied(PersistxError):
     """Crude MC saw no survivor at the smallest horizon; use splitting."""
 
 
-class PopulationExtinct(Exception):
+class PopulationExtinct(PersistxError):
     """Every splitting particle died in one step."""
 
     def __init__(self, step):
@@ -40,7 +40,7 @@ class PopulationExtinct(Exception):
         self.step = step
 
 
-class NonPositiveProbabilityInWindow(Exception):
+class NonPositiveProbabilityInWindow(PersistxError):
     """The fit window contains a vanishing probability estimate."""
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from persistx import cli, harness, operator
+import persistx
+from persistx import cli, harness, operator, oracle
 from persistx.model import INNOVATIONS, initial_from_json, innovation_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -137,6 +138,16 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["characteristic_root"] == 1.2
         assert payload["exponent"] == 1.0
+
+    @pytest.mark.parametrize("coeffs, regime", [
+        ("0.5", "contractive"), ("0.5,-0.8", "unclassified"), ("-2", "nonpositive"),
+    ])
+    def test_supercritical_refuses_other_regimes(self, capsys, coeffs, regime):
+        code, out, err = run(capsys, ["oracle", "--case", "supercritical-ar",
+                                      f"--coeffs={coeffs}"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ValueError: supercritical-ar needs a >= 0")
+        assert f"are in the {regime} regime" in err
 
     def test_ar1_exponential_pn_table(self, capsys):
         code, out, _ = run(capsys, ["oracle", "--case", "ar1-exponential",
@@ -326,7 +337,7 @@ class TestOperatorCommand:
         def solve(*args, **kwargs):
             raise AssertionError("solve_operator ran")
 
-        monkeypatch.setattr(cli.operator_mod, "solve_operator", solve)
+        monkeypatch.setattr(operator, "solve_operator", solve)
         code, out, err = run(capsys, [
             "operator", "--process", "ar", "--coeffs", "0.3,0.2", "--N", "20",
             "--eigenfunction", str(tmp_path / "psi.csv")])
@@ -703,6 +714,39 @@ class TestFileErrors:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the computation ran")
+
+        monkeypatch.setattr(harness, "run_mc", fail)
+        monkeypatch.setattr(operator, "solve_operator", fail)
+        monkeypatch.setattr(oracle, "ma1_exponential_exponent", fail)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "ar", "--coeffs=-1", "--innovation", "exponential",
+         "--method", "splitting", "--n", "100", "--csv", "{missing}/a.csv"],
+        ["operator", "--process", "ma", "--coeffs=-0.5", "--innovation", "exponential",
+         "--eigenfunction", "{missing}/psi.csv"],
+        ["oracle", "--case", "ma1-exponential", "--out", "{missing}/x.json"],
+    ], ids=["simulate_csv", "operator_eigenfunction", "oracle_out"])
+    def test_missing_directory_refused_before_the_computation(self, capsys, tmp_path,
+                                                             no_compute, argv):
+        missing = str(tmp_path / "no_such_dir")
+        code, out, err = run(capsys, [a.format(missing=missing) for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: FileNotFoundError") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_file_as_directory_refused_before_the_computation(self, capsys, tmp_path,
+                                                              no_compute):
+        (tmp_path / "plain").write_text("")
+        code, out, err = run(capsys, ["simulate", "--process", "ar", "--coeffs", "0.5",
+                                      "--out", str(tmp_path / "plain" / "a.json")])
+        assert code == 1 and out == ""
+        assert err.startswith("error: NotADirectoryError")
+
+
 def fresh_python(code, *args):
     """Stdout of code run in a new interpreter that imports persistx from this tree."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -820,3 +864,80 @@ class TestScipyOnFirstUse:
             "est = estimate_crude(m, range(13), 20_000, 3, threads=int(sys.argv[1]))\n"
             "sys.stdout.write(canonical_json(est.to_json()))\n")
         assert fresh_python(code, "2") == fresh_python(code, "1")
+
+
+PERSISTX_LOADED = "print(sorted(m for m in sys.modules if m.startswith('persistx')))"
+# runs cli.main on argv[1:] quietly, then prints the persistx modules loaded
+RUN_ONE = (
+    "import contextlib, io, sys\n"
+    "from persistx import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    assert cli.main(sys.argv[1:]) == 0\n"
+    + PERSISTX_LOADED)
+CLI_LOADS = ["persistx", "persistx.cli", "persistx.harness", "persistx.model"]
+
+
+class TestModulesOnFirstUse:
+    """`import persistx` loads the model layer only; a route loads when used."""
+
+    def test_model_building_loads_only_the_model_layer(self):
+        code = ("import sys, persistx\n"
+                "persistx.model_from_json({'process': 'ar', 'coeffs': [0.5],\n"
+                "                          'innovation': {'kind': 'gaussian'}})\n"
+                + PERSISTX_LOADED)
+        assert fresh_python(code).strip() == str(["persistx", "persistx.model"])
+
+    @pytest.mark.parametrize("argv, route", [
+        (["oracle", "--case", "iid"], "oracle"),
+        (["operator", "--process", "ar", "--coeffs", "0.5", "--innovation", "uniform:-1,1",
+          "--N", "50"], "operator"),
+        (["simulate", "--process", "ar", "--coeffs", "0.5", "--innovation", "uniform:-1,1",
+          "--n", "4", "--reps", "1000"], "simulate"),
+    ], ids=["oracle", "operator", "simulate"])
+    def test_command_loads_only_its_route(self, argv, route):
+        loaded = fresh_python(RUN_ONE, *argv).strip()
+        assert loaded == str(sorted(CLI_LOADS + [f"persistx.{route}"]))
+
+    def test_every_public_name_resolves(self):
+        code = ("import persistx\n"
+                "for name in persistx.__all__:\n"
+                "    getattr(persistx, name)\n"
+                "    assert name in dir(persistx), name\n"
+                "assert persistx.operator.solve_operator is persistx.solve_operator\n"
+                "namespace = {}\n"
+                "exec('from persistx import *', namespace)\n"
+                "print(sorted(set(persistx.__all__) - set(namespace)))\n")
+        assert fresh_python(code).strip() == "[]"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            persistx.no_such_name
+
+    def test_first_use_from_two_threads(self, tmp_path):
+        # two compare cases run at once, each the first to reach oracle,
+        # operator and simulate; the reports match a one-thread run
+        case = {"type": "compare", "process": "ar", "innovation": {"kind": "uniform"},
+                "mc": {"replicates": 4000}, "operator": {"N": 50}}
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps({"cases": [
+            dict(case, name="a", coeffs=[-1.0]), dict(case, name="b", coeffs=[0.5])]}))
+        code = ("import sys\n"
+                "from persistx import run_suite\n"
+                "result = run_suite(sys.argv[1], sys.argv[2], threads=int(sys.argv[3]))\n"
+                "assert not any('error' in r for r in result.records), result.records\n"
+                "for name in 'ab':\n"
+                "    print(open(f'{sys.argv[2]}/{name}.json').read())\n")
+        two = fresh_python(code, str(config), str(tmp_path / "two"), "2")
+        assert two == fresh_python(code, str(config), str(tmp_path / "one"), "1")
+
+    @pytest.mark.parametrize("owner, name", [
+        ("simulate", "AllPathsDied"), ("simulate", "PopulationExtinct"),
+        ("simulate", "NonPositiveProbabilityInWindow"), ("oracle", "BracketNotFound"),
+        ("operator", "MaxIterationsExceeded"), ("model", "RequestedDensityOfAtomicLaw"),
+        ("harness", "ConfigError"),
+    ])
+    def test_compute_errors_share_one_base(self, owner, name):
+        from persistx.model import PersistxError
+
+        assert issubclass(getattr(getattr(persistx, owner), name), PersistxError)
+        assert cli.COMPUTE_ERRORS == (PersistxError, ValueError, OSError)

@@ -554,7 +554,7 @@ class TestRunMc:
         def no_run(*args, **kwargs):
             raise AssertionError("the estimate ran")
 
-        monkeypatch.setattr(harness.simulate_mod, "estimate_crude", no_run)
+        monkeypatch.setattr(sim, "estimate_crude", no_run)
         model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
         with pytest.raises(ValueError, match=re.escape(f"fit window {window!r}")):
             harness.run_mc(model, {"window": window}, 0)
@@ -564,7 +564,7 @@ class TestRunMc:
         def no_run(*args, **kwargs):
             raise AssertionError("the estimate ran")
 
-        monkeypatch.setattr(harness.simulate_mod, "estimate_crude", no_run)
+        monkeypatch.setattr(sim, "estimate_crude", no_run)
         model = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
         with pytest.raises(ValueError, match=re.escape("horizon list [8, 0, 4] is unsorted")):
             harness.run_mc(model, {"horizons": [8, 0, 4], "window": [0, 2]}, 0)
