@@ -60,7 +60,7 @@ _ROUTE_NAMES = {
          "monotonicity_sweep", "run_suite"),
         "harness"),
 }
-_ROUTES = ("simulate", "operator", "oracle", "harness")
+_ROUTES = frozenset(_ROUTE_NAMES.values())
 
 
 def __getattr__(name):

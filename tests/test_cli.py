@@ -713,7 +713,6 @@ class TestFileErrors:
         assert proc.stderr.startswith("error: FileNotFoundError")
         assert "Traceback" not in proc.stderr
 
-
     @pytest.fixture
     def no_compute(self, monkeypatch):
         def fail(*args, **kwargs):
