@@ -79,20 +79,7 @@ def __dir__():
     return sorted(set(globals()) | set(_ROUTE_NAMES) | set(_ROUTES))
 
 
-__all__ = [
-    "ARModel", "MAModel", "Uniform", "Gaussian", "Exponential", "Rademacher",
-    "PointMass", "IIDInnovation", "StationaryAR1Gaussian", "SurvivalConvention",
-    "RequestedDensityOfAtomicLaw", "model_from_json", "substream",
-    "AllPathsDied", "PopulationExtinct", "NonPositiveProbabilityInWindow",
-    "PersistenceEstimate", "estimate_crude", "estimate_splitting", "fit_exponent",
-    "QuadratureGrid", "SpectralResult", "MaxIterationsExceeded", "build_grid",
-    "assemble_ar", "assemble_ma", "spectral_radius", "solve_operator",
-    "convergence_sweep",
-    "BracketNotFound", "ar1_uniform_exponent", "ar1_exponential_pn",
-    "ma1_uniform_exponent", "ma1_symmetric_series", "rademacher_pn",
-    "ma1_exponential_exponent", "degenerate_factorial_pn", "characteristic_root",
-    "classify_regime",
-    "ConfigError", "canonical_json", "compare",
-    "monotonicity_sweep", "continuity_sweep", "run_suite",
-    "__version__",
-]
+# the names imported from the model layer above, the route names and the version
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", None) == f"{__name__}.model"]
+__all__ += [*_ROUTE_NAMES, "__version__"]

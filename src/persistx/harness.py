@@ -483,12 +483,13 @@ def _prop_determinism(case, seed):
     horizons = mccfg.get("horizons", list(range(0, 9)))
     # two full blocks and a partial one, so thread schedules differ
     replicates = mccfg.get("replicates", 2 * simulate_mod.BLOCK + 1)
+    thread_counts = case.get("threads", [1, 2, 8])
     payloads = []
-    for threads in case.get("threads", [1, 2, 8]):
+    for threads in thread_counts:
         est = simulate_mod.estimate_crude(model, horizons, replicates, seed, threads=threads)
         payloads.append(canonical_json(est.to_json()))
     ok = all(p == payloads[0] for p in payloads)
-    return ok, {"threads": case.get("threads", [1, 2, 8]), "identical": ok}
+    return ok, {"threads": thread_counts, "identical": ok}
 
 
 PROPERTY_CHECKS = {

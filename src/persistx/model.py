@@ -436,10 +436,6 @@ class PointMass(InitialDistribution):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def sample(self, p, stream, size):
-        if len(self.values) != p:
-            raise ValueError(
-                f"point-mass initial state has length {len(self.values)}, model order is {p}"
-            )
         return np.tile(np.array(self.values, dtype=float), (size, 1))
 
     def to_json(self):
@@ -472,8 +468,6 @@ class StationaryAR1Gaussian(InitialDistribution):
             raise ValueError(f"stationary AR(1) initial law needs |a1| < 1, got {self.a1}")
 
     def sample(self, p, stream, size):
-        if p != 1:
-            raise ValueError(f"stationary AR(1) initial law is order-1 only, model order is {p}")
         sd = 1.0 / math.sqrt(1.0 - self.a1 * self.a1)
         return Gaussian(sd).sample(stream, (size, 1))
 

@@ -369,23 +369,27 @@ def assemble_ar(model, grid, delta=0.0):
     """
     if not isinstance(model, ARModel):
         raise ValueError("assemble_ar expects an AR model")
-    if not model.innovation.has_density:
-        raise RequestedDensityOfAtomicLaw(
-            "the AR operator needs an innovation density; atomic laws are handled in closed form"
-        )
+    _check_kernel_input(model, grid, "AR")
     if abs(grid.lo) > 1e-12:
         raise ValueError(f"the AR state axis must start at 0, got lo={grid.lo}")
-    d = model.order
-    if grid.d != d:
-        raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
-    n = grid.n
+    n, d = grid.n, grid.d
     delta = float(delta)
-    if d >= 2 and model.innovation.support == (-math.inf, math.inf):
-        return _assemble_drift_table(model, grid, delta)
     s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
-    kmat = _cell_masses(model.innovation, grid.edges, s, np.exp(delta * grid.nodes),
-                        np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1)))
+    tilt_to = np.exp(delta * grid.nodes)
+    tilt_from = np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
+    if d >= 2 and model.innovation.support == (-math.inf, math.inf):
+        return _assemble_drift_table(model.innovation, grid, delta, s, tilt_to, tilt_from)
+    kmat = _cell_masses(model.innovation, grid.edges, s, tilt_to, tilt_from)
     return DiscretizedOperator(grid=grid, kmat=kmat.reshape((n,) * d + (n,)), delta=delta)
+
+
+def _check_kernel_input(model, grid, label):
+    """Refuse an atomic law, and a grid whose dimension is not the model order."""
+    if not model.innovation.has_density:
+        raise RequestedDensityOfAtomicLaw(f"the {label} operator needs an innovation density; "
+                                          "atomic laws are handled in closed form")
+    if grid.d != model.order:
+        raise ValueError(f"grid dimension {grid.d} does not match model order {model.order}")
 
 
 def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from=None):
@@ -410,27 +414,24 @@ def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from=None):
     return out
 
 
-def _assemble_drift_table(model, grid, delta):
+def _assemble_drift_table(innovation, grid, delta, s, tilt_to, tilt_from):
     """The AR kernel interpolated linearly in the drift.
 
     Row l of the table is the cell masses at the l-th of L uniform drift
-    nodes spanning the states' drift range, each column j times
-    exp(delta z_j); each state keeps its lower node (start) and the weights
-    of its two nodes times exp(-delta x_1) (coef, shape (2, n^d)).
+    nodes spanning the range of the drifts s, each column j times tilt_to[j]
+    = exp(delta z_j); each state keeps its lower node (start) and the weights
+    of its two nodes times tilt_from = exp(-delta x_1) (coef, shape (2, n^d)).
     """
-    n, d = grid.n, grid.d
-    s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
-    count = DRIFT_NODES_PER_NODE * n
+    count = DRIFT_NODES_PER_NODE * grid.n
     lo = float(s.min())
     # a constant drift sits on node 0 with weight 1, whatever the spacing
     step = (float(s.max()) - lo) / (count - 1) or 1.0
-    table = _cell_masses(model.innovation, grid.edges, lo + step * np.arange(count),
-                         np.exp(delta * grid.nodes))
+    table = _cell_masses(innovation, grid.edges, lo + step * np.arange(count), tilt_to)
     pos = (s - lo) / step
     start = np.minimum(pos.astype(np.intp), count - 2)
     upper = np.clip(pos - start, 0.0, 1.0)
     coef = np.stack((1.0 - upper, upper))
-    coef *= np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
+    coef *= tilt_from
     return DiscretizedOperator(grid=grid, kmat=table, delta=delta, start=start, coef=coef)
 
 
@@ -445,13 +446,7 @@ def assemble_ma(model, grid):
     """
     if not isinstance(model, MAModel):
         raise ValueError("assemble_ma expects an MA model")
-    if not model.innovation.has_density:
-        raise RequestedDensityOfAtomicLaw(
-            "the MA operator needs an innovation density; atomic laws are handled in closed form"
-        )
-    d = model.order
-    if grid.d != d:
-        raise ValueError(f"grid dimension {grid.d} does not match model order {d}")
+    _check_kernel_input(model, grid, "MA")
     base = grid.weights * model.innovation.density(grid.nodes)
     cut = (-drift(model.coeffs, _coordinates(grid))).reshape(-1)
     start = np.searchsorted(grid.nodes, cut, side="right")

@@ -130,7 +130,6 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = sum(pool.map(run_block, range(n_blocks)))
-    counts = np.asarray(counts, dtype=np.int64)
     if counts[0] == 0:
         raise AllPathsDied(
             f"no survivors at horizon {horizons[0]} out of {replicates} replicates"
@@ -139,17 +138,9 @@ def estimate_crude(model, horizons, replicates, seed, threads=None):
     se = np.sqrt(p_hat * (1.0 - p_hat) / replicates)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_var = np.where(p_hat > 0.0, (se / p_hat) ** 2, np.inf)
-    return _finish_estimate(
-        method="crude",
-        horizons=horizons,
-        p_hat=p_hat,
-        se=se,
-        log_var=log_var,
-        counts=counts,
-        effort=replicates,
-        seed=seed,
-        fractions=None,
-    )
+    return _fit_default_window(PersistenceEstimate(
+        method="crude", horizons=horizons, p_hat=p_hat, se=se, log_var=log_var,
+        effort=replicates, seed=seed, counts=counts))
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +193,9 @@ def estimate_splitting(model, horizons, particles, seed):
     step_var = (1.0 - fractions) / (fractions * particles)
     log_var = np.cumsum(step_var)[horizons]
     se = p_hat * np.sqrt(log_var)
-    return _finish_estimate(
-        method="splitting",
-        horizons=horizons,
-        p_hat=p_hat,
-        se=se,
-        log_var=log_var,
-        counts=None,
-        effort=particles,
-        seed=seed,
-        fractions=fractions,
-    )
+    return _fit_default_window(PersistenceEstimate(
+        method="splitting", horizons=horizons, p_hat=p_hat, se=se, log_var=log_var,
+        effort=particles, seed=seed, fractions=fractions))
 
 
 def systematic_indices(u, n, size):
@@ -294,19 +277,9 @@ def default_window(p_hat):
     return (k // 2, k)
 
 
-def _finish_estimate(method, horizons, p_hat, se, log_var, counts, effort, seed, fractions):
-    est = PersistenceEstimate(
-        method=method,
-        horizons=horizons,
-        p_hat=p_hat,
-        se=se,
-        log_var=log_var,
-        counts=counts,
-        fractions=fractions,
-        effort=effort,
-        seed=seed,
-    )
-    lo, hi = default_window(p_hat)
+def _fit_default_window(est):
+    """est with its default window and, when that spans 2 or more horizons, its fit."""
+    lo, hi = default_window(est.p_hat)
     est.window = (int(lo), int(hi))
     if hi - lo >= 2:
         est.lambda_hat, est.half_width = fit_exponent(est, (lo, hi))
