@@ -174,6 +174,16 @@ _SECTION_KEYS = {
 # sections, and the lists the property checks take
 _CASE_KEYS = ("name", "type", "check", "seed", "process", "order", "coeffs", "innovation",
               "initial", "convention", *_SECTION_KEYS, "Ms", "deltas", "threads")
+# what each kind of case reads besides name, type, seed and the model keys:
+# its top-level keys, and the keys it reads of each section
+_CASE_READS = {
+    "compare": ((), _SECTION_KEYS),
+    "nonnegativity": (("check",), {"operator": ("M", "N", "delta")}),
+    "conjugation": (("check", "deltas"), {"operator": ("M", "N")}),
+    "truncation": (("check", "Ms"), {"operator": ("N",)}),
+    "qbound": (("check",), {"mc": _SECTION_KEYS["mc"]}),
+    "determinism": (("check", "threads"), {"mc": ("horizons", "replicates")}),
+}
 
 
 def _check_keys(obj, known, where):
@@ -246,8 +256,8 @@ def compare(case):
     The case dict embeds the model schema plus optional "operator", "mc"
     and "seed" sections. It gets the suite's case checks before any route
     runs (_check_case): a top-level key outside _CASE_KEYS, an unknown mc
-    method or an empty property list is a ConfigError, a malformed count a
-    ValueError. Each route gives (lambda, band), and one rule scores every
+    method, an empty property list or a key that a compare case does not
+    read is a ConfigError, a malformed count a ValueError. Each route gives (lambda, band), and one rule scores every
     pair: |lambda_a - lambda_b| <= max(band_a + band_b, TOLERANCES[pair]).
     A route that did not run, is labelled or has no finite exponent leaves
     its pairs unscored. Returns the report payload: the case, the oracle
@@ -257,7 +267,7 @@ def compare(case):
     """
     from . import operator as operator_mod
 
-    model = _check_case(case)
+    model = _check_case(case, "compare")
     seed = as_count(case.get("seed", 0), "seed")
     mccfg = _section(case, "mc")
     opcfg = _section(case, "operator")
@@ -548,21 +558,31 @@ def _check_counts(case):
         as_threads(value)
 
 
-def _check_case(case):
+def _check_case(case, kind):
     """A case's model, once its top-level keys, sections, mc method and counts
-    are checked; nothing is run."""
+    are checked, and last the keys that its kind (compare or a property
+    check) reads; nothing is run."""
     _check_keys(case, _CASE_KEYS, "case")
     for name in _SECTION_KEYS:
         _section(case, name)
-    _mc_method(case.get("mc", {}))
+    method = _mc_method(case.get("mc", {}))
     model = model_from_json(case)
     _check_counts(case)
+    if kind == "qbound" and method == "none":
+        raise ConfigError("the qbound check bounds a Monte Carlo estimate, "
+                          "so its mc method cannot be 'none'")
+    top, sections = _CASE_READS[kind]
+    unread = [key for key in ("check", "Ms", "deltas", "threads") if key in case and key not in top]
+    unread += [f"{name}.{key}" for name in _SECTION_KEYS for key in case.get(name, {})
+               if key not in sections.get(name, ())]
+    if unread:
+        raise ConfigError(f"a {kind} case does not read {', '.join(unread)}")
     return model
 
 
 def _validate_case(case, index):
-    """A case's type; its keys, sections, mc method, model and counts are
-    checked too (_check_case), nothing is run."""
+    """A case's type; its keys, sections, mc method, model, counts and the
+    keys its kind reads are checked too (_check_case), nothing is run."""
     if not isinstance(case, dict):
         raise ConfigError(f"case {index} is not an object")
     ctype = case.get("type", "compare")
@@ -576,11 +596,7 @@ def _validate_case(case, index):
     elif ctype != "compare":
         raise ConfigError(f"unknown case type {ctype!r} in case {index}")
     try:
-        _check_case(case)
-        mc_method = case.get("mc", {}).get("method")
-        if ctype == "property" and case["check"] == "qbound" and mc_method == "none":
-            raise ConfigError("the qbound check bounds a Monte Carlo estimate, "
-                              "so its mc method cannot be 'none'")
+        _check_case(case, case["check"] if ctype == "property" else "compare")
     except (ConfigError, ValueError) as e:
         raise ConfigError(f"case {index}: {e}") from e
     return ctype

@@ -74,6 +74,27 @@ class TestParsing:
         with pytest.raises(ValueError, match="iid initial law takes no parameters"):
             cli.parse_initial(flag, cli.parse_innovation("gaussian:1"))
 
+    @pytest.mark.parametrize("flag, message", [
+        ("point:", "point initial law needs values, e.g. point:0.0"),
+        ("stationary:1,2", "stationary initial law takes one parameter, a1"),
+        ("uniform:0,1", "unknown initial law 'uniform'"),
+    ], ids=["point_without_values", "stationary_two_values", "unknown_kind"])
+    def test_malformed_init_flag_named(self, flag, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.parse_initial(flag, cli.parse_innovation("gaussian:1"))
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--coeffs", "0.5"],
+        ["compare", "--process", "ar"],
+        ["sweep", "--kind", "convergence", "--coeffs", "0.5", "--Ms", "4", "--Ns", "50"],
+        ["sweep", "--kind", "monotonicity", "--process", "ar", "--coeff-grid", "0;0.2"],
+    ], ids=["compare_process", "compare_coeffs", "sweep_process", "sweep_coeffs"])
+    def test_model_flags_required_without_a_config(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"{argv[0]} requires --process and --coeffs" in capsys.readouterr().err
+
     def test_iid_init_parameter_fails_the_command(self, capsys):
         code, out, err = run(capsys, [
             "simulate", "--process", "ar", "--coeffs", "0.5", "--innovation", "gaussian:1",
@@ -536,6 +557,16 @@ class TestCompareCommand:
         assert code == 1 and out == ""
         assert err == f"error: {shown}\n"
 
+    def test_config_key_compare_does_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({
+            "process": "ar", "coeffs": [0.3], "innovation": {"kind": "gaussian"},
+            "mc": {"method": "none"}, "operator": {"N": 60}, "check": "truncation",
+            "Ms": [2.0]}))
+        code, out, err = run(capsys, ["compare", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert err == "error: ConfigError: a compare case does not read check, Ms\n"
+
     def test_config_with_integral_float_counts(self, capsys, tmp_path):
         # JSON's 1e3 and 40.0 are counts
         reports = []
@@ -590,6 +621,23 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["table"]) == 4
+
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("suite", [], "sweep --kind suite requires --config"),
+        ("convergence", ["--Ms", "4,6"], "sweep --kind convergence requires --Ms and --Ns"),
+        ("convergence", ["--Ns", "50"], "sweep --kind convergence requires --Ms and --Ns"),
+        ("monotonicity", [], "sweep --kind monotonicity requires --coeff-grid"),
+        ("continuity", ["--path", "0.1;0.2"],
+         "sweep --kind continuity requires --path and --target"),
+        ("continuity", ["--target", "0.3"],
+         "sweep --kind continuity requires --path and --target"),
+    ], ids=["suite", "convergence_Ns", "convergence_Ms", "monotonicity", "continuity_target",
+            "continuity_path"])
+    def test_missing_kind_flag_exits_one(self, capsys, kind, flags, message):
+        model = [] if kind == "suite" else ["--process", "ar", "--coeffs", "0.4"]
+        code, out, err = run(capsys, ["sweep", "--kind", kind, *model, *flags])
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: {message}\n"
 
     def test_convergence_fractional_N_exits_one(self, capsys):
         code, out, err = run(capsys, [
@@ -907,6 +955,21 @@ class TestModulesOnFirstUse:
                 "exec('from persistx import *', namespace)\n"
                 "print(sorted(set(persistx.__all__) - set(namespace)))\n")
         assert fresh_python(code).strip() == "[]"
+
+    def test_public_names(self):
+        assert sorted(persistx.__all__) == [
+            "ARModel", "AllPathsDied", "BracketNotFound", "ConfigError", "Exponential",
+            "Gaussian", "IIDInnovation", "MAModel", "MaxIterationsExceeded",
+            "NonPositiveProbabilityInWindow", "PersistenceEstimate", "PointMass",
+            "PopulationExtinct", "QuadratureGrid", "Rademacher", "RequestedDensityOfAtomicLaw",
+            "SpectralResult", "StationaryAR1Gaussian", "SurvivalConvention", "Uniform",
+            "__version__", "ar1_exponential_pn", "ar1_uniform_exponent", "assemble_ar",
+            "assemble_ma", "build_grid", "canonical_json", "characteristic_root",
+            "classify_regime", "compare", "continuity_sweep", "convergence_sweep",
+            "degenerate_factorial_pn", "estimate_crude", "estimate_splitting", "fit_exponent",
+            "ma1_exponential_exponent", "ma1_symmetric_series", "ma1_uniform_exponent",
+            "model_from_json", "monotonicity_sweep", "rademacher_pn", "run_suite",
+            "solve_operator", "spectral_radius", "substream"]
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

@@ -853,3 +853,92 @@ class TestRunSuite:
             a = (tmp_path / "ser" / f"{name}.json").read_bytes()
             b = (tmp_path / "par" / f"{name}.json").read_bytes()
             assert a == b
+
+
+AR_CASE = {"process": "ar", "coeffs": [0.5], "innovation": {"kind": "gaussian", "sd": 1.0}}
+MA_CASE = {"process": "ma", "coeffs": [0.5, 0.5], "innovation": {"kind": "gaussian", "sd": 1.0}}
+
+
+class TestUnreadKeys:
+    """A key that a case's type does not read is a config error that names it."""
+
+    @pytest.mark.parametrize("case, unread", [
+        ({"type": "property", "check": "determinism",
+          "mc": {"method": "splitting", "particles": 500}},
+         "a determinism case does not read mc.method, mc.particles"),
+        ({"type": "property", "check": "truncation", "operator": {"delta": "auto", "M": 3.0}},
+         "a truncation case does not read operator.delta, operator.M"),
+        ({"type": "property", "check": "conjugation", "operator": {"delta": 0.7},
+          "mc": {"replicates": 1000}},
+         "a conjugation case does not read operator.delta, mc.replicates"),
+        ({"type": "compare", "Ms": [2.0], "deltas": [0.1], "check": "truncation",
+          "threads": [1]},
+         "a compare case does not read check, Ms, deltas, threads"),
+        ({"type": "property", "check": "nonnegativity", "operator": {"skip": True}},
+         "a nonnegativity case does not read operator.skip"),
+        ({"type": "property", "check": "determinism", "Ms": [2.0], "mc": {"threads": 2}},
+         "a determinism case does not read Ms, mc.threads"),
+    ], ids=["determinism_method", "truncation_tilt_and_M", "conjugation_sections",
+            "compare_lists", "nonnegativity_skip", "determinism_Ms_mc_threads"])
+    def test_unread_key_named_before_any_output(self, tmp_path, case, unread):
+        config = tiny_config()
+        config["cases"].append({"name": "extra", **AR_CASE, **case})
+        with pytest.raises(harness.ConfigError, match=re.escape(f"case 3: {unread}")):
+            harness.run_suite(config, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_refuses_an_unread_key(self):
+        case = {**AR_CASE, "mc": {"method": "none"}, "operator": {"N": 40}, "deltas": [0.1]}
+        with pytest.raises(harness.ConfigError, match="a compare case does not read deltas"):
+            harness.compare(case)
+
+    @pytest.mark.parametrize("case", [
+        {"type": "compare", **AR_CASE, "seed": 3, "operator": {"M": 4.0, "N": 40,
+                                                               "delta": "auto", "skip": True},
+         "mc": {"method": "crude", "horizons": [0, 1, 2], "replicates": 100,
+                "particles": 10, "threads": 1, "window": [0, 2]}},
+        {"type": "property", "check": "nonnegativity", **AR_CASE,
+         "operator": {"M": 4.0, "N": 40, "delta": 0.1}},
+        {"type": "property", "check": "conjugation", **AR_CASE, "deltas": [0.0, 0.2],
+         "operator": {"M": 4.0, "N": 40}},
+        {"type": "property", "check": "truncation", **AR_CASE, "Ms": [2.0, 4.0],
+         "operator": {"N": 40}},
+        {"type": "property", "check": "qbound", **MA_CASE,
+         "mc": {"method": "splitting", "horizons": [0, 1, 2], "replicates": 100,
+                "particles": 10, "threads": 1, "window": [0, 2]}},
+        {"type": "property", "check": "determinism", **AR_CASE, "threads": [1, 2],
+         "mc": {"horizons": [0, 1], "replicates": 100}},
+    ], ids=["compare", "nonnegativity", "conjugation", "truncation", "qbound", "determinism"])
+    def test_every_key_a_case_reads_is_accepted(self, case):
+        assert harness._validate_case(case, 0) == case["type"]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("config, message", [
+        ({"cases": [5]}, "case 0 is not an object"),
+        ({"cases": [{**AR_CASE, "mc": [1]}]}, "case 0: the 'mc' section must be an object"),
+        ({"cases": [{**AR_CASE, "operator": 40}]},
+         "case 0: the 'operator' section must be an object"),
+        ({"cases": {"a": AR_CASE}}, "'cases' must be a list"),
+        ({"seed": 0}, "config must be an object with a 'cases' list"),
+    ], ids=["case", "mc_section", "operator_section", "cases_not_a_list", "no_cases"])
+    def test_malformed_config_refused_before_any_output(self, tmp_path, config, message):
+        with pytest.raises(harness.ConfigError, match=re.escape(message)):
+            harness.run_suite(config, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(harness.ConfigError,
+                           match="config must be an object with a 'cases' list"):
+            harness.run_suite(path, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("check, case, message", [
+        ("conjugation", MA_CASE, "conjugation invariance is an AR property"),
+        ("qbound", AR_CASE, "the q-dependence bound is an MA property"),
+    ])
+    def test_property_on_the_wrong_process(self, check, case, message):
+        with pytest.raises(harness.ConfigError, match=message):
+            harness.PROPERTY_CHECKS[check](case, 0)

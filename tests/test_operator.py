@@ -1,4 +1,5 @@
 import math
+import re
 import string
 import tracemalloc
 
@@ -16,6 +17,7 @@ from persistx.model import (
     IIDInnovation,
     MAModel,
     Rademacher,
+    RequestedDensityOfAtomicLaw,
     SurvivalConvention,
     Uniform,
     drift,
@@ -949,3 +951,59 @@ class TestSweeps:
         assert len(calls) == 11
         assert len(res["table"]) == 9
         assert res["table"][-1] == {"M": 8.0, "N": 400, "lambda": res["lambda_ref"], "diff": 0.0}
+
+
+class TestRefusals:
+    """Each input an operator entry point refuses, with the message it gives."""
+
+    @pytest.mark.parametrize("assemble, model, grid, message", [
+        (op.assemble_ar, MAModel((0.5,), Gaussian(), GE), op.build_grid(0.0, 1.0, 8),
+         "assemble_ar expects an AR model"),
+        (op.assemble_ar, ARModel((0.5,), Gaussian(), IIDInnovation(), GE),
+         op.build_grid(-1.0, 1.0, 8), "the AR state axis must start at 0, got lo=-1.0"),
+        (op.assemble_ar, ARModel((0.5,), Rademacher(), IIDInnovation(), GE),
+         op.build_grid(0.0, 1.0, 8),
+         "the AR operator needs an innovation density; atomic laws are handled in closed form"),
+        (op.assemble_ar, ARModel((0.5, 0.2), Gaussian(), IIDInnovation(), GE),
+         op.build_grid(0.0, 1.0, 8), "grid dimension 1 does not match model order 2"),
+        (op.assemble_ma, ARModel((0.5,), Gaussian(), IIDInnovation(), GE),
+         op.build_grid(-1.0, 1.0, 8), "assemble_ma expects an MA model"),
+        (op.assemble_ma, MAModel((1.0,), Rademacher(), GE), op.build_grid(-1.0, 1.0, 8),
+         "the MA operator needs an innovation density; atomic laws are handled in closed form"),
+        (op.assemble_ma, MAModel((0.5, 0.2), Gaussian(), GE), op.build_grid(-1.0, 1.0, 8),
+         "grid dimension 1 does not match model order 2"),
+        (op.assemble_ma, MAModel((0.5,), Gaussian(), GE), op.build_grid(-1.0, 1.0, 8, d=2),
+         "grid dimension 2 does not match model order 1"),
+    ], ids=["ar_on_ma", "ar_lo", "ar_atomic", "ar_dimension", "ma_on_ar", "ma_atomic",
+            "ma_dimension", "ma_dimension_above"])
+    def test_kernel_input_refused(self, assemble, model, grid, message):
+        # an atomic law has its own error class; every other refusal is a ValueError
+        atomic = isinstance(model.innovation, Rademacher)
+        with pytest.raises(RequestedDensityOfAtomicLaw if atomic else ValueError,
+                           match=f"^{re.escape(message)}$"):
+            assemble(model, grid)
+
+    def test_zero_dimension_grid(self):
+        with pytest.raises(ValueError, match="need dimension >= 1, got 0"):
+            op.build_grid(0.0, 1.0, 8, d=0)
+
+    @pytest.mark.parametrize("model, shape", [
+        (ARModel((0.5,), Gaussian(), IIDInnovation(), GE), (5,)),
+        (MAModel((0.5, 0.2), Gaussian(), GE), (8,)),
+    ], ids=["ar_table", "ma_suffix_sums"])
+    def test_apply_refuses_a_misshapen_vector(self, model, shape):
+        kop = op.assemble(model, op.default_grid(model, 4.0, 8))
+        wants = (8,) * model.order
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}, grid wants {wants}")):
+            kop.apply(np.ones(shape))
+
+    def test_truncation_keeping_under_two_nodes(self):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="M=0.001 keeps fewer than 2 nodes"):
+            op.truncation_lambdas(m, [0.001, 6.0], 10)
+
+    @pytest.mark.parametrize("ms, ns", [([], [50]), ([4.0], [])])
+    def test_convergence_sweep_needs_both_lists(self, ms, ns):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="need nonempty M and N lists"):
+            op.convergence_sweep(m, ms, ns)

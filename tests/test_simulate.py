@@ -635,3 +635,15 @@ class TestEstimateReport:
         assert est.effort == 5000
         est2 = sim.estimate_crude(m, [0, 5], 7000, 0)
         assert est2.effort == 7000
+
+
+class TestRefusals:
+    def test_crude_needs_a_replicate(self):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="need at least one replicate"):
+            sim.estimate_crude(m, [0, 1], 0, 0)
+
+    def test_splitting_needs_two_particles(self):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match="need at least two particles"):
+            sim.estimate_splitting(m, [0, 1], 1, 0)
