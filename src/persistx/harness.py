@@ -257,8 +257,9 @@ def compare(case):
     and "seed" sections. It gets the suite's case checks before any route
     runs (_check_case): a top-level key outside _CASE_KEYS, an unknown mc
     method, an empty property list or a key that a compare case does not
-    read is a ConfigError, a malformed count a ValueError. Each route gives (lambda, band), and one rule scores every
-    pair: |lambda_a - lambda_b| <= max(band_a + band_b, TOLERANCES[pair]).
+    read is a ConfigError, a malformed count a ValueError. Each route gives
+    (lambda, band), and one rule scores every pair:
+    |lambda_a - lambda_b| <= max(band_a + band_b, TOLERANCES[pair]).
     A route that did not run, is labelled or has no finite exponent leaves
     its pairs unscored. Returns the report payload: the case, the oracle
     exponent with its info and label, each route's result (None when it did
@@ -572,7 +573,8 @@ def _check_case(case, kind):
         raise ConfigError("the qbound check bounds a Monte Carlo estimate, "
                           "so its mc method cannot be 'none'")
     top, sections = _CASE_READS[kind]
-    unread = [key for key in ("check", "Ms", "deltas", "threads") if key in case and key not in top]
+    unread = [key for key in ("check", "Ms", "deltas", "threads")
+              if key in case and key not in top]
     unread += [f"{name}.{key}" for name in _SECTION_KEYS for key in case.get(name, {})
                if key not in sections.get(name, ())]
     if unread:
