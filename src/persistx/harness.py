@@ -184,6 +184,11 @@ _CASE_READS = {
     "qbound": (("check",), {"mc": _SECTION_KEYS["mc"]}),
     "determinism": (("check", "threads"), {"mc": ("horizons", "replicates")}),
 }
+# the process a property check runs on, with its refusal (_check_process)
+_CASE_PROCESS = {
+    "conjugation": (ARModel, "conjugation invariance is an AR property"),
+    "qbound": (MAModel, "the q-dependence bound is an MA property"),
+}
 
 
 def _check_keys(obj, known, where):
@@ -426,8 +431,7 @@ def _prop_conjugation(case, seed):
 
     del seed
     model = model_from_json(case)
-    if not isinstance(model, ARModel):
-        raise ConfigError("conjugation invariance is an AR property")
+    _check_process("conjugation", model)
     deltas = case.get("deltas", [0.0, 0.1, 0.5])
     opcfg = _section(case, "operator")
     lams = [operator_mod.solve_operator(model, m=opcfg.get("M"), n=opcfg.get("N", 200),
@@ -451,14 +455,11 @@ def _prop_truncation(case, seed):
 def _ma_p0(model):
     """P(Z_0 >= 0) for an MA model, computed, not sampled: exact for a
     Rademacher law (oracle.rademacher_ma_pn), else E[1 - F(-s)], s the drift
-    of xi_{-q}..xi_{-1}, on a q-fold Gauss-Legendre rule in u = F(xi)."""
+    of xi_{-q}..xi_{-1}, on a q-fold Gauss-Legendre rule in u = F(xi), for
+    the orders 1 to 4 that _check_process admits."""
     from . import operator as operator_mod, oracle as oracle_mod
 
     q = model.order
-    # the rule takes the largest N with N^q <= 2^18 nodes, at most 2000; at
-    # order 5 that N is 12, too few to beat the error of a Monte Carlo p_0
-    if q > 4:
-        raise ConfigError(f"qbound computes p_0 for MA orders 1 to 4, got order {q}")
     innov = model.innovation
     if isinstance(innov, Rademacher):
         return oracle_mod.rademacher_ma_pn(model, 0)
@@ -474,8 +475,7 @@ def _ma_p0(model):
 
 def _prop_qbound(case, seed):
     model = model_from_json(case)
-    if not isinstance(model, MAModel):
-        raise ConfigError("the q-dependence bound is an MA property")
+    _check_process("qbound", model)
     p0 = _ma_p0(model)
     mccfg = dict(_section(case, "mc"))
     mccfg.setdefault("method", "crude")
@@ -559,16 +559,29 @@ def _check_counts(case):
         as_threads(value)
 
 
+def _check_process(kind, model):
+    """A model that the check `kind` does not run on is a ConfigError: a process
+    other than _CASE_PROCESS names, or for qbound an MA order above 4."""
+    process, refusal = _CASE_PROCESS.get(kind, (object, None))
+    if not isinstance(model, process):
+        raise ConfigError(refusal)
+    # _ma_p0's rule takes the largest N with N^q <= 2^18 nodes, at most 2000;
+    # at order 5 that N is 12, too few to beat the error of a Monte Carlo p_0
+    if kind == "qbound" and model.order > 4:
+        raise ConfigError(f"qbound computes p_0 for MA orders 1 to 4, got order {model.order}")
+
+
 def _check_case(case, kind):
-    """A case's model, once its top-level keys, sections, mc method and counts
-    are checked, and last the keys that its kind (compare or a property
-    check) reads; nothing is run."""
+    """A case's model, once its top-level keys, sections, mc method, counts
+    and the process its check runs on are checked, and last the keys that its
+    kind (compare or a property check) reads; nothing is run."""
     _check_keys(case, _CASE_KEYS, "case")
     for name in _SECTION_KEYS:
         _section(case, name)
     method = _mc_method(case.get("mc", {}))
     model = model_from_json(case)
     _check_counts(case)
+    _check_process(kind, model)
     if kind == "qbound" and method == "none":
         raise ConfigError("the qbound check bounds a Monte Carlo estimate, "
                           "so its mc method cannot be 'none'")
@@ -620,10 +633,11 @@ def run_suite(config, out_dir, threads=None):
     """Run a config of compare cases and property checks; write reports.
 
     The config's keys, seed and threads and every case's type, keys,
-    sections, model, counts and name (a plain file name that no other case
-    has) are checked first: a config error raises before out_dir is created
-    or any case runs. Then one canonical JSON file per case plus summary.csv
-    are written under out_dir; the SuiteResult's any_failed is the verdict.
+    sections, model, counts, process and name (a plain file name that no
+    other case has) are checked first: one ConfigError that names every bad
+    case raises before out_dir is created or any case runs. Then one
+    canonical JSON file per case plus summary.csv are written under out_dir;
+    the SuiteResult's any_failed is the verdict.
     """
     cfg = load_config(config)
     if not isinstance(cfg, dict) or "cases" not in cfg:
@@ -636,18 +650,24 @@ def run_suite(config, out_dir, threads=None):
     config_threads = as_threads(cfg["threads"]) if "threads" in cfg else None
     threads = as_threads(threads) if threads is not None else config_threads
 
-    prepared = []
+    prepared, problems = [], []
     names = set()
     for i, case in enumerate(cases):
-        ctype = _validate_case(case, i)
+        try:
+            ctype = _validate_case(case, i)
+        except ConfigError as e:
+            problems.append(str(e))
+            continue
         name = str(case.get("name", f"case-{i}"))
         # the name is the report's file name under out_dir
         if name in ("", ".", "..") or "/" in name or os.sep in name:
-            raise ConfigError(f"case {i}: name {name!r} is not a plain file name")
-        if name in names:
-            raise ConfigError(f"case {i}: name {name!r} repeats an earlier case's")
+            problems.append(f"case {i}: name {name!r} is not a plain file name")
+        elif name in names:
+            problems.append(f"case {i}: name {name!r} repeats an earlier case's")
         names.add(name)
         prepared.append((name, ctype, case))
+    if problems:
+        raise ConfigError("; ".join(problems))
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 

@@ -3,13 +3,13 @@
 The AR operator acts on functions of the state (x_1..x_p) as
 (Kg)(x) = int_0^M g(x_2..x_p, z) phi(z - s(x)) dz with drift
 s(x) = sum_j a_j x_{p+1-j}; the substituted variable z shares the grid with
-the state, so the discretization needs no interpolation in z. Each kernel
-row is assembled from exact innovation mass per grid cell (CDF
-differences), which keeps the rank-one i.i.d. case and bounded-support
-truncations exact. The kernel form follows the model alone (assemble_ar):
-AR(1) and laws with a support endpoint keep the exact table, AR of order
->= 2 on a law supported on the whole line interpolates its rows linearly
-in the drift, and MA is stored as suffix sums.
+the state, so the discretization needs no interpolation in z. The kernel
+form follows the law alone (assemble_ar). A law with a support endpoint
+(uniform, exponential) keeps a table of the exact innovation mass per grid
+cell (CDF differences), which keeps the rank-one i.i.d. case and
+bounded-support truncations exact. The Gaussian takes the Nystrom rule of the
+grid itself, w_j phi(z_j - s(x)), whose integrand is smooth on the box, held
+as three small factors. MA is stored as suffix sums.
 
 The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
@@ -36,21 +36,20 @@ last iterates.
 Cost. The Gauss-Legendre rule is Newton's method on the three-term
 recurrence, O(N^2) in numpy (numpy's leggauss is an O(N^3) eigen-solve), and
 is built once per N: later grids of the same N rescale the cached rule, and
-grids on the same axis share the rescaled arrays. Both AR tables are
-filled through one routine (_cell_masses) whose temporaries are one slab of
-about 2^16 entries, so assembly memory is the table (N^(d+1) floats exact,
-L*N over the drift) plus one slab. One exact AR apply is a batched
-matrix-vector product (np.matmul) on a strided view of the table, not a
-copy of it. A drift table has L = 8N drift nodes, O(L*N + N^d) memory,
-and one apply is one GEMM of the (L, N) table with g's rows plus two
-gathers, O(L*N^d) time: an AR(2) solve at N = 128 peaks at 4.8 MB, one on
-the exact table at 20.0 MB. MA memory is O(N^d): one MA apply is a suffix
-sum of the weighted iterate along the new coordinate plus a gather of each
-state's suffix, O(N^d) time. Power iteration normalizes its next iterate
-in place, so each step allocates only the apply's result, and it forms the
-residual only on steps where lambda has settled. After each normalization
-the iterate's subnormal entries are set to zero: they weigh nothing at the
-sup-norm scale, but they slow every later matvec several-fold. The
+grids on the same axis share the rescaled arrays. The cell-mass table is
+filled in slabs of about 2^16 entries (_cell_masses), so its assembly
+memory is the table (N^(d+1) floats) plus one slab. The Gaussian factors
+take O(N^2 + N^d) memory, and one apply contracts them in O(N^(d+1)) time:
+an AR(2) solve at N = 128 peaks below 8 MB, where the exact table alone
+would take 16.8 MB. Every AR apply contracts with np.einsum, which does not
+thread, so lambda's bytes do not depend on the BLAS thread count. MA memory
+is O(N^d): one MA apply is a suffix sum of the weighted iterate along the
+new coordinate plus a gather of each state's suffix, O(N^d) time. Power
+iteration normalizes its next iterate in place, so each step allocates only
+the apply's result, and it forms the residual only on steps where lambda
+has settled. After each normalization the iterate's subnormal entries are
+set to zero: they weigh nothing at the sup-norm scale, but they slow every
+later matvec several-fold. The
 Rayleigh-Ritz extraction costs no apply: it copies the RITZ_BLOCK = 4
 iterates before each sparse check into one (4, N^d) block, whose images are
 the next iterates times their lambdas, and at the check spends O(N^d) in a
@@ -71,6 +70,7 @@ import numpy as np
 
 from .model import (
     ARModel,
+    Gaussian,
     MAModel,
     PersistxError,
     RequestedDensityOfAtomicLaw,
@@ -247,26 +247,24 @@ class DiscretizedOperator:
     n^d x n^d matrix is never formed. The kernel is held in one of three
     forms; delta is the tilt it was assembled with (always 0 for MA).
 
-    AR, exact table: kmat has shape (n,)*d + (n,) and start is None; entry
-    [x_1..x_d, z] is the quadrature weight carried from state (x_1..x_d) to
-    state (x_2..x_d, z). One apply costs O(n^d * n).
+    AR, exact table: kmat has shape (n,)*d + (n,) and base and start are
+    None; entry [x_1..x_d, z] is the quadrature weight carried from state
+    (x_1..x_d) to state (x_2..x_d, z). One apply costs O(n^d * n).
 
-    AR, drift table: kmat has shape (L, n), one row of tilted cell masses per
-    drift node; start (the state's lower drift node) and coef (shape
-    (2, n^d), the weights of that node and the next) run over the states in C
-    order. Row x of the kernel is coef[0, x] kmat[start[x]] + coef[1, x]
-    kmat[start[x] + 1]. One apply is one GEMM, kmat @ g.reshape(n^(d-1), n).T,
-    plus a gather of each state's two images: O(L * n^d) time, O(L * n + n^d)
-    memory.
+    AR, Gaussian density factors: entry [x_1, r, z] is
+    coef[x_1, r] * kmat[x_1, z] * base[r, z], where r runs over the states
+    (x_2..x_d) in C order: kmat has shape (n, n), base (n^(d-1), n) and coef
+    (n, n^(d-1)), and start is None. One apply weighs g by base, contracts
+    it with kmat and scales the result by coef: O(n^(d+1)) time, O(n^2 +
+    n^d) memory.
 
     MA: start and coef run over the states in C order. The row of state x
     is base[j] at every node j >= start[x], plus coef[x] at node
     start[x] - 1, the cut cell (coef is 0 on a row without one). One apply
     multiplies g by base along the new coordinate, takes its suffix sums,
     gathers each state's suffix from start[x] and adds coef[x] * g at
-    start[x] - 1: O(n^d) in time and in memory. The work buffers of the MA
-    and drift-table forms belong to the operator, so one operator serves one
-    caller at a time.
+    start[x] - 1: O(n^d) in time and in memory. Its work buffers belong to
+    the operator, so one operator serves one caller at a time.
     """
 
     grid: QuadratureGrid
@@ -282,15 +280,6 @@ class DiscretizedOperator:
         n, d = self.grid.n, self.grid.d
         # g viewed as rows (x_2..x_d) by the new coordinate
         row = np.arange(n ** d) % n ** (d - 1)
-        if self.kmat is not None:
-            # the images are laid out drift nodes by rows: states next to each
-            # other in C order mostly share their nodes, so both gathers run
-            # nearly in order
-            self._at_node = self.start * n ** (d - 1) + row
-            self._at_upper = self._at_node + n ** (d - 1)
-            self._images = np.empty((len(self.kmat), n ** (d - 1)))
-            self._upper = np.empty(n ** d)
-            return
         # the suffix table holds, per row, the sums of its last 0..n weighted
         # entries
         self._at_suffix = row * (n + 1) + (n - self.start)
@@ -306,39 +295,30 @@ class DiscretizedOperator:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,) * d:
             raise ValueError(f"value vector has shape {g.shape}, grid wants {(self.grid.n,) * d}")
+        if self.start is None and self.base is None:
+            # axis k of kmat is x_(k+1) and axis d is z; g's axes are x_2..x_d, z
+            return np.einsum(self.kmat, [*range(d + 1)], g, [*range(1, d + 1)], [*range(d)])
         if self.start is None:
-            # batch over x_2..x_d (one batch at d = 1) on a strided view: each
-            # batch is one BLAS matrix-vector product and kmat is not copied
-            out = np.empty_like(g)
-            np.matmul(np.moveaxis(self.kmat, 0, d - 1), g[..., None],
-                      out=np.moveaxis(out, 0, d - 1)[..., None])
-            return out
-        if self.kmat is None:
-            # suffix sums run from the last node down: the terms are
-            # nonnegative, so nothing cancels
-            weighted = np.multiply(g.reshape(self._weighted.shape), self.base, out=self._weighted)
-            np.add.accumulate(weighted[:, ::-1], axis=1, out=self._suffix[:, 1:])
-            out = self._suffix.take(self._at_suffix)
-            at_cut = g.take(self._at_cell, out=self._at_cut, mode="clip")
-            at_cut *= self.coef
-            out += at_cut
+            weighted = g.reshape(self.base.shape) * self.base
+            out = np.einsum("iz,kz->ik", self.kmat, weighted)
+            out *= self.coef
             return out.reshape(g.shape)
-        # one GEMM gives the image of every row of g under every drift node's
-        # table row; each state blends the images at its two nodes
-        images = np.matmul(self.kmat, g.reshape(-1, self.grid.n).T, out=self._images)
-        out = images.take(self._at_node)
-        out *= self.coef[0]
-        upper = images.take(self._at_upper, out=self._upper)
-        upper *= self.coef[1]
-        out += upper
+        # suffix sums run from the last node down: the terms are nonnegative,
+        # so nothing cancels
+        weighted = np.multiply(g.reshape(self._weighted.shape), self.base, out=self._weighted)
+        np.add.accumulate(weighted[:, ::-1], axis=1, out=self._suffix[:, 1:])
+        out = self._suffix.take(self._at_suffix)
+        at_cut = g.take(self._at_cell, out=self._at_cut, mode="clip")
+        at_cut *= self.coef
+        out += at_cut
         return out.reshape(g.shape)
 
 
-# entries per slab of _cell_masses, which fills both AR tables
+# entries per slab of _cell_masses
 _SLAB = 1 << 16
-# an AR kernel of order >= 2 on a law supported on the whole line is
-# tabulated over the drift, on DRIFT_NODES_PER_NODE drift nodes per grid node
-DRIFT_NODES_PER_NODE = 8
+# the largest |a_d| (M / 2sd)^2 of the Gaussian factors (_density_factors):
+# their exponents that matter then lie in [-700, 350], inside float range
+_DENSITY_RANGE = 350.0
 
 
 def _coordinates(grid):
@@ -349,23 +329,15 @@ def _coordinates(grid):
 def assemble_ar(model, grid, delta=0.0):
     """Discretize the AR persistence operator (optionally tilted) on the grid.
 
-    Row x, column j carries the exact innovation mass of grid cell j shifted
-    by the drift: F(e_{j+1} - s(x)) - F(e_j - s(x)). With delta > 0 every
-    entry is multiplied by h(x')/h(x) = exp(delta (z - x_1)), a diagonal
-    similarity that leaves the spectral radius unchanged.
-
-    The form follows the model alone, at every n:
-    - AR(1), and any order on a law with a support endpoint (uniform,
-      exponential), keep the exact table of shape (n,)*d + (n,). A support
-      endpoint puts a kink in s into the cell masses, which linear
-      interpolation resolves poorly.
-    - Order >= 2 on a law supported on the whole line (the Gaussian) is
-      tabulated over the drift: the row depends on x only through s(x), so
-      the rows are tabulated on L = DRIFT_NODES_PER_NODE * n uniform drift
-      nodes spanning the states' drift range, and each state interpolates
-      linearly between its two nodes. The tilt's exp(delta z) scales the
-      table's columns and its exp(-delta x_1) each state's weights, so every
-      entry stays nonnegative and the tilt stays an exact similarity.
+    With delta > 0 every entry is multiplied by h(x')/h(x) = exp(delta (z -
+    x_1)), a diagonal similarity that leaves the spectral radius unchanged.
+    The form follows the law alone, at every order and n:
+    - A law with a support endpoint (uniform, exponential) keeps the exact
+      table of shape (n,)*d + (n,): row x, column j carries the innovation
+      mass of grid cell j shifted by the drift, F(e_{j+1} - s(x)) - F(e_j -
+      s(x)).
+    - The Gaussian takes the Nystrom rule w_j phi(z_j - s(x)) as three
+      factors (_density_factors).
     """
     if not isinstance(model, ARModel):
         raise ValueError("assemble_ar expects an AR model")
@@ -374,12 +346,11 @@ def assemble_ar(model, grid, delta=0.0):
         raise ValueError(f"the AR state axis must start at 0, got lo={grid.lo}")
     n, d = grid.n, grid.d
     delta = float(delta)
+    if isinstance(model.innovation, Gaussian):
+        return _density_factors(model, grid, delta)
     s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
-    tilt_to = np.exp(delta * grid.nodes)
     tilt_from = np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
-    if d >= 2 and model.innovation.support == (-math.inf, math.inf):
-        return _assemble_drift_table(model.innovation, grid, delta, s, tilt_to, tilt_from)
-    kmat = _cell_masses(model.innovation, grid.edges, s, tilt_to, tilt_from)
+    kmat = _cell_masses(model.innovation, grid.edges, s, np.exp(delta * grid.nodes), tilt_from)
     return DiscretizedOperator(grid=grid, kmat=kmat.reshape((n,) * d + (n,)), delta=delta)
 
 
@@ -392,11 +363,11 @@ def _check_kernel_input(model, grid, label):
         raise ValueError(f"grid dimension {grid.d} does not match model order {model.order}")
 
 
-def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from=None):
+def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from):
     """Row k, column j: clip(F(e_{j+1} - s_k) - F(e_j - s_k), 0), the
     innovation mass of cell j shifted by the k-th of the flat drifts, times
-    tilt_to[j] and then tilt_from[k] if given (at delta = 0 both are 1.0,
-    and multiplying by 1.0 is exact).
+    tilt_to[j] and then tilt_from[k] (at delta = 0 both are 1.0, and
+    multiplying by 1.0 is exact).
 
     The rows are filled and tilted in slabs of about _SLAB entries, so the
     temporaries stay small next to the result.
@@ -409,30 +380,55 @@ def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from=None):
         np.subtract(cdf_vals[:, 1:], cdf_vals[:, :-1], out=slab)
         np.clip(slab, 0.0, None, out=slab)
         slab *= tilt_to
-        if tilt_from is not None:
-            slab *= tilt_from[k0:k0 + step, None]
+        slab *= tilt_from[k0:k0 + step, None]
     return out
 
 
-def _assemble_drift_table(innovation, grid, delta, s, tilt_to, tilt_from):
-    """The AR kernel interpolated linearly in the drift.
+def _density_factors(model, grid, delta):
+    """The Gaussian AR kernel w_j phi(z_j - s(x)) exp(delta (z_j - x_1)) as
+    three factors.
 
-    Row l of the table is the cell masses at the l-th of L uniform drift
-    nodes spanning the range of the drifts s, each column j times tilt_to[j]
-    = exp(delta z_j); each state keeps its lower node (start) and the weights
-    of its two nodes times tilt_from = exp(-delta x_1) (coef, shape (2, n^d)).
+    With c = a_d, s(x) = c x_1 + r(x_2..x_d). From the box's midpoint m, in
+    units of sd, u = (x_1 - m)/sd, v = (z - m)/sd and t = (m - r - c m)/sd,
+    so (z - s)/sd = v + t - c u. With q the peak -t of row r clipped to the
+    box and p = q + t,
+    -(v + t - c u)^2 / 2 = [-(v - q)^2 / 2 - p (v - q)] + c u v
+                           + [-(p - c u)^2 / 2 - c u q]:
+    base[r, j] takes the first term times w_j exp(delta z_j) / (sd sqrt(2 pi)),
+    kmat[i, j] the second and coef[i, r] the third times exp(-delta x_1).
+    The first term is <= 0 and the others are <= R = |c| (M / 2sd)^2; where an
+    entry is not negligible, none is below about -2R. So the factors keep
+    every entry that matters in float range while R <= _DENSITY_RANGE; past
+    it a ValueError names c and the box.
     """
-    count = DRIFT_NODES_PER_NODE * grid.n
-    lo = float(s.min())
-    # a constant drift sits on node 0 with weight 1, whatever the spacing
-    step = (float(s.max()) - lo) / (count - 1) or 1.0
-    table = _cell_masses(innovation, grid.edges, lo + step * np.arange(count), tilt_to)
-    pos = (s - lo) / step
-    start = np.minimum(pos.astype(np.intp), count - 2)
-    upper = np.clip(pos - start, 0.0, 1.0)
-    coef = np.stack((1.0 - upper, upper))
-    coef *= tilt_from
-    return DiscretizedOperator(grid=grid, kmat=table, delta=delta, start=start, coef=coef)
+    n, d = grid.n, grid.d
+    sd = model.innovation.sd
+    c = model.coeffs[-1]
+    mid = 0.5 * (grid.lo + grid.hi)
+    half = 0.5 * (grid.hi - grid.lo) / sd
+    reach = abs(c) * half * half
+    if reach > _DENSITY_RANGE:
+        raise ValueError(f"the Gaussian AR kernel has no factored form at a_d = {c} on the box "
+                         f"[{grid.lo}, {grid.hi}] with sd {sd}: |a_d| (M / 2sd)^2 = {reach:.4g} "
+                         f"exceeds {_DENSITY_RANGE:g}")
+    u = (grid.nodes - mid) / sd
+    rest = drift(model.coeffs[:-1], _coordinates(grid)[1:])
+    t = ((mid - np.broadcast_to(rest, (n,) * (d - 1)) - c * mid) / sd).reshape(-1)
+    q = np.clip(-t, -half, half)
+    p = q + t
+    base = u - q[:, None]
+    base *= -0.5 * base - p[:, None]
+    np.exp(base, out=base)
+    base *= grid.weights * np.exp(delta * grid.nodes) / (sd * math.sqrt(2.0 * math.pi))
+    cu = c * u
+    kmat = np.multiply.outer(cu, u)
+    np.exp(kmat, out=kmat)
+    coef = np.subtract.outer(cu, p)
+    coef *= -0.5 * coef
+    coef -= np.multiply.outer(cu, q)
+    np.exp(coef, out=coef)
+    coef *= np.exp(-delta * grid.nodes)[:, None]
+    return DiscretizedOperator(grid=grid, kmat=kmat, delta=delta, base=base, coef=coef)
 
 
 def assemble_ma(model, grid):
@@ -686,21 +682,23 @@ def solve_operator(model, m=None, n=400, delta=0.0):
 
 def _restrict(op, i0, i1):
     """op restricted to cells i0..i1-1 of every axis: a principal submatrix, in
-    op's own form. An exact table's member is a view of its kmat's block; a
-    drift table keeps its drift nodes; an MA row's start shifts and clips to
-    the box, and a cut cell outside the box is dropped."""
+    op's own form. An exact table's member is a view of its kmat's block; the
+    Gaussian factors each keep their box; an MA row's start shifts and clips
+    to the box, and a cut cell outside the box is dropped."""
     big, d, n = op.grid, op.grid.d, int(i1 - i0)
     grid = replace(big, lo=float(big.edges[i0]), hi=float(big.edges[i1]), n=n,
                    nodes=big.nodes[i0:i1], weights=big.weights[i0:i1],
                    edges=big.edges[i0:i1 + 1])
     box = (slice(i0, i1),) * d
-    if op.start is None:
+    if op.start is None and op.base is None:
         return DiscretizedOperator(grid=grid, kmat=op.kmat[box + box[:1]], delta=op.delta)
+    if op.start is None:
+        # base's axes are x_2..x_d, z and coef's x_1..x_d
+        return DiscretizedOperator(grid=grid, kmat=op.kmat[box[0], box[0]], delta=op.delta,
+                                   base=op.base.reshape((big.n,) * d)[box].reshape(-1, n),
+                                   coef=op.coef.reshape((big.n,) * d)[box].reshape(n, -1))
     states = np.arange(big.n ** d).reshape((big.n,) * d)[box].reshape(-1)
     start = op.start[states]
-    if op.kmat is not None:
-        return DiscretizedOperator(grid=grid, kmat=np.ascontiguousarray(op.kmat[:, box[0]]),
-                                   delta=op.delta, start=start, coef=op.coef[:, states])
     # the cut cell is start - 1
     coef = np.where((start > i0) & (start <= i1), op.coef[states], 0.0)
     return DiscretizedOperator(grid=grid, base=op.base[i0:i1],

@@ -381,6 +381,24 @@ class TestOperatorCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: need a finite truncation M > 0")
 
+    # AR(1) N = 682 applied its exact table by a BLAS matrix-vector product and
+    # AR(3) N = 38 its drift table by a BLAS GEMM: each printed other bytes at
+    # 1 and 2 OpenBLAS threads
+    @pytest.mark.parametrize("coeffs, n", [("0.9", "682"), ("0.3,0.2,0.1", "38")],
+                             ids=["ar1", "ar3"])
+    def test_bytes_do_not_depend_on_the_blas_threads(self, coeffs, n):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            outs.append(subprocess.run(
+                [sys.executable, "-m", "persistx.cli", "operator", "--process", "ar",
+                 "--coeffs", coeffs, "--innovation", "gaussian:1", "--N", n, "--delta", "auto"],
+                env=env, capture_output=True, text=True, check=True, timeout=120).stdout)
+        assert outs[0] == outs[1]
+
     def test_ma_tilt_exits_one(self, capsys):
         code, out, err = run(capsys, [
             "operator", "--process", "ma", "--coeffs", "1", "--N", "50", "--delta", "0.7"])

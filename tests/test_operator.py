@@ -138,10 +138,10 @@ class TestAssembleAr:
     def test_row_sums_bound_one(self):
         m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
         grid = op.default_grid(m, 6.0, 80)
-        kop = op.assemble_ar(m, grid)
-        sums = kop.kmat.sum(axis=-1)
+        table = _factored_table(op.assemble_ar(m, grid))
+        sums = table.sum(axis=-1)
         assert np.all(sums <= 1.0 + 1e-12)
-        assert np.all(kop.kmat >= 0.0)
+        assert np.all(table >= 0.0)
 
     def test_needs_density(self):
         from persistx.model import RequestedDensityOfAtomicLaw
@@ -201,7 +201,6 @@ def _dense_apply(kmat, g):
 class TestSlabAssembly:
     # every size spans several assembly slabs, the last one partial
     @pytest.mark.parametrize("coeffs,innovation,n", [
-        ((0.4,), Gaussian(), 400),
         ((-0.7,), Exponential(), 300),
         ((0.3, 0.2), Uniform(-1.0, 1.0), 60),
         ((0.5, -0.3), Exponential(), 45),
@@ -227,12 +226,13 @@ class TestApply:
         assert out.shape == (n,) * d
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    # lambda and iterations of the one batched apply, at d = 1 and d = 2
+    # lambda and iterations at d = 1 and d = 2; each Gaussian pin is the
+    # solve of _density_table's exact table on the same grid
     @pytest.mark.parametrize("coeffs,innovation,n,delta,lam,iterations", [
-        ((0.4,), Gaussian(), 400, 0.3, 0.647769920818495, 15),
+        ((0.4,), Gaussian(), 400, 0.3, 0.6477665857571864, 15),
         ((-0.5,), Exponential(), 400, 0.3, 0.666647748564583, 3),
-        ((0.5, -0.3), Gaussian(), 60, 0.0, 0.5521435068094849, 23),
-        ((0.3, 0.2), Gaussian(), 60, "auto", 0.7005364266035168, 25),
+        ((0.5, -0.3), Gaussian(), 60, 0.0, 0.5521273970403443, 23),
+        ((0.3, 0.2), Gaussian(), 60, "auto", 0.7003321186514562, 25),
     ], ids=["ar1_gauss_0.4", "ar1_exp_m0.5", "ar2_0.5_m0.3", "ar2_0.3_0.2_auto"])
     def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, delta, lam, iterations):
         res = op.solve_operator(ARModel(coeffs, innovation, IIDInnovation(), GE), n=n, delta=delta)
@@ -240,65 +240,135 @@ class TestApply:
         assert res.iterations == iterations
 
 
-def _dense_drift_kmat(kop):
-    """The drift-table operator's kernel as a table: each state's two drift
-    rows, blended by its weights."""
-    n, d = kop.grid.n, kop.grid.d
-    lower, upper = kop.kmat[kop.start], kop.kmat[kop.start + 1]
-    rows = kop.coef[0][:, None] * lower + kop.coef[1][:, None] * upper
-    return rows.reshape((n,) * d + (n,))
+def _density_table(model, grid, delta, rows=slice(None)):
+    """The Gaussian AR kernel w_j phi(z_j - s(x)) exp(delta (z_j - x_1)) as a
+    table over the states whose x_1 is nodes[rows], every entry evaluated
+    directly."""
+    d, sd = model.order, model.innovation.sd
+    cols = [grid.nodes.reshape((-1,) + (1,) * (d - 1 - k)) for k in range(d)]
+    cols[0] = cols[0][rows]
+    y = (grid.nodes - drift(model.coeffs, cols)[..., None]) / sd
+    table = np.exp(-0.5 * y * y) / (sd * math.sqrt(2.0 * math.pi)) * grid.weights
+    return table * np.exp(delta * (grid.nodes - cols[0][..., None]))
 
 
-# the AR(2) grid size of the drift-table tests
-N_DRIFT = 129
+def _factored_table(kop, rows=slice(None)):
+    """The table that a Gaussian operator's factors hold, over the states whose
+    x_1 is nodes[rows]."""
+    table = kop.coef[rows, :, None] * (kop.kmat[rows, None, :] * kop.base)
+    return table.reshape((-1,) + (kop.grid.n,) * kop.grid.d)
+
+
+# the AR(2) grid size of the factored-form tests
+N_AR2 = 129
 AR2 = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
 
 
-class TestDriftTable:
-    # the kernel form follows the order and the law's support, at every n
-    @pytest.mark.parametrize("model, n, tabulated", [
+class TestDensityFactors:
+    # the kernel form follows the law, at every order and n
+    @pytest.mark.parametrize("model, n, factored", [
         (AR2, 12, True),
-        (AR2, 60, True),
         (AR2, 128, True),
+        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 1500, True),
+        (ARModel((0.3, 0.2, 0.1), Gaussian(), IIDInnovation(), GE), 20, True),
         (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), 12, False),
-        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), N_DRIFT, False),
-        (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), 1500, False),
-    ], ids=["gaussian_ar2_12", "gaussian_ar2_60", "gaussian_ar2_128", "exponential_ar2_12",
-            "exponential_ar2_129", "gaussian_ar1_1500"])
-    def test_kernel_form_follows_the_law(self, model, n, tabulated):
+        (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), N_AR2, False),
+    ], ids=["gaussian_ar2_12", "gaussian_ar2_128", "gaussian_ar1_1500", "gaussian_ar3_20",
+            "exponential_ar2_12", "exponential_ar2_129"])
+    def test_kernel_form_follows_the_law(self, model, n, factored):
         grid = op.default_grid(model, None, n)
         kop = op.assemble_ar(model, grid, delta=0.3)
-        if tabulated:
-            assert kop.kmat.shape == (op.DRIFT_NODES_PER_NODE * n, n)
-            assert kop.start is not None
+        d = model.order
+        assert kop.start is None
+        if factored:
+            shapes = (kop.kmat.shape, kop.base.shape, kop.coef.shape)
+            assert shapes == ((n, n), (n ** (d - 1), n), (n, n ** (d - 1)))
         else:
-            assert kop.kmat.shape == (n,) * (model.order + 1)
-            assert kop.start is None
+            assert kop.base is None
             assert np.array_equal(kop.kmat, _one_shot_kmat(model, grid, 0.3))
 
-    @pytest.mark.parametrize("coeffs, n", [
-        ((0.3, 0.2), 16),
-        ((0.3, 0.2), 60),
-        ((0.3, 0.2), 128),
-        ((0.5, -0.3), 16),
-        ((0.3, 0.2, 0.1), 20),
-        ((0.3, 0.2, 0.1), 38),
-    ], ids=["ar2_0.3_0.2_16", "ar2_0.3_0.2_60", "ar2_0.3_0.2_128", "ar2_0.5_m0.3_16",
-            "ar3_0.3_0.2_0.1_20", "ar3_0.3_0.2_0.1_38"])
-    def test_lambda_within_one_percent_of_the_discretization_error(self, coeffs, n):
-        # the exact table on the same grid is the reference, down to small n
+    # (coefficients, sd, M in units of sd or None for the default, N): the
+    # operator benchmark's two Gaussian AR cases, |a_d| = 10 at the default M
+    # and 2 at M = 25 sd, the edges of the factored form's range, an AR(3)
+    # and two scales
+    @pytest.mark.parametrize("coeffs, sd, m, n", [
+        ((0.9,), 1.0, None, 1600),
+        ((0.3, 0.2), 1.0, None, 200),
+        ((10.0,), 1.0, None, 200),
+        ((-10.0,), 1.0, None, 200),
+        ((0.3, 10.0), 1.0, None, 60),
+        ((2.0,), 1.0, 25.0, 200),
+        ((-2.0,), 1.0, 25.0, 200),
+        ((5.0, -2.0), 1.0, 25.0, 60),
+        ((0.3, 0.2, 0.1), 1.0, None, 20),
+        ((0.5, 0.3), 0.01, None, 60),
+        ((0.5, 0.3), 100.0, None, 60),
+    ], ids=["ar1_0.9", "ar2_0.3_0.2", "ar1_10", "ar1_m10", "ar2_0.3_10", "ar1_2_m25",
+            "ar1_m2_m25", "ar2_5_m2_m25", "ar3", "ar2_sd0.01", "ar2_sd100"])
+    def test_entries_and_apply_match_the_dense_table(self, coeffs, sd, m, n):
+        model = ARModel(coeffs, Gaussian(sd), IIDInnovation(), GE)
+        grid = op.default_grid(model, None if m is None else m * sd, n)
+        delta = op.default_delta(model)
+        kop = op.assemble_ar(model, grid, delta=delta)
+        g = np.random.default_rng(5).random((n,) * model.order)
+        expected = np.empty_like(g)
+        largest = worst = 0.0
+        # the table is built in slabs of x_1 of about 2^20 entries
+        step = max(1, (1 << 20) // n ** model.order)
+        for i in range(0, n, step):
+            rows = slice(i, i + step)
+            table = _density_table(model, grid, delta, rows)
+            largest = max(largest, float(table.max()))
+            worst = max(worst, float(np.abs(_factored_table(kop, rows) - table).max()))
+            expected[rows] = _dense_apply(table, g)
+        assert worst <= 1e-13 * largest
+        assert np.abs(kop.apply(g) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_refused_past_its_range(self):
+        # |a_d| (M / 2sd)^2 = 781 at a_d = 5, M = 25 sd
+        m = ARModel((5.0, 5.0), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=re.escape(
+                "no factored form at a_d = 5.0 on the box [0.0, 25.0] with sd 1.0")):
+            op.solve_operator(m, m=25.0, n=20)
+
+    @pytest.mark.parametrize("coeffs", [(0.5,), (0.9,), (0.3, 0.2), (0.3, 0.2, 0.1)])
+    def test_lambda_settles_by_n_30(self, coeffs):
+        m = ARModel(coeffs, Gaussian(), IIDInnovation(), GE)
+        lams = [op.solve_operator(m, n=n, delta="auto").lam for n in (30, 40, 60)]
+        assert max(lams) - min(lams) <= 1e-11
+
+    @pytest.mark.parametrize("n", [20, 40, 80])
+    @pytest.mark.parametrize("delta", [0.0, "auto"])
+    def test_iid_case_is_one_half(self, n, delta):
+        m = ARModel((0.0,), Gaussian(), IIDInnovation(), GE)
+        assert abs(op.solve_operator(m, n=n, delta=delta).lam - 0.5) <= 1e-13
+
+    # the cell masses converge as N^-2; AR(2) takes them at N = 100 and 200,
+    # since its table at N = 800 would take 4 GB
+    @pytest.mark.parametrize("coeffs, n_cells", [((0.5,), 400), ((0.9,), 400),
+                                                 ((0.3, 0.2), 100)])
+    def test_n_40_within_the_cell_mass_two_grid_difference(self, coeffs, n_cells):
         m = ARModel(coeffs, Gaussian(), IIDInnovation(), GE)
         delta = op.default_delta(m)
-        grid = op.default_grid(m, None, n)
-        lam = op.spectral_radius(op.assemble_ar(m, grid, delta=delta)).lam
-        exact = op.DiscretizedOperator(grid, _one_shot_kmat(m, grid, delta), delta)
-        lam_exact = op.spectral_radius(exact).lam
-        lam_half = op.solve_operator(m, n=n // 2, delta=delta).lam
-        assert abs(lam - lam_exact) <= 0.01 * abs(lam_exact - lam_half)
+        cells = []
+        for n in (n_cells, 2 * n_cells):
+            grid = op.default_grid(m, None, n)
+            exact = op.DiscretizedOperator(grid, _one_shot_kmat(m, grid, delta), delta)
+            cells.append(op.spectral_radius(exact).lam)
+        richardson = (4.0 * cells[1] - cells[0]) / 3.0
+        lam = op.solve_operator(m, n=40, delta="auto").lam
+        assert abs(lam - richardson) <= abs(cells[1] - cells[0])
+
+    @pytest.mark.parametrize("check", ["nonnegativity", "conjugation", "truncation"])
+    def test_operator_properties_hold(self, check):
+        case = {"process": "ar", "coeffs": [0.3, 0.2], "innovation": {"kind": "gaussian"},
+                "operator": {"N": 40}}
+        ok, details = harness.PROPERTY_CHECKS[check](case, 0)
+        assert ok, details
 
     def test_ar2_solve_peaks_below_the_exact_table(self):
         # the exact AR(2) table at N = 128 alone would take 128^3 * 8 B =
-        # 16.8 MB; the drift table's solve peaks at about 4.8 MB
+        # 16.8 MB; the factored form's solve peaks at about 1.5 MB
         op.solve_operator(AR2, n=10)
         tracemalloc.start()
         try:
@@ -308,23 +378,9 @@ class TestDriftTable:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_rows_are_the_cell_masses_at_the_drift_nodes(self):
-        # the reference is written in one piece, as _one_shot_kmat is
-        grid = op.default_grid(AR2, None, N_DRIFT)
-        kop = op.assemble_ar(AR2, grid, delta=0.3)
-        cols = [grid.nodes.reshape((-1, 1)), grid.nodes.reshape((1, -1))]
-        s = drift(AR2.coeffs, cols)
-        count = op.DRIFT_NODES_PER_NODE * N_DRIFT
-        lo = float(s.min())
-        nodes = lo + (float(s.max()) - lo) / (count - 1) * np.arange(count)
-        cdf_vals = AR2.innovation.cdf(grid.edges - nodes[:, None])
-        table = np.clip(cdf_vals[:, 1:] - cdf_vals[:, :-1], 0.0, None)
-        assert np.array_equal(kop.kmat, table * np.exp(0.3 * grid.nodes))
-
-    def test_ar2_assembly_peak_is_the_table_and_one_slab(self):
-        # at N = 400 the (3200, 400) table and the apply's image buffer take
-        # 10.2 MB each and the per-state arrays about 9 MB; the cell masses of
-        # every drift node at once would add three table-sized temporaries
+    def test_ar2_assembly_peak_is_the_factors(self):
+        # at N = 400 the three factors take 1.28 MB each and the assembly
+        # peaks at about 5.3 MB; a density table would take 512 MB
         grid = op.default_grid(AR2, None, 400)
         op.assemble(AR2, op.default_grid(AR2, None, 10), delta="auto")
         tracemalloc.start()
@@ -333,26 +389,20 @@ class TestDriftTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 38e6
-
-    def test_apply_matches_dense_interpolated_kernel(self):
-        kop = op.assemble_ar(AR2, op.default_grid(AR2, None, N_DRIFT), delta=0.3)
-        g = np.random.default_rng(5).random((N_DRIFT,) * 2)
-        expected = _dense_apply(_dense_drift_kmat(kop), g)
-        assert np.abs(kop.apply(g) - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert peak < 8e6
 
     def test_entries_and_images_nonnegative(self):
-        kop = op.assemble(AR2, op.default_grid(AR2, None, N_DRIFT), delta="auto")
-        assert kop.kmat.min() >= 0.0 and kop.coef.min() >= 0.0
-        g = np.random.default_rng(3).random((N_DRIFT,) * 2)
+        kop = op.assemble(AR2, op.default_grid(AR2, None, N_AR2), delta="auto")
+        assert min(part.min() for part in (kop.kmat, kop.base, kop.coef)) >= 0.0
+        g = np.random.default_rng(3).random((N_AR2,) * 2)
         assert kop.apply(g).min() >= 0.0
         case = {"process": "ar", "coeffs": [0.3, 0.2], "innovation": {"kind": "gaussian"},
-                "operator": {"N": N_DRIFT, "delta": "auto"}}
+                "operator": {"N": N_AR2, "delta": "auto"}}
         ok, details = harness._prop_nonnegativity(case, 0)
         assert ok and details["min_entry_or_image"] >= 0.0
 
     def test_tilt_leaves_lambda_unchanged(self):
-        grid = op.default_grid(AR2, None, N_DRIFT)
+        grid = op.default_grid(AR2, None, N_AR2)
         lams = [op.spectral_radius(op.assemble_ar(AR2, grid, delta=d)).lam
                 for d in (0.0, 0.1, 0.5)]
         assert max(lams) - min(lams) <= 1e-8
@@ -814,9 +864,9 @@ class TestSweeps:
         (MAModel((2.0,), Gaussian(), GE), [1.5, 3.0, 6.0], 200, 0.0),
         (MAModel((-0.5,), Exponential(), GE), [2.0, 4.0, 9.0], 200, 0.0),
         (MAModel((0.5, -0.2), Gaussian(), GE), [2.0, 4.0, 6.0], 60, 0.0),
-        (AR2, [2.0, 4.0, 6.0], N_DRIFT, "auto"),
-    ], ids=["exact_ar1_gauss", "exact_ar2_exp", "ma1_gauss_2", "ma1_exp_m0.5", "ma2_gauss",
-            "drift_table"])
+        (AR2, [2.0, 4.0, 6.0], N_AR2, "auto"),
+    ], ids=["factored_ar1_gauss", "exact_ar2_exp", "ma1_gauss_2", "ma1_exp_m0.5", "ma2_gauss",
+            "factored_ar2_gauss"])
     def test_truncation_family_restricts_the_largest_member(self, monkeypatch, model, ms, n,
                                                             delta):
         assembled, ops = [], []
@@ -845,15 +895,17 @@ class TestSweeps:
             assert k < n
             assert np.array_equal(kop.grid.nodes, largest.grid.nodes[i0:i0 + k])
             if kop.start is None:
-                # the exact table's member is a view of the largest table
+                # an AR member's kmat is a view of the largest member's
                 assert np.shares_memory(kop.kmat, largest.kmat)
-            if kop.kmat is None or kop.start is None:
+            if kop.base is None or kop.kmat is None:
                 # exact and MA members are the operators assembled on their
                 # own boxes, bit for bit
                 assert lam == op.spectral_radius(op.assemble(model, kop.grid, delta=delta)).lam
                 continue
-            # a drift table depends on its box's drift range: its member is the
-            # largest member's principal submatrix
+            # the Gaussian factors are centred on their box: a member's rows
+            # are the largest member's, cut to the box
+            box = (slice(i0, i0 + k),) * (d + 1)
+            assert np.array_equal(_factored_table(kop), _factored_table(largest)[box])
             g = rng.random((k,) * d)
             padded = np.zeros((n,) * d)
             padded[(slice(0, k),) * d] = g

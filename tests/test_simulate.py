@@ -500,18 +500,26 @@ class TestSystematicIndices:
 # Fixed-seed values of every route. The coefficients are asymmetric, so a
 # reversed or shifted coefficient in model.drift moves every value below.
 # The Monte Carlo values are pinned from per_step_counts (at
-# DRAW_ORDER_REPLICATES) and reference_splitting, which spell the
-# coefficient order out themselves.
+# DRAW_ORDER_REPLICATES) and reference_splitting, and the AR operator value
+# from ar2_density_table, which spell the coefficient order out themselves.
 COEFFICIENT_ORDER_CASES = [
     (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
      [65648, 32644, 18260, 10394, 5770, 3167, 1748, 947, 532, 296, 165, 98, 51, 24, 10, 8, 5],
      [0.0013379222315355037, 8.465551682490946e-09, 5.94329120364211e-14],
-     0.5521364679494509),
+     0.5521273970409593),
     (MAModel((0.5, -0.2), Gaussian(), GE),
      [65361, 39261, 21120, 12094, 6795, 3865, 2153, 1191, 652, 333, 183, 93, 50, 27, 17, 8, 4],
      [0.001620508523458125, 1.3086173669869438e-08, 1.1301430276757393e-13],
      0.558142203379211),
 ]
+
+
+def ar2_density_table(model, grid):
+    """The Gaussian AR(2) kernel w_z phi(z - a_1 x_2 - a_2 x_1) on the grid, at
+    every (x_1, x_2, z) at once: a_1 weighs the newer coordinate x_2."""
+    x1, x2, z = np.ix_(grid.nodes, grid.nodes, grid.nodes)
+    y = (z - model.coeffs[0] * x2 - model.coeffs[1] * x1) / model.innovation.sd
+    return np.exp(-0.5 * y * y) / (model.innovation.sd * math.sqrt(2.0 * math.pi)) * grid.weights
 
 
 class TestCoefficientOrder:
@@ -531,6 +539,10 @@ class TestCoefficientOrder:
         assert per_step_counts(m, range(17), DRAW_ORDER_REPLICATES, 3) == counts
         p_hat, _ = reference_splitting(m, 50, 2000, 3)
         assert p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
+        if isinstance(m, ARModel):
+            grid = op.default_grid(m, None, 80)
+            table = op.DiscretizedOperator(grid, ar2_density_table(m, grid))
+            assert op.spectral_radius(table).lam == pytest.approx(lam, abs=1e-12)
 
 
 class TestFitExponent:
