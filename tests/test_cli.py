@@ -381,9 +381,9 @@ class TestOperatorCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ValueError: need a finite truncation M > 0")
 
-    # AR(1) N = 682 applied its exact table by a BLAS matrix-vector product and
-    # AR(3) N = 38 its drift table by a BLAS GEMM: each printed other bytes at
-    # 1 and 2 OpenBLAS threads
+    # a BLAS product's sums depend on its thread count: at these sizes a BLAS
+    # matrix-vector product (AR(1)) and a GEMM (AR(3)) print other bytes at 1
+    # and 2 OpenBLAS threads, so no AR apply may call BLAS
     @pytest.mark.parametrize("coeffs, n", [("0.9", "682"), ("0.3,0.2,0.1", "38")],
                              ids=["ar1", "ar3"])
     def test_bytes_do_not_depend_on_the_blas_threads(self, coeffs, n):

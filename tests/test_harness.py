@@ -921,7 +921,13 @@ class TestRefusals:
          "case 0: the 'operator' section must be an object"),
         ({"cases": {"a": AR_CASE}}, "'cases' must be a list"),
         ({"seed": 0}, "config must be an object with a 'cases' list"),
-    ], ids=["case", "mc_section", "operator_section", "cases_not_a_list", "no_cases"])
+        # one error names every case whose process or order its check refuses
+        ({"cases": [{"type": "property", "check": "conjugation", **MA_CASE, "coeffs": [0.5]},
+                    {"type": "property", "check": "qbound", **MA_CASE, "coeffs": [0.1] * 5}]},
+         "case 0: conjugation invariance is an AR property; "
+         "case 1: qbound computes p_0 for MA orders 1 to 4, got order 5"),
+    ], ids=["case", "mc_section", "operator_section", "cases_not_a_list", "no_cases",
+            "process_and_order"])
     def test_malformed_config_refused_before_any_output(self, tmp_path, config, message):
         with pytest.raises(harness.ConfigError, match=re.escape(message)):
             harness.run_suite(config, tmp_path / "o")
@@ -942,18 +948,3 @@ class TestRefusals:
     def test_property_on_the_wrong_process(self, check, case, message):
         with pytest.raises(harness.ConfigError, match=message):
             harness.PROPERTY_CHECKS[check](case, 0)
-
-    def test_process_and_order_refused_before_any_output(self, tmp_path):
-        # each check's refusal, raised by the suite's case check: the two
-        # cases name one problem each, in one error, and nothing is written
-        config = {"cases": [
-            {"name": "c", "type": "property", "check": "conjugation", **MA_CASE,
-             "coeffs": [0.5]},
-            {"name": "q", "type": "property", "check": "qbound", **MA_CASE,
-             "coeffs": [0.1] * 5},
-        ]}
-        with pytest.raises(harness.ConfigError) as info:
-            harness.run_suite(config, tmp_path / "o")
-        assert str(info.value) == ("case 0: conjugation invariance is an AR property; "
-                                   "case 1: qbound computes p_0 for MA orders 1 to 4, got order 5")
-        assert not (tmp_path / "o").exists()

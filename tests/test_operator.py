@@ -235,9 +235,14 @@ class TestApply:
         ((0.3, 0.2), Gaussian(), 60, "auto", 0.7003321186514562, 25),
     ], ids=["ar1_gauss_0.4", "ar1_exp_m0.5", "ar2_0.5_m0.3", "ar2_0.3_0.2_auto"])
     def test_lambda_and_iterations_pinned(self, coeffs, innovation, n, delta, lam, iterations):
-        res = op.solve_operator(ARModel(coeffs, innovation, IIDInnovation(), GE), n=n, delta=delta)
+        m = ARModel(coeffs, innovation, IIDInnovation(), GE)
+        res = op.solve_operator(m, n=n, delta=delta)
         assert res.lam == pytest.approx(lam, abs=1e-13)
         assert res.iterations == iterations
+        if isinstance(innovation, Gaussian):
+            table = _density_table(m, res.grid, res.delta)
+            ref = op.spectral_radius(op.DiscretizedOperator(res.grid, table, res.delta))
+            assert (ref.lam, ref.iterations) == (pytest.approx(lam, abs=1e-15), iterations)
 
 
 def _density_table(model, grid, delta, rows=slice(None)):
