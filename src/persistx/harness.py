@@ -418,7 +418,8 @@ def _prop_nonnegativity(case, seed):
     op = operator_mod.assemble(model, grid, delta=opcfg.get("delta", 0.0))
     # every kernel entry is a structural zero or built from these arrays'
     # entries by sums and products
-    worst = min(float(part.min()) for part in (op.kmat, op.base, op.coef) if part is not None)
+    parts = (op.kmat, op.base, op.coef, op.scale, op.upper)
+    worst = min(float(part.min()) for part in parts if part is not None)
     rng = substream(seed, "prop", "nonneg")
     for _ in range(4):
         g = rng.random((grid.n,) * grid.d)

@@ -4,20 +4,18 @@ The AR operator acts on functions of the state (x_1..x_p) as
 (Kg)(x) = int_0^M g(x_2..x_p, z) phi(z - s(x)) dz with drift
 s(x) = sum_j a_j x_{p+1-j}; the substituted variable z shares the grid with
 the state, so the discretization needs no interpolation in z. The kernel
-form follows the law alone (assemble_ar). A law with a support endpoint
-(uniform, exponential) keeps a table of the exact innovation mass per grid
-cell (CDF differences), which keeps the rank-one i.i.d. case and
-bounded-support truncations exact. The Gaussian takes the Nystrom rule of the
-grid itself, w_j phi(z_j - s(x)), whose integrand is smooth on the box, held
-as three small factors. MA is stored as suffix sums.
+form follows the law alone (assemble_ar). The Gaussian takes the Nystrom
+rule of the grid itself, w_j phi(z_j - s(x)), whose integrand is smooth on
+the box, held as three small factors. A law with a support endpoint
+(uniform, exponential) keeps the exact innovation mass of each grid cell
+(CDF differences), which keeps the rank-one i.i.d. case and bounded-support
+truncations exact, held as sums over each row's window of the support.
 
 The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
 the indicator cuts one grid cell per row, and that cell keeps its nodal
 weight times the fraction of its innovation mass above the cut (the cut
-cell). Every row is the nodal weight above its cut cell plus that one cell,
-so the MA operator is stored per state (first node past the cut cell, the
-cut cell's weight) and never as a table. The MA kernel takes no tilt.
+cell). So MA is held as the same window sums. The MA kernel takes no tilt.
 
 Both kernels take s from model.drift, the one definition of the linear part
 of the transition that every route shares: crude and splitting Monte Carlo
@@ -36,28 +34,19 @@ last iterates.
 Cost. The Gauss-Legendre rule is Newton's method on the three-term
 recurrence, O(N^2) in numpy (numpy's leggauss is an O(N^3) eigen-solve), and
 is built once per N: later grids of the same N rescale the cached rule, and
-grids on the same axis share the rescaled arrays. The cell-mass table is
-filled in slabs of about 2^16 entries (_cell_masses), so its assembly
-memory is the table (N^(d+1) floats) plus one slab. The Gaussian factors
-take O(N^2 + N^d) memory, and one apply contracts them in O(N^(d+1)) time:
-an AR(2) solve at N = 128 peaks below 8 MB, where the exact table alone
-would take 16.8 MB. Every AR apply contracts with np.einsum, which does not
-thread, so lambda's bytes do not depend on the BLAS thread count. MA memory
-is O(N^d): one MA apply is a suffix sum of the weighted iterate along the
-new coordinate plus a gather of each state's suffix, O(N^d) time. Power
-iteration normalizes its next iterate in place, so each step allocates only
-the apply's result, and it forms the residual only on steps where lambda
-has settled. After each normalization the iterate's subnormal entries are
-set to zero: they weigh nothing at the sup-norm scale, but they slow every
-later matvec several-fold. The
-Rayleigh-Ritz extraction costs no apply: it copies the RITZ_BLOCK = 4
-iterates before each sparse check into one (4, N^d) block, whose images are
-the next iterates times their lambdas, and at the check spends O(N^d) in a
-Gram-Schmidt sweep and a few small products, plus a 4x4 SVD and
-eigen-solve. Its certifying apply is counted in iterations. On nearly
-reducible kernels this takes about a third of power iteration's applies
-(MA(1) a1 = -0.99, N = 400: 4,373 against 12,935). Grids, assembly and
-solves are numpy only, for every law: no path here loads scipy.
+grids on the same axis share the rescaled arrays. The Gaussian factors take
+O(N^2 + N^d) memory and O(N^(d+1)) time per apply; window sums take O(N^d)
+in both (an exponential AR(2) solve at N = 200 peaks near 5 MB, where a
+table would take 64 MB). No apply calls BLAS, so lambda's bytes do not
+depend on the BLAS thread count. Power iteration normalizes its next
+iterate in place, so each step allocates only the apply's result, and forms
+the residual only once lambda has settled. It sets the iterate's subnormal
+entries to zero: they weigh nothing at the sup-norm scale but slow every
+later matvec several-fold. The Rayleigh-Ritz extraction (_ritz_pair) costs
+no apply but the certifying one, which iterations counts, and O(N^d) per
+check; on nearly reducible kernels it takes about a third of power
+iteration's applies (MA(1) a1 = -0.99, N = 400: 4,373 against 12,935).
+Grids, assembly and solves are numpy only: no path here loads scipy.
 """
 
 from __future__ import annotations
@@ -74,6 +63,7 @@ from .model import (
     MAModel,
     PersistxError,
     RequestedDensityOfAtomicLaw,
+    Uniform,
     as_count,
     drift,
 )
@@ -207,13 +197,17 @@ def _axis_bounds(model, m):
 
     AR lives on [0, min(M, sup)] where sup bounds the reachable states (for
     nonpositive coefficients and bounded innovations the new value y + s(x)
-    never exceeds the innovation's upper end, so truncation there is exact).
+    never exceeds the innovation's upper end hi, so truncation there is
+    exact; hi <= 0 leaves that set empty, a ValueError).
     MA lives on the innovation support intersected with [-M, M].
     """
     lo_s, hi_s = model.innovation.support
     if not isinstance(model, ARModel):
         return max(lo_s, -m), min(hi_s, m)
     if all(c <= 0 for c in model.coeffs) and math.isfinite(hi_s):
+        if hi_s <= 0:
+            raise ValueError(f"the AR state axis is empty: coefficients <= 0 and a law bounded "
+                             f"above by hi = {hi_s} <= 0 leave S at the first step")
         return 0.0, min(m, hi_s)
     return 0.0, m
 
@@ -244,27 +238,22 @@ class DiscretizedOperator:
 
     The image of state (x_1..x_d) weighs g over the new coordinate z at the
     state (x_2..x_d, z), which reuses d-1 source coordinates, so the full
-    n^d x n^d matrix is never formed. The kernel is held in one of three
+    n^d x n^d matrix is never formed. The kernel is held in one of two
     forms; delta is the tilt it was assembled with (always 0 for MA).
 
-    AR, exact table: kmat has shape (n,)*d + (n,) and base and start are
-    None; entry [x_1..x_d, z] is the quadrature weight carried from state
-    (x_1..x_d) to state (x_2..x_d, z). One apply costs O(n^d * n).
-
-    AR, Gaussian density factors: entry [x_1, r, z] is
+    Gaussian AR, density factors: entry [x_1, r, z] is
     coef[x_1, r] * kmat[x_1, z] * base[r, z], where r runs over the states
     (x_2..x_d) in C order: kmat has shape (n, n), base (n^(d-1), n) and coef
-    (n, n^(d-1)), and start is None. One apply weighs g by base, contracts
-    it with kmat and scales the result by coef: O(n^(d+1)) time, O(n^2 +
-    n^d) memory.
+    (n, n^(d-1)). One apply weighs g by base, contracts it with kmat and
+    scales the result by coef: O(n^(d+1)) time, O(n^2 + n^d) memory.
 
-    MA: start and coef run over the states in C order. The row of state x
-    is base[j] at every node j >= start[x], plus coef[x] at node
-    start[x] - 1, the cut cell (coef is 0 on a row without one). One apply
-    multiplies g by base along the new coordinate, takes its suffix sums,
-    gathers each state's suffix from start[x] and adds coef[x] * g at
-    start[x] - 1: O(n^d) in time and in memory. Its work buffers belong to
-    the operator, so one operator serves one caller at a time.
+    Window sums (MA, uniform and exponential AR): base runs over the new
+    coordinate, the rest over the states in C order. Row x is scale[x] *
+    base[j] at nodes start[x] <= j < stop[x], plus coef[x] at start[x] - 1
+    and upper[x] at stop[x], the cells its window cuts (0 if none); no scale
+    is 1 and no stop is n. One apply gathers each window from the suffix
+    sums of g * base along the new coordinate: O(n^d) time and memory. Its
+    work buffers belong to the operator: it serves one caller at a time.
     """
 
     grid: QuadratureGrid
@@ -273,6 +262,9 @@ class DiscretizedOperator:
     base: np.ndarray = None
     start: np.ndarray = None
     coef: np.ndarray = None
+    scale: np.ndarray = None
+    stop: np.ndarray = None
+    upper: np.ndarray = None
 
     def __post_init__(self):
         if self.start is None:
@@ -281,11 +273,12 @@ class DiscretizedOperator:
         # g viewed as rows (x_2..x_d) by the new coordinate
         row = np.arange(n ** d) % n ** (d - 1)
         # the suffix table holds, per row, the sums of its last 0..n weighted
-        # entries
+        # entries; clipped gathers keep a zero cut term's index in range
         self._at_suffix = row * (n + 1) + (n - self.start)
-        # the cut cell precedes start; a row without one has coef 0, and the
-        # clipped gather keeps its index in range
-        self._at_cell = row * n + self.start - 1
+        self._cuts = [(row * n + self.start - 1, self.coef)]
+        if self.stop is not None:
+            self._at_stop = row * (n + 1) + (n - self.stop)
+            self._cuts.append((row * n + self.stop, self.upper))
         self._weighted = np.empty((n ** (d - 1), n))
         self._suffix = np.zeros((n ** (d - 1), n + 1))
         self._at_cut = np.empty(n ** d)
@@ -295,30 +288,32 @@ class DiscretizedOperator:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,) * d:
             raise ValueError(f"value vector has shape {g.shape}, grid wants {(self.grid.n,) * d}")
-        if self.start is None and self.base is None:
-            # axis k of kmat is x_(k+1) and axis d is z; g's axes are x_2..x_d, z
-            return np.einsum(self.kmat, [*range(d + 1)], g, [*range(1, d + 1)], [*range(d)])
         if self.start is None:
             weighted = g.reshape(self.base.shape) * self.base
             out = np.einsum("iz,kz->ik", self.kmat, weighted)
             out *= self.coef
             return out.reshape(g.shape)
         # suffix sums run from the last node down: the terms are nonnegative,
-        # so nothing cancels
+        # so nothing cancels, and a window's difference of two is never negative
         weighted = np.multiply(g.reshape(self._weighted.shape), self.base, out=self._weighted)
         np.add.accumulate(weighted[:, ::-1], axis=1, out=self._suffix[:, 1:])
         out = self._suffix.take(self._at_suffix)
-        at_cut = g.take(self._at_cell, out=self._at_cut, mode="clip")
-        at_cut *= self.coef
-        out += at_cut
+        if self.stop is not None:
+            out -= self._suffix.take(self._at_stop, out=self._at_cut)
+        if self.scale is not None:
+            out *= self.scale
+        for at, term in self._cuts:
+            at_cut = g.take(at, out=self._at_cut, mode="clip")
+            at_cut *= term
+            out += at_cut
         return out.reshape(g.shape)
 
 
-# entries per slab of _cell_masses
-_SLAB = 1 << 16
 # the largest |a_d| (M / 2sd)^2 of the Gaussian factors (_density_factors):
 # their exponents that matter then lie in [-700, 350], inside float range
 _DENSITY_RANGE = 350.0
+# the largest box end of the exponential window sums, so e^s stays in float range
+_WINDOW_RANGE = 700.0
 
 
 def _coordinates(grid):
@@ -331,27 +326,18 @@ def assemble_ar(model, grid, delta=0.0):
 
     With delta > 0 every entry is multiplied by h(x')/h(x) = exp(delta (z -
     x_1)), a diagonal similarity that leaves the spectral radius unchanged.
-    The form follows the law alone, at every order and n:
-    - A law with a support endpoint (uniform, exponential) keeps the exact
-      table of shape (n,)*d + (n,): row x, column j carries the innovation
-      mass of grid cell j shifted by the drift, F(e_{j+1} - s(x)) - F(e_j -
-      s(x)).
-    - The Gaussian takes the Nystrom rule w_j phi(z_j - s(x)) as three
-      factors (_density_factors).
+    The form follows the law alone, at every order and n: the Gaussian takes
+    the Nystrom rule w_j phi(z_j - s(x)) as three factors (_density_factors),
+    a law with a support endpoint (uniform, exponential) its exact cell
+    masses F(e_{j+1} - s(x)) - F(e_j - s(x)) as window sums (_window_sums).
     """
     if not isinstance(model, ARModel):
         raise ValueError("assemble_ar expects an AR model")
     _check_kernel_input(model, grid, "AR")
     if abs(grid.lo) > 1e-12:
         raise ValueError(f"the AR state axis must start at 0, got lo={grid.lo}")
-    n, d = grid.n, grid.d
-    delta = float(delta)
-    if isinstance(model.innovation, Gaussian):
-        return _density_factors(model, grid, delta)
-    s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
-    tilt_from = np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
-    kmat = _cell_masses(model.innovation, grid.edges, s, np.exp(delta * grid.nodes), tilt_from)
-    return DiscretizedOperator(grid=grid, kmat=kmat.reshape((n,) * d + (n,)), delta=delta)
+    form = _density_factors if isinstance(model.innovation, Gaussian) else _window_sums
+    return form(model, grid, float(delta))
 
 
 def _check_kernel_input(model, grid, label):
@@ -363,25 +349,47 @@ def _check_kernel_input(model, grid, label):
         raise ValueError(f"grid dimension {grid.d} does not match model order {model.order}")
 
 
-def _cell_masses(innovation, edges, drifts, tilt_to, tilt_from):
-    """Row k, column j: clip(F(e_{j+1} - s_k) - F(e_j - s_k), 0), the
-    innovation mass of cell j shifted by the k-th of the flat drifts, times
-    tilt_to[j] and then tilt_from[k] (at delta = 0 both are 1.0, and
-    multiplying by 1.0 is exact).
+def _window_sums(model, grid, delta):
+    """The uniform or exponential AR kernel, tilted by delta, as window sums.
 
-    The rows are filled and tilted in slabs of about _SLAB entries, so the
-    temporaries stay small next to the result.
+    Row x's window is [s + lo, s + hi] for the support [lo, hi]. A whole cell
+    j in it carries scale[x] * base[j]: (e_{j+1} - e_j) / (hi - lo) for the
+    uniform, e^s (e^-e_j - e^-e_{j+1}) for the exponential, factored at the
+    axis origin that every AR box shares, so a restricted member is its own
+    box's assembly bit for bit. The cells holding s + lo (coef, at start - 1)
+    and s + hi (upper, at stop) carry their exact CDF difference, once if
+    they are one cell. e^s is capped at e^700: no window that meets a box
+    within _WINDOW_RANGE reaches it.
     """
-    out = np.empty((len(drifts), len(edges) - 1))
-    step = max(1, _SLAB // len(edges))
-    for k0 in range(0, len(drifts), step):
-        cdf_vals = innovation.cdf(edges - drifts[k0:k0 + step, None])
-        slab = out[k0:k0 + step]
-        np.subtract(cdf_vals[:, 1:], cdf_vals[:, :-1], out=slab)
-        np.clip(slab, 0.0, None, out=slab)
-        slab *= tilt_to
-        slab *= tilt_from[k0:k0 + step, None]
-    return out
+    law, n, d, edges = model.innovation, grid.n, grid.d, grid.edges
+    lo_s, hi_s = law.support
+    s = drift(model.coeffs, _coordinates(grid)).reshape(-1)
+    tilt_to = np.exp(delta * grid.nodes)
+    tilt_from = np.repeat(np.exp(-delta * grid.nodes), n ** (d - 1))
+    if isinstance(law, Uniform):
+        base, scale = np.diff(edges) / (hi_s - lo_s), tilt_from
+    elif grid.hi > _WINDOW_RANGE:
+        raise ValueError(f"the exponential AR kernel has no window form on the box "
+                         f"[{grid.lo}, {grid.hi}]: its end exceeds {_WINDOW_RANGE:g}")
+    else:
+        base = np.exp(-edges[:-1]) * -np.expm1(edges[:-1] - edges[1:])
+        scale = np.exp(np.minimum(s, _WINDOW_RANGE)) * tilt_from
+    base *= tilt_to
+
+    def cut_term(cell, rows):
+        term, k = np.zeros(n ** d), cell[rows]
+        mass = law.cdf(edges[k + 1] - s[rows]) - law.cdf(edges[k] - s[rows])
+        term[rows] = np.clip(mass, 0.0, None) * tilt_to[k] * tilt_from[rows]
+        return term
+
+    start = np.minimum(np.searchsorted(edges, s + lo_s, side="right"), n)
+    window = {"start": start, "coef": cut_term(start - 1, np.flatnonzero(start > 0))}
+    if math.isfinite(hi_s):
+        # the cell holding s + hi: -1 below the box, n above it
+        cell = np.searchsorted(edges, s + hi_s, side="right") - 1
+        window.update(stop=np.maximum(cell, start),
+                      upper=cut_term(cell, np.flatnonzero((cell >= start) & (cell < n))))
+    return DiscretizedOperator(grid=grid, delta=delta, base=base, scale=scale, **window)
 
 
 def _density_factors(model, grid, delta):
@@ -639,8 +647,8 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
             residual = float(np.abs(r, out=r).max())
         if settled and residual < tol * max(1.0, estimate):
             # psi is a copy, not the iteration's last work array: that block
-            # can sit above a freed AR table and, held by the result, keep the
-            # allocator from reusing the table's space on the next assembly
+            # can sit above a freed operator and, held by the result, keep the
+            # allocator from reusing its space on the next assembly
             return SpectralResult(estimate, v.copy(), residual, it, True, op.grid, op.delta)
         ritz = None
         slot = it - check + RITZ_BLOCK - 1
@@ -682,16 +690,16 @@ def solve_operator(model, m=None, n=400, delta=0.0):
 
 def _restrict(op, i0, i1):
     """op restricted to cells i0..i1-1 of every axis: a principal submatrix, in
-    op's own form. An exact table's member is a view of its kmat's block; the
-    Gaussian factors each keep their box; an MA row's start shifts and clips
-    to the box, and a cut cell outside the box is dropped."""
+    op's own form. The Gaussian factors each keep their box; a window row's
+    start and stop shift and clip to the box, and a cut cell outside the box
+    is dropped. The whole box is op itself."""
     big, d, n = op.grid, op.grid.d, int(i1 - i0)
+    if n == big.n:
+        return op
     grid = replace(big, lo=float(big.edges[i0]), hi=float(big.edges[i1]), n=n,
                    nodes=big.nodes[i0:i1], weights=big.weights[i0:i1],
                    edges=big.edges[i0:i1 + 1])
     box = (slice(i0, i1),) * d
-    if op.start is None and op.base is None:
-        return DiscretizedOperator(grid=grid, kmat=op.kmat[box + box[:1]], delta=op.delta)
     if op.start is None:
         # base's axes are x_2..x_d, z and coef's x_1..x_d
         return DiscretizedOperator(grid=grid, kmat=op.kmat[box[0], box[0]], delta=op.delta,
@@ -699,10 +707,15 @@ def _restrict(op, i0, i1):
                                    coef=op.coef.reshape((big.n,) * d)[box].reshape(n, -1))
     states = np.arange(big.n ** d).reshape((big.n,) * d)[box].reshape(-1)
     start = op.start[states]
+    window = {"scale": None if op.scale is None else op.scale[states]}
+    if op.stop is not None:
+        stop = op.stop[states]
+        window.update(stop=np.clip(stop - i0, 0, n),
+                      upper=np.where((stop >= i0) & (stop < i1), op.upper[states], 0.0))
     # the cut cell is start - 1
     coef = np.where((start > i0) & (start <= i1), op.coef[states], 0.0)
-    return DiscretizedOperator(grid=grid, base=op.base[i0:i1],
-                               start=np.clip(start - i0, 0, n), coef=coef)
+    return DiscretizedOperator(grid=grid, delta=op.delta, base=op.base[i0:i1],
+                               start=np.clip(start - i0, 0, n), coef=coef, **window)
 
 
 def truncation_lambdas(model, ms, n_ref, delta=0.0):

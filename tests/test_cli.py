@@ -383,10 +383,14 @@ class TestOperatorCommand:
 
     # a BLAS product's sums depend on its thread count: at these sizes a BLAS
     # matrix-vector product (AR(1)) and a GEMM (AR(3)) print other bytes at 1
-    # and 2 OpenBLAS threads, so no AR apply may call BLAS
-    @pytest.mark.parametrize("coeffs, n", [("0.9", "682"), ("0.3,0.2,0.1", "38")],
-                             ids=["ar1", "ar3"])
-    def test_bytes_do_not_depend_on_the_blas_threads(self, coeffs, n):
+    # and 2 OpenBLAS threads, so no AR apply may call BLAS, in either form
+    @pytest.mark.parametrize("coeffs, innovation, n", [
+        ("0.9", "gaussian:1", "682"),
+        ("0.3,0.2,0.1", "gaussian:1", "38"),
+        ("0.5,-0.3", "exponential", "200"),
+        ("-1", "uniform:-1,1", "682"),
+    ], ids=["ar1", "ar3", "ar2_exp", "ar1_unif"])
+    def test_bytes_do_not_depend_on_the_blas_threads(self, coeffs, innovation, n):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -395,9 +399,18 @@ class TestOperatorCommand:
             env["OPENBLAS_NUM_THREADS"] = threads
             outs.append(subprocess.run(
                 [sys.executable, "-m", "persistx.cli", "operator", "--process", "ar",
-                 "--coeffs", coeffs, "--innovation", "gaussian:1", "--N", n, "--delta", "auto"],
+                 "--coeffs", coeffs, "--innovation", innovation, "--N", n, "--delta", "auto"],
                 env=env, capture_output=True, text=True, check=True, timeout=120).stdout)
         assert outs[0] == outs[1]
+
+    def test_empty_ar_state_axis_exits_one(self, capsys):
+        # coefficients <= 0 and y <= -1 leave S at the first step; the axis
+        # [0, -1] was refused as invalid bounds, without the reason
+        code, out, err = run(capsys, [
+            "operator", "--process", "ar", "--coeffs=-0.5", "--innovation", "uniform:-2,-1"])
+        assert code == 1 and out == ""
+        assert err == ("error: ValueError: the AR state axis is empty: coefficients <= 0 and a "
+                       "law bounded above by hi = -1.0 <= 0 leave S at the first step\n")
 
     def test_ma_tilt_exits_one(self, capsys):
         code, out, err = run(capsys, [

@@ -471,6 +471,25 @@ class TestPropertyChecks:
         ok, _ = harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
         assert ok
 
+    @pytest.mark.parametrize("name", ["kmat", "base", "coef", "scale", "upper"])
+    def test_nonnegativity_reads_every_kernel_array(self, monkeypatch, name):
+        # a negative entry in any array the kernel's entries are built from
+        # fails the check, even where every image stays nonnegative
+        from types import SimpleNamespace
+
+        from persistx import operator
+
+        def assemble(model, grid, delta=0.0):
+            parts = dict.fromkeys(("kmat", "base", "coef", "scale", "upper"), np.ones(3))
+            parts[name] = np.array([1.0, -0.5, 1.0])
+            return SimpleNamespace(apply=np.ones_like, **parts)
+
+        monkeypatch.setattr(operator, "assemble", assemble)
+        case = {"process": "ar", "coeffs": [0.5, -0.3], "innovation": {"kind": "exponential"},
+                "operator": {"N": 20}}
+        ok, details = harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
+        assert not ok and details == {"min_entry_or_image": -0.5}
+
     def test_nonnegativity_rejects_ma_tilt(self):
         case = {"process": "ma", "coeffs": [0.5], "innovation": {"kind": "gaussian"},
                 "operator": {"N": 40, "delta": 0.3}}

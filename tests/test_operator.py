@@ -1,10 +1,11 @@
 import math
 import re
-import string
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import DenseOperator
+from conftest import dense_apply as _dense_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,11 +159,13 @@ class TestAssembleAr:
             op.assemble_ar(m, grid)
 
     def test_ar2_operator_shape_and_apply(self):
-        # a law with a support endpoint keeps the exact table at order 2
+        # a law with a support endpoint takes window sums at order 2: base
+        # over the new coordinate, the rest over the 144 states
         m = ARModel((0.3, 0.2), Exponential(), IIDInnovation(), GE)
         grid = op.build_grid(0.0, 4.0, 12, d=2)
         kop = op.assemble_ar(m, grid)
-        assert kop.kmat.shape == (12, 12, 12)
+        assert kop.kmat is None and kop.stop is None and kop.base.shape == (12,)
+        assert {a.shape for a in (kop.start, kop.coef, kop.scale)} == {(144,)}
         g = np.ones((12, 12))
         out = kop.apply(g)
         assert out.shape == (12, 12)
@@ -192,36 +195,113 @@ def _one_shot_kmat(model, grid, delta):
     return kmat
 
 
-def _dense_apply(kmat, g):
-    """(Kg)(x_1..x_d) = sum_z kmat[x_1..x_d, z] g(x_2..x_d, z), from the table."""
-    letters = string.ascii_lowercase[:g.ndim]
-    return np.einsum(f"{letters}z,{letters[1:]}z->{letters}", kmat, g)
+def _check_against_the_table(kop, model, delta):
+    """kop's images of the ones and of a random vector are finite and within
+    1e-13 of the one-shot table's, relative to the largest image entry, and
+    its lambda and iterations are the table's."""
+    grid = kop.grid
+    table = DenseOperator(grid, _one_shot_kmat(model, grid, kop.delta), kop.delta)
+    shape = (grid.n,) * grid.d
+    for g in (np.ones(shape), np.random.default_rng(7).random(shape)):
+        out, expected = kop.apply(g), table.apply(g)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+    res, ref = op.spectral_radius(kop), op.spectral_radius(table)
+    assert abs(res.lam - ref.lam) <= 1e-13 and res.iterations == ref.iterations
 
 
-class TestSlabAssembly:
-    # every size spans several assembly slabs, the last one partial
-    @pytest.mark.parametrize("coeffs,innovation,n", [
-        ((-0.7,), Exponential(), 300),
-        ((0.3, 0.2), Uniform(-1.0, 1.0), 60),
-        ((0.5, -0.3), Exponential(), 45),
-    ])
-    @pytest.mark.parametrize("delta", [0.0, 0.35])
-    def test_kmat_equals_one_shot_formula(self, coeffs, innovation, n, delta):
-        m = ARModel(coeffs, innovation, IIDInnovation(), GE)
-        grid = op.default_grid(m, 7.0, n)
-        kmat = op.assemble_ar(m, grid, delta=delta).kmat
-        assert np.array_equal(kmat, _one_shot_kmat(m, grid, delta))
+# uniform and exponential AR models at d = 1..3 on (M, N): two past the
+# default M, a support narrower than one cell (at M = 1, a window inside a
+# single cell), and a1 = 3, whose upper rows' windows miss the box
+WINDOW_CASES = [
+    (ARModel((-0.7,), Exponential(), IIDInnovation(), GE), 7.0, 300),
+    (ARModel((-1.0,), Uniform(-1.0, 3.0), IIDInnovation(), GE), None, 200),
+    (ARModel((0.3, 0.2), Uniform(-1.0, 1.0), IIDInnovation(), GE), 7.0, 60),
+    (ARModel((0.3, -0.5), Uniform(-0.5, 1.5), IIDInnovation(), GE), None, 30),
+    (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), 7.0, 45),
+    (ARModel((0.3, 0.2, 0.1), Uniform(-1.0, 1.0), IIDInnovation(), GE), None, 12),
+    (ARModel((0.5, -0.3, 0.2), Exponential(), IIDInnovation(), GE), 7.0, 14),
+    (ARModel((0.5,), Uniform(-1e-3, 1e-3), IIDInnovation(), GE), 1.0, 20),
+    (ARModel((3.0,), Exponential(), IIDInnovation(), GE), 7.0, 60),
+]
+WINDOW_IDS = ["ar1_exp_m0.7", "ar1_unif_m1_asym", "ar2_unif", "ar2_unif_shifted", "ar2_exp",
+              "ar3_unif", "ar3_exp", "ar1_unif_narrow", "ar1_exp_3"]
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("model, m, n", WINDOW_CASES, ids=WINDOW_IDS)
+    @pytest.mark.parametrize("delta", [0.0, 0.35, "auto"])
+    def test_apply_and_lambda_match_the_one_shot_table(self, model, m, n, delta):
+        kop = op.assemble(model, op.default_grid(model, m, n), delta=delta)
+        _check_against_the_table(kop, model, delta)
+
+    @pytest.mark.parametrize("model", [WINDOW_CASES[0][0], WINDOW_CASES[4][0]],
+                             ids=["ar1_exp_m0.7", "ar2_exp"])
+    @pytest.mark.parametrize("delta", [0.0, "auto"])
+    def test_lambda_and_iterations_match_at_the_default_truncation(self, model, delta):
+        # at the default M = 34.5 the tilted table's CDF differences near 1
+        # lose their digits to e^(delta M) (the window form computes
+        # e^(s - e_j) (1 - e^-w_j) instead), so only lambda is compared
+        grid = op.default_grid(model, None, 40 if model.order == 2 else 300)
+        kop = op.assemble(model, grid, delta=delta)
+        table = DenseOperator(grid, _one_shot_kmat(model, grid, kop.delta), kop.delta)
+        res, ref = op.spectral_radius(kop), op.spectral_radius(table)
+        assert abs(res.lam - ref.lam) <= 1e-13 and res.iterations == ref.iterations
+
+    def test_rows_whose_window_misses_the_box_stay_finite(self):
+        # a1 = 3 on [0, 600]: rows past x_1 = 200 start their window above the
+        # box, with e^s up to e^1800; the cap keeps them at 0, not inf * 0
+        model = ARModel((3.0,), Exponential(), IIDInnovation(), GE)
+        kop = op.assemble(model, op.default_grid(model, 600.0, 80))
+        assert np.all(np.isfinite(kop.scale))
+        row_sums = kop.apply(np.ones(80))
+        assert np.all(row_sums[kop.grid.nodes * 3.0 >= kop.grid.hi] == 0.0)
+        _check_against_the_table(kop, model, 0.0)
+
+    def test_refused_past_its_range(self):
+        m = ARModel((0.5,), Exponential(), IIDInnovation(), GE)
+        op.solve_operator(m, m=op._WINDOW_RANGE, n=20)
+        with pytest.raises(ValueError, match=re.escape(
+                "no window form on the box [0.0, 701.0]: its end exceeds 700")):
+            op.solve_operator(m, m=701.0, n=20)
+
+    @pytest.mark.parametrize("law", [Uniform(-2.0, -1.0), Uniform(-1.0, 0.0)],
+                             ids=["hi_m1", "hi_0"])
+    def test_empty_state_axis_named(self, law):
+        # coefficients <= 0 and y <= 0 leave S at the first step
+        m = ARModel((-0.5,), law, IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the AR state axis is empty: coefficients <= 0 and a law bounded above by "
+                f"hi = {law.hi} <= 0 leave S at the first step")):
+            op.default_grid(m, None, 10)
+
+    # (coefficients, N, delta, bound): the exact table would take 64 MB and
+    # 104 MB; the window sums peak at about 5.2 MB and 28 MB
+    @pytest.mark.parametrize("coeffs, n, delta, bound", [
+        ((0.5, -0.3), 200, "auto", 8e6),
+        ((0.5, -0.3, 0.2), 60, 0.0, 40e6),
+    ], ids=["ar2", "ar3"])
+    def test_exponential_solve_peaks_below_the_table(self, coeffs, n, delta, bound):
+        m = ARModel(coeffs, Exponential(), IIDInnovation(), GE)
+        op.solve_operator(m, n=10, delta=delta)
+        tracemalloc.start()
+        try:
+            op.solve_operator(m, n=n, delta=delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestApply:
     @pytest.mark.parametrize("coeffs,n", [((0.3, 0.2), 50), ((0.3, 0.2, 0.1), 14)])
     def test_matches_einsum(self, coeffs, n):
-        # the exact table at order >= 2 serves the laws with a support endpoint
+        # the window sums at order >= 2 serve the laws with a support endpoint
         m = ARModel(coeffs, Exponential(), IIDInnovation(), GE)
         kop = op.assemble_ar(m, op.default_grid(m, 6.0, n), delta=0.3)
         d = len(coeffs)
         g = np.random.default_rng(5).random((n,) * d)
-        expected = _dense_apply(kop.kmat, g)
+        expected = _dense_apply(_one_shot_kmat(m, kop.grid, 0.3), g)
         out = kop.apply(g)
         assert out.shape == (n,) * d
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -241,7 +321,7 @@ class TestApply:
         assert res.iterations == iterations
         if isinstance(innovation, Gaussian):
             table = _density_table(m, res.grid, res.delta)
-            ref = op.spectral_radius(op.DiscretizedOperator(res.grid, table, res.delta))
+            ref = op.spectral_radius(DenseOperator(res.grid, table, res.delta))
             assert (ref.lam, ref.iterations) == (pytest.approx(lam, abs=1e-15), iterations)
 
 
@@ -278,19 +358,27 @@ class TestDensityFactors:
         (ARModel((0.3, 0.2, 0.1), Gaussian(), IIDInnovation(), GE), 20, True),
         (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), 12, False),
         (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), N_AR2, False),
+        (ARModel((0.3, 0.2), Uniform(-1.0, 1.0), IIDInnovation(), GE), 12, False),
     ], ids=["gaussian_ar2_12", "gaussian_ar2_128", "gaussian_ar1_1500", "gaussian_ar3_20",
-            "exponential_ar2_12", "exponential_ar2_129"])
+            "exponential_ar2_12", "exponential_ar2_129", "uniform_ar2_12"])
     def test_kernel_form_follows_the_law(self, model, n, factored):
         grid = op.default_grid(model, None, n)
         kop = op.assemble_ar(model, grid, delta=0.3)
         d = model.order
-        assert kop.start is None
         if factored:
+            assert kop.start is None
             shapes = (kop.kmat.shape, kop.base.shape, kop.coef.shape)
             assert shapes == ((n, n), (n ** (d - 1), n), (n, n ** (d - 1)))
         else:
-            assert kop.base is None
-            assert np.array_equal(kop.kmat, _one_shot_kmat(model, grid, 0.3))
+            # only the uniform's windows have an upper end inside the box
+            assert kop.kmat is None and kop.base.shape == (n,)
+            bounded = isinstance(model.innovation, Uniform)
+            windows = (kop.start, kop.coef, kop.scale) + ((kop.stop, kop.upper) if bounded else ())
+            assert {a.shape for a in windows} == {(n ** d,)}
+            assert (kop.stop is None) is not bounded
+            g = np.random.default_rng(2).random((n,) * d)
+            expected = _dense_apply(_one_shot_kmat(model, grid, 0.3), g)
+            assert np.abs(kop.apply(g) - expected).max() <= 1e-13 * expected.max()
 
     # (coefficients, sd, M in units of sd or None for the default, N): the
     # operator benchmark's two Gaussian AR cases, |a_d| = 10 at the default M
@@ -358,7 +446,7 @@ class TestDensityFactors:
         cells = []
         for n in (n_cells, 2 * n_cells):
             grid = op.default_grid(m, None, n)
-            exact = op.DiscretizedOperator(grid, _one_shot_kmat(m, grid, delta), delta)
+            exact = DenseOperator(grid, _one_shot_kmat(m, grid, delta), delta)
             cells.append(op.spectral_radius(exact).lam)
         richardson = (4.0 * cells[1] - cells[0]) / 3.0
         lam = op.solve_operator(m, n=40, delta="auto").lam
@@ -396,13 +484,22 @@ class TestDensityFactors:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_entries_and_images_nonnegative(self):
-        kop = op.assemble(AR2, op.default_grid(AR2, None, N_AR2), delta="auto")
-        assert min(part.min() for part in (kop.kmat, kop.base, kop.coef)) >= 0.0
+    # the Gaussian factors, and the window sums of a tilted exponential AR(2)
+    # and of a uniform AR(2), whose windows have both ends
+    @pytest.mark.parametrize("innovation, coeffs", [
+        ({"kind": "gaussian"}, [0.3, 0.2]),
+        ({"kind": "exponential"}, [0.5, -0.3]),
+        ({"kind": "uniform", "lo": -1.0, "hi": 1.0}, [0.3, 0.2]),
+    ], ids=["gaussian", "exponential", "uniform"])
+    def test_entries_and_images_nonnegative(self, innovation, coeffs):
+        case = {"process": "ar", "coeffs": coeffs, "innovation": innovation,
+                "operator": {"N": N_AR2, "delta": "auto"}}
+        model = harness.model_from_json(case)
+        kop = op.assemble(model, op.default_grid(model, None, N_AR2), delta="auto")
+        parts = (kop.kmat, kop.base, kop.coef, kop.scale, kop.upper)
+        assert min(part.min() for part in parts if part is not None) >= 0.0
         g = np.random.default_rng(3).random((N_AR2,) * 2)
         assert kop.apply(g).min() >= 0.0
-        case = {"process": "ar", "coeffs": [0.3, 0.2], "innovation": {"kind": "gaussian"},
-                "operator": {"N": N_AR2, "delta": "auto"}}
         ok, details = harness._prop_nonnegativity(case, 0)
         assert ok and details["min_entry_or_image"] >= 0.0
 
@@ -438,8 +535,8 @@ class TestTilt:
     def test_tilted_matrix_is_similar(self):
         m = ARModel((0.4,), Exponential(), IIDInnovation(), GE)
         grid = op.default_grid(m, 8.0, 40)
-        k0 = op.assemble_ar(m, grid, delta=0.0).kmat
-        k1 = op.assemble_ar(m, grid, delta=0.3).kmat
+        k0 = _dense_kernel(op.assemble_ar(m, grid, delta=0.0))
+        k1 = _dense_kernel(op.assemble_ar(m, grid, delta=0.3))
         # K_delta[x, z] = e^{-delta x} K[x, z] e^{delta z}; undo it exactly
         h = np.exp(0.3 * grid.nodes)
         back = k1 * h[:, None] / h[None, :]
@@ -679,7 +776,7 @@ class TestPowerIteration:
     def test_known_two_by_two(self):
         grid = op.build_grid(0.0, 1.0, 2)
         kmat = np.array([[0.6, 0.2], [0.1, 0.3]])
-        kop = op.DiscretizedOperator(grid, kmat)
+        kop = DenseOperator(grid, kmat)
         res = op.spectral_radius(kop, tol=1e-13)
         expected = max(np.linalg.eigvals(kmat).real)
         assert res.lam == pytest.approx(expected, abs=1e-10)
@@ -701,7 +798,7 @@ class TestPowerIteration:
 
     def test_zero_operator(self):
         grid = op.build_grid(0.0, 1.0, 3)
-        kop = op.DiscretizedOperator(grid, np.zeros((3, 3)))
+        kop = DenseOperator(grid, np.zeros((3, 3)))
         res = op.spectral_radius(kop)
         assert res.lam == 0.0 and res.converged
 
@@ -733,7 +830,7 @@ class TestPowerIteration:
         # holds the Perron pair rho = 1, psi = (1, 0.5)
         grid = op.build_grid(0.0, 1.0, 2)
         kmat = np.array([[0.0, 2.0], [0.5, 0.0]])
-        kop = op.DiscretizedOperator(grid, kmat)
+        kop = DenseOperator(grid, kmat)
         res = op.spectral_radius(kop, tol=1e-12, max_iter=200)
         assert res.lam == pytest.approx(1.0, abs=1e-12)
         assert res.psi == pytest.approx([1.0, 0.5], abs=1e-12)
@@ -751,13 +848,13 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_tol_must_be_finite_and_positive(self, tol):
-        kop = op.DiscretizedOperator(op.build_grid(0.0, 1.0, 2), np.eye(2))
+        kop = DenseOperator(op.build_grid(0.0, 1.0, 2), np.eye(2))
         with pytest.raises(ValueError, match="finite tol > 0"):
             op.spectral_radius(kop, tol=tol)
 
     @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "10"])
     def test_max_iter_must_be_a_positive_count(self, max_iter):
-        kop = op.DiscretizedOperator(op.build_grid(0.0, 1.0, 2), np.eye(2))
+        kop = DenseOperator(op.build_grid(0.0, 1.0, 2), np.eye(2))
         with pytest.raises(ValueError, match="max_iter"):
             op.spectral_radius(kop, max_iter=max_iter)
 
@@ -866,12 +963,15 @@ class TestSweeps:
     @pytest.mark.parametrize("model, ms, n, delta", [
         (ARModel((0.4,), Gaussian(), IIDInnovation(), GE), [2.0, 4.0, 6.0], 200, 0.0),
         (ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE), [3.0, 6.0, 12.0], 40, 0.2),
+        (ARModel((0.3, 0.2), Uniform(-1.0, 1.0), IIDInnovation(), GE), [0.75, 1.5, 3.0], 40,
+         0.2),
+        (ARModel((-1.0,), Uniform(-1.0, 3.0), IIDInnovation(), GE), [1.0, 2.0, 3.0], 200, 0.0),
         (MAModel((2.0,), Gaussian(), GE), [1.5, 3.0, 6.0], 200, 0.0),
         (MAModel((-0.5,), Exponential(), GE), [2.0, 4.0, 9.0], 200, 0.0),
         (MAModel((0.5, -0.2), Gaussian(), GE), [2.0, 4.0, 6.0], 60, 0.0),
         (AR2, [2.0, 4.0, 6.0], N_AR2, "auto"),
-    ], ids=["factored_ar1_gauss", "exact_ar2_exp", "ma1_gauss_2", "ma1_exp_m0.5", "ma2_gauss",
-            "factored_ar2_gauss"])
+    ], ids=["factored_ar1_gauss", "window_ar2_exp", "window_ar2_unif", "window_ar1_unif",
+            "ma1_gauss_2", "ma1_exp_m0.5", "ma2_gauss", "factored_ar2_gauss"])
     def test_truncation_family_restricts_the_largest_member(self, monkeypatch, model, ms, n,
                                                             delta):
         assembled, ops = [], []
@@ -899,14 +999,18 @@ class TestSweeps:
             i0 = int(np.searchsorted(largest.grid.nodes, kop.grid.nodes[0]))
             assert k < n
             assert np.array_equal(kop.grid.nodes, largest.grid.nodes[i0:i0 + k])
-            if kop.start is None:
-                # an AR member's kmat is a view of the largest member's
-                assert np.shares_memory(kop.kmat, largest.kmat)
-            if kop.base is None or kop.kmat is None:
-                # exact and MA members are the operators assembled on their
-                # own boxes, bit for bit
-                assert lam == op.spectral_radius(op.assemble(model, kop.grid, delta=delta)).lam
+            if kop.start is not None:
+                # window members are the operators assembled on their own
+                # boxes, bit for bit
+                own = op.assemble(model, kop.grid, delta=delta)
+                for name in ("base", "start", "coef", "scale", "stop", "upper"):
+                    assert np.array_equal(getattr(kop, name), getattr(own, name))
+                assert lam == op.spectral_radius(own).lam
+                if isinstance(model, ARModel):
+                    _check_against_the_table(kop, model, delta)
                 continue
+            # a Gaussian member's kmat is a view of the largest member's
+            assert np.shares_memory(kop.kmat, largest.kmat)
             # the Gaussian factors are centred on their box: a member's rows
             # are the largest member's, cut to the box
             box = (slice(i0, i0 + k),) * (d + 1)
@@ -937,8 +1041,9 @@ class TestSweeps:
         assert op.spectral_radius(kop).lam == op.spectral_radius(ref).lam
 
     def test_truncation_family_peaks_at_one_solve(self):
-        # the family holds one table, its largest member's, and every smaller
-        # member is a view of it; assembling each member anew read 1.24x here
+        # the family's largest member is the assembled operator itself, and a
+        # smaller member with its solve fits beside it within the peak of the
+        # largest member's solve
         model = ARModel((0.5, -0.3), Exponential(), IIDInnovation(), GE)
         op.solve_operator(model, n=10)
         peaks = []
@@ -950,7 +1055,7 @@ class TestSweeps:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # 1% of the 8 MB table covers the family's index arrays and results
+        # 1% covers the family's index arrays and results
         assert peaks[0] <= 1.01 * peaks[1]
 
     def test_empty_truncation_list_named(self):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import DenseOperator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -541,7 +542,7 @@ class TestCoefficientOrder:
         assert p_hat[[10, 30, 50]] == pytest.approx(split_p, rel=1e-12)
         if isinstance(m, ARModel):
             grid = op.default_grid(m, None, 80)
-            table = op.DiscretizedOperator(grid, ar2_density_table(m, grid))
+            table = DenseOperator(grid, ar2_density_table(m, grid))
             assert op.spectral_radius(table).lam == pytest.approx(lam, abs=1e-12)
 
 
