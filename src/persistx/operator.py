@@ -15,7 +15,7 @@ The MA operator acts on the last q innovations as
 (Kg)(x) = sum_j w_j phi(y_j) 1{y_j + s(x) > 0} g(x_2..x_q, y_j);
 the indicator cuts one grid cell per row, and that cell keeps its nodal
 weight times the fraction of its innovation mass above the cut (the cut
-cell). So MA is held as the same window sums. The MA kernel takes no tilt.
+cell), so MA takes the same window sums, unscaled, open above and untilted.
 
 Both kernels take s from model.drift, the one definition of the linear part
 of the transition that every route shares: crude and splitting Monte Carlo

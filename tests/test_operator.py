@@ -195,7 +195,7 @@ def _one_shot_kmat(model, grid, delta):
     return kmat
 
 
-def _check_against_the_table(kop, model, delta):
+def _check_against_the_table(kop, model):
     """kop's images of the ones and of a random vector are finite and within
     1e-13 of the one-shot table's, relative to the largest image entry, and
     its lambda and iterations are the table's."""
@@ -210,9 +210,10 @@ def _check_against_the_table(kop, model, delta):
     assert abs(res.lam - ref.lam) <= 1e-13 and res.iterations == ref.iterations
 
 
-# uniform and exponential AR models at d = 1..3 on (M, N): two past the
-# default M, a support narrower than one cell (at M = 1, a window inside a
-# single cell), and a1 = 3, whose upper rows' windows miss the box
+# uniform and exponential AR models at d = 1..3, each with its M (None for
+# the default) and N; among them a support narrower than one cell (at M = 1
+# most windows lie inside one cell) and a1 = 3, whose upper rows' windows
+# miss the box
 WINDOW_CASES = [
     (ARModel((-0.7,), Exponential(), IIDInnovation(), GE), 7.0, 300),
     (ARModel((-1.0,), Uniform(-1.0, 3.0), IIDInnovation(), GE), None, 200),
@@ -233,7 +234,7 @@ class TestWindowSums:
     @pytest.mark.parametrize("delta", [0.0, 0.35, "auto"])
     def test_apply_and_lambda_match_the_one_shot_table(self, model, m, n, delta):
         kop = op.assemble(model, op.default_grid(model, m, n), delta=delta)
-        _check_against_the_table(kop, model, delta)
+        _check_against_the_table(kop, model)
 
     @pytest.mark.parametrize("model", [WINDOW_CASES[0][0], WINDOW_CASES[4][0]],
                              ids=["ar1_exp_m0.7", "ar2_exp"])
@@ -241,7 +242,8 @@ class TestWindowSums:
     def test_lambda_and_iterations_match_at_the_default_truncation(self, model, delta):
         # at the default M = 34.5 the tilted table's CDF differences near 1
         # lose their digits to e^(delta M) (the window form computes
-        # e^(s - e_j) (1 - e^-w_j) instead), so only lambda is compared
+        # e^(s - e_j) (1 - e^-w_j) instead), so only lambda and the
+        # iteration count are compared
         grid = op.default_grid(model, None, 40 if model.order == 2 else 300)
         kop = op.assemble(model, grid, delta=delta)
         table = DenseOperator(grid, _one_shot_kmat(model, grid, kop.delta), kop.delta)
@@ -256,7 +258,7 @@ class TestWindowSums:
         assert np.all(np.isfinite(kop.scale))
         row_sums = kop.apply(np.ones(80))
         assert np.all(row_sums[kop.grid.nodes * 3.0 >= kop.grid.hi] == 0.0)
-        _check_against_the_table(kop, model, 0.0)
+        _check_against_the_table(kop, model)
 
     def test_refused_past_its_range(self):
         m = ARModel((0.5,), Exponential(), IIDInnovation(), GE)
@@ -1007,7 +1009,7 @@ class TestSweeps:
                     assert np.array_equal(getattr(kop, name), getattr(own, name))
                 assert lam == op.spectral_radius(own).lam
                 if isinstance(model, ARModel):
-                    _check_against_the_table(kop, model, delta)
+                    _check_against_the_table(kop, model)
                 continue
             # a Gaussian member's kmat is a view of the largest member's
             assert np.shares_memory(kop.kmat, largest.kmat)
