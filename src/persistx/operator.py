@@ -35,17 +35,19 @@ Cost. The Gauss-Legendre rule is Newton's method on the three-term
 recurrence, O(N^2) in numpy (numpy's leggauss is an O(N^3) eigen-solve), and
 is built once per N: later grids of the same N rescale the cached rule, and
 grids on the same axis share the rescaled arrays. The Gaussian factors take
-O(N^2 + N^d) memory and O(N^(d+1)) time per apply; window sums take O(N^d)
-in both (an exponential AR(2) solve at N = 200 peaks near 5 MB, where a
-table would take 64 MB). No apply calls BLAS, so lambda's bytes do not
-depend on the BLAS thread count. Power iteration normalizes its next
-iterate in place, so each step allocates only the apply's result, and forms
-the residual only once lambda has settled. It sets the iterate's subnormal
-entries to zero: they weigh nothing at the sup-norm scale but slow every
-later matvec several-fold. The Rayleigh-Ritz extraction (_ritz_pair) costs
-no apply but the certifying one, which iterations counts, and O(N^d) per
-check; on nearly reducible kernels it takes about a third of power
-iteration's applies (MA(1) a1 = -0.99, N = 400: 4,373 against 12,935).
+O(N^d) memory (each apply forms the (N, N) one in row blocks) and O(N^(d+1))
+time per apply, and from N = 2 WARM_N start from a WARM_N-node solve
+(_solve). Window sums take O(N^d) in both (an exponential AR(2) solve at
+N = 200 peaks near 5 MB, where a table would take 64 MB). No apply or
+interpolation calls BLAS, so lambda's bytes do not depend on the BLAS
+thread count. Power iteration normalizes its next iterate in place, so each
+step allocates only the apply's result, and forms the residual only once
+lambda has settled. It sets the iterate's subnormal entries to zero: they
+weigh nothing at the sup-norm scale but slow every later matvec several-fold.
+The Rayleigh-Ritz extraction (_ritz_pair) costs no apply but the certifying
+one, which iterations counts, and O(N^d) per check; on nearly reducible
+kernels it takes about a third of power iteration's applies (MA(1)
+a1 = -0.99, N = 400: 4,373 against 12,935).
 Grids, assembly and solves are numpy only: no path here loads scipy.
 """
 
@@ -243,9 +245,10 @@ class DiscretizedOperator:
 
     Gaussian AR, density factors: entry [x_1, r, z] is
     coef[x_1, r] * kmat[x_1, z] * base[r, z], where r runs over the states
-    (x_2..x_d) in C order: kmat has shape (n, n), base (n^(d-1), n) and coef
-    (n, n^(d-1)). One apply weighs g by base, contracts it with kmat and
-    scales the result by coef: O(n^(d+1)) time, O(n^2 + n^d) memory.
+    (x_2..x_d) in C order: kmat[i, j] = exp(cu[i] u[j]) is (n, n) (a property
+    that forms it whole), base (n^(d-1), n) and coef (n, n^(d-1)). One apply
+    weighs g by base, contracts it with kmat, formed in blocks of rows, and
+    scales the result by coef: O(n^(d+1)) time, O(n^d) memory.
 
     Window sums (MA, uniform and exponential AR): base runs over the new
     coordinate, the rest over the states in C order. Row x is scale[x] *
@@ -257,7 +260,8 @@ class DiscretizedOperator:
     """
 
     grid: QuadratureGrid
-    kmat: np.ndarray = None
+    cu: np.ndarray = None
+    u: np.ndarray = None
     delta: float = 0.0
     base: np.ndarray = None
     start: np.ndarray = None
@@ -283,14 +287,23 @@ class DiscretizedOperator:
         self._suffix = np.zeros((n ** (d - 1), n + 1))
         self._at_cut = np.empty(n ** d)
 
+    @property
+    def kmat(self):
+        return None if self.cu is None else np.exp(np.multiply.outer(self.cu, self.u))
+
     def apply(self, g):
         d = self.grid.d
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,) * d:
             raise ValueError(f"value vector has shape {g.shape}, grid wants {(self.grid.n,) * d}")
         if self.start is None:
+            # kmat in row blocks of <= 2^16 entries; each entry keeps its own sum
             weighted = g.reshape(self.base.shape) * self.base
-            out = np.einsum("iz,kz->ik", self.kmat, weighted)
+            out = np.empty(self.coef.shape)
+            rows = max(1, (1 << 16) // len(self.u))
+            for i in range(0, len(out), rows):
+                part = np.multiply.outer(self.cu[i:i + rows], self.u)
+                np.einsum("iz,kz->ik", np.exp(part, out=part), weighted, out=out[i:i + rows])
             out *= self.coef
             return out.reshape(g.shape)
         # suffix sums run from the last node down: the terms are nonnegative,
@@ -403,7 +416,7 @@ def _density_factors(model, grid, delta):
     -(v + t - c u)^2 / 2 = [-(v - q)^2 / 2 - p (v - q)] + c u v
                            + [-(p - c u)^2 / 2 - c u q]:
     base[r, j] takes the first term times w_j exp(delta z_j) / (sd sqrt(2 pi)),
-    kmat[i, j] the second and coef[i, r] the third times exp(-delta x_1).
+    kmat[i, j] the second (as cu_i u_j) and coef[i, r] the third times exp(-delta x_1).
     The first term is <= 0 and the others are <= R = |c| (M / 2sd)^2; where an
     entry is not negligible, none is below about -2R. So the factors keep
     every entry that matters in float range while R <= _DENSITY_RANGE; past
@@ -429,14 +442,12 @@ def _density_factors(model, grid, delta):
     np.exp(base, out=base)
     base *= grid.weights * np.exp(delta * grid.nodes) / (sd * math.sqrt(2.0 * math.pi))
     cu = c * u
-    kmat = np.multiply.outer(cu, u)
-    np.exp(kmat, out=kmat)
     coef = np.subtract.outer(cu, p)
     coef *= -0.5 * coef
     coef -= np.multiply.outer(cu, q)
     np.exp(coef, out=coef)
     coef *= np.exp(-delta * grid.nodes)[:, None]
-    return DiscretizedOperator(grid=grid, kmat=kmat, delta=delta, base=base, coef=coef)
+    return DiscretizedOperator(grid=grid, cu=cu, u=u, delta=delta, base=base, coef=coef)
 
 
 def assemble_ma(model, grid):
@@ -501,6 +512,7 @@ class SpectralResult:
     converged: bool
     grid: QuadratureGrid
     delta: float
+    warm_start: dict = None
 
     def to_json(self):
         return {
@@ -515,6 +527,7 @@ class SpectralResult:
                 "d": self.grid.d,
             },
             "delta": self.delta,
+            "warm_start": self.warm_start,
         }
 
 
@@ -527,6 +540,8 @@ RITZ_BLOCK = 4
 RITZ_FIRST = 8
 RITZ_SPACING = 16
 RITZ_RANK = 1e-10
+# nodes per axis of the solve that warm-starts a density-form solve (_solve)
+WARM_N = 40
 
 
 def _ritz_pair(xs, lams, w, u, r):
@@ -585,14 +600,15 @@ def _ritz_pair(xs, lams, w, u, r):
     return theta, float(np.abs(r, out=r).max())
 
 
-def spectral_radius(op, tol=1e-10, max_iter=50000):
+def spectral_radius(op, tol=1e-10, max_iter=50000, start=None):
     """Perron root of a nonnegative operator: power iteration with
     Rayleigh-Ritz extraction from its own iterates.
 
-    Power iteration starts from the all-ones vector with sup-norm
-    normalization. It stops when the eigenvalue increment falls below tol
-    and the sup-norm residual below tol * max(1, lambda); the residual is
-    formed only on steps whose increment is below tol, and on step max_iter.
+    Power iteration starts from a copy of start (all ones if None; else of the
+    grid's shape, finite, >= 0 and not 0, or ValueError) with sup-norm
+    normalization. It stops when the eigenvalue increment falls below tol and
+    the sup-norm residual below tol * max(1, lambda); the residual is formed
+    only on steps whose increment is below tol, and on step max_iter.
 
     At sparse checks (step RITZ_FIRST, then every max(RITZ_FIRST,
     it // RITZ_SPACING) steps) the last RITZ_BLOCK iterates, which the loop
@@ -606,8 +622,8 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
     converges at about the rate lambda_3 / lambda_1 rather than power
     iteration's lambda_2 / lambda_1.
 
-    iterations counts every apply, the verifying one included. A kernel
-    that does not settle within max_iter steps ends in
+    iterations counts every apply of op, the verifying one included. A
+    kernel that does not settle within max_iter steps ends in
     MaxIterationsExceeded, whose message reports the last step's residual
     and lambda. tol must be finite and > 0 and max_iter a positive count,
     else ValueError. op.apply must return a new C-contiguous array on every
@@ -620,7 +636,10 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
     last = as_count(max_iter, "max_iter")
     if last < 1:
         raise ValueError(f"max_iter must be a positive count, got {max_iter!r}")
-    v = np.ones((op.grid.n,) * op.grid.d)
+    shape = (op.grid.n,) * op.grid.d
+    v = np.ones(shape) if start is None else np.array(start, dtype=float)
+    if v.shape != shape or not (np.isfinite(v).all() and v.min() >= 0.0 < v.max()):
+        raise ValueError(f"start must be finite, >= 0 and not 0, of shape {shape}; got {v.shape}")
     # residual and subnormal-mask buffers; each apply returns a fresh w, which
     # is normalized in place into the next iterate
     r = np.empty_like(v)
@@ -678,10 +697,31 @@ def spectral_radius(op, tol=1e-10, max_iter=50000):
 
 
 def solve_operator(model, m=None, n=400, delta=0.0):
-    """One-call operator route: grid defaults, assembly, power iteration."""
-    grid = default_grid(model, m, n)
-    op = assemble(model, grid, delta=delta)
-    return spectral_radius(op)
+    """One-call operator route: grid defaults, assembly, power iteration (_solve)."""
+    return _solve(model, assemble(model, default_grid(model, m, n), delta=delta))
+
+
+def _solve(model, op):
+    """spectral_radius of the model's operator op; on the density form at n >=
+    2 WARM_N, from the psi of a WARM_N-node solve of op's box, interpolated per
+    axis by barycentric weights (-1)^j sqrt((1 - x_j^2) w_j) (exact on coarse
+    nodes), at sup norm 1 and floored at 1e-12 (zeros can trap the iterate)."""
+    if op.start is not None or op.grid.n < 2 * WARM_N:
+        return spectral_radius(op)
+    coarse = build_grid(op.grid.lo, op.grid.hi, WARM_N, op.grid.d)
+    warm = spectral_radius(assemble(model, coarse, delta=op.delta))
+    x, w = leggauss(WARM_N)
+    weights = (-1.0) ** np.arange(WARM_N) * np.sqrt((1.0 - x) * (1.0 + x) * w)
+    diff = np.subtract.outer(op.grid.nodes, coarse.nodes)
+    interp = np.divide(weights, diff, out=np.zeros_like(diff), where=diff != 0.0)
+    np.copyto(interp, diff == 0.0, where=(diff == 0.0).any(axis=1)[:, None])
+    interp /= interp.sum(axis=1, keepdims=True)
+    v = warm.psi
+    for _ in range(op.grid.d):  # contract the first coarse axis, append its fine one
+        v = np.einsum("ij,j...->...i", interp, v)
+    v /= v.max()
+    return replace(spectral_radius(op, start=np.maximum(v, 1e-12, out=v)),
+                   warm_start={"n": WARM_N, "iterations": warm.iterations})
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +742,7 @@ def _restrict(op, i0, i1):
     box = (slice(i0, i1),) * d
     if op.start is None:
         # base's axes are x_2..x_d, z and coef's x_1..x_d
-        return DiscretizedOperator(grid=grid, kmat=op.kmat[box[0], box[0]], delta=op.delta,
+        return DiscretizedOperator(grid=grid, cu=op.cu[box[0]], u=op.u[box[0]], delta=op.delta,
                                    base=op.base.reshape((big.n,) * d)[box].reshape(-1, n),
                                    coef=op.coef.reshape((big.n,) * d)[box].reshape(n, -1))
     states = np.arange(big.n ** d).reshape((big.n,) * d)[box].reshape(-1)
@@ -726,8 +766,8 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0):
     nodes inside that M's clamped axis. Every smaller operator is then a
     principal submatrix of the largest one, so the Perron root cannot
     decrease along the family, and the largest member is the (largest M,
-    n_ref) solve itself. Returns {"Ms", "lambdas", "monotone"}, where
-    monotone checks that nondecrease up to a 1e-9 slack.
+    n_ref) solve itself, each solved by _solve. Returns {"Ms", "lambdas",
+    "monotone"}, where monotone checks that nondecrease up to a 1e-9 slack.
     """
     ms = sorted(_truncation(m) for m in ms)
     if not ms:
@@ -739,7 +779,7 @@ def truncation_lambdas(model, ms, n_ref, delta=0.0):
         keep = np.flatnonzero((full.grid.nodes >= lo_m) & (full.grid.nodes <= hi_m))
         if len(keep) < 2:
             raise ValueError(f"truncation M={m} keeps fewer than 2 nodes of the reference grid")
-        lams.append(spectral_radius(_restrict(full, keep[0], keep[-1] + 1)).lam)
+        lams.append(_solve(model, _restrict(full, keep[0], keep[-1] + 1)).lam)
     monotone = all(b - a >= -1e-9 for a, b in zip(lams, lams[1:]))
     return {"Ms": ms, "lambdas": lams, "monotone": monotone}
 

@@ -383,13 +383,15 @@ class TestOperatorCommand:
 
     # a BLAS product's sums depend on its thread count: at these sizes a BLAS
     # matrix-vector product (AR(1)) and a GEMM (AR(3)) print other bytes at 1
-    # and 2 OpenBLAS threads, so no AR apply may call BLAS, in either form
+    # and 2 OpenBLAS threads, so no AR apply may call BLAS, in either form;
+    # nor may the warm start's interpolation (AR(1) at N = 682, AR(2) at 96)
     @pytest.mark.parametrize("coeffs, innovation, n", [
         ("0.9", "gaussian:1", "682"),
         ("0.3,0.2,0.1", "gaussian:1", "38"),
+        ("0.3,0.2", "gaussian:1", "96"),
         ("0.5,-0.3", "exponential", "200"),
         ("-1", "uniform:-1,1", "682"),
-    ], ids=["ar1", "ar3", "ar2_exp", "ar1_unif"])
+    ], ids=["ar1", "ar3", "ar2_warm", "ar2_exp", "ar1_unif"])
     def test_bytes_do_not_depend_on_the_blas_threads(self, coeffs, innovation, n):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)

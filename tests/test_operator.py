@@ -308,10 +308,12 @@ class TestApply:
         assert out.shape == (n,) * d
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    # lambda and iterations at d = 1 and d = 2; each Gaussian pin is the
-    # solve of _density_table's exact table on the same grid
+    # lambda and iterations at d = 1 and d = 2; ar1_gauss_0.4 (N = 400) is
+    # warm-started from its 40-node solve, the N = 60 pins are cold. A cold
+    # solve of each Gaussian operator equals the cold solve of
+    # _density_table's exact table on the same grid
     @pytest.mark.parametrize("coeffs,innovation,n,delta,lam,iterations", [
-        ((0.4,), Gaussian(), 400, 0.3, 0.6477665857571864, 15),
+        ((0.4,), Gaussian(), 400, 0.3, 0.6477665857489595, 2),
         ((-0.5,), Exponential(), 400, 0.3, 0.666647748564583, 3),
         ((0.5, -0.3), Gaussian(), 60, 0.0, 0.5521273970403443, 23),
         ((0.3, 0.2), Gaussian(), 60, "auto", 0.7003321186514562, 25),
@@ -322,9 +324,12 @@ class TestApply:
         assert res.lam == pytest.approx(lam, abs=1e-13)
         assert res.iterations == iterations
         if isinstance(innovation, Gaussian):
+            cold = op.spectral_radius(op.assemble(m, res.grid, delta=res.delta))
             table = _density_table(m, res.grid, res.delta)
             ref = op.spectral_radius(DenseOperator(res.grid, table, res.delta))
-            assert (ref.lam, ref.iterations) == (pytest.approx(lam, abs=1e-15), iterations)
+            assert (ref.lam, ref.iterations) == (pytest.approx(cold.lam, abs=1e-15),
+                                                 cold.iterations)
+            assert res.iterations <= cold.iterations
 
 
 def _density_table(model, grid, delta, rows=slice(None)):
@@ -349,6 +354,33 @@ def _factored_table(kop, rows=slice(None)):
 # the AR(2) grid size of the factored-form tests
 N_AR2 = 129
 AR2 = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
+
+
+# (coefficients, sd, M in units of sd or None for the default, N): the
+# operator benchmark's two Gaussian AR cases, |a_d| = 10 at the default M and
+# 2 at M = 25 sd, the edges of the factored form's range, an AR(3) and two
+# scales
+DENSITY_CASES = [
+    ((0.9,), 1.0, None, 1600),
+    ((0.3, 0.2), 1.0, None, 200),
+    ((10.0,), 1.0, None, 200),
+    ((-10.0,), 1.0, None, 200),
+    ((0.3, 10.0), 1.0, None, 60),
+    ((2.0,), 1.0, 25.0, 200),
+    ((-2.0,), 1.0, 25.0, 200),
+    ((5.0, -2.0), 1.0, 25.0, 60),
+    ((0.3, 0.2, 0.1), 1.0, None, 20),
+    ((0.5, 0.3), 0.01, None, 60),
+    ((0.5, 0.3), 100.0, None, 60),
+]
+DENSITY_IDS = ["ar1_0.9", "ar2_0.3_0.2", "ar1_10", "ar1_m10", "ar2_0.3_10", "ar1_2_m25",
+               "ar1_m2_m25", "ar2_5_m2_m25", "ar3", "ar2_sd0.01", "ar2_sd100"]
+
+
+def _table_apply(kop, g):
+    """A density-form apply through the whole kmat table in one contraction."""
+    weighted = g.reshape(kop.base.shape) * kop.base
+    return (np.einsum("iz,kz->ik", kop.kmat, weighted) * kop.coef).reshape(g.shape)
 
 
 class TestDensityFactors:
@@ -382,24 +414,7 @@ class TestDensityFactors:
             expected = _dense_apply(_one_shot_kmat(model, grid, 0.3), g)
             assert np.abs(kop.apply(g) - expected).max() <= 1e-13 * expected.max()
 
-    # (coefficients, sd, M in units of sd or None for the default, N): the
-    # operator benchmark's two Gaussian AR cases, |a_d| = 10 at the default M
-    # and 2 at M = 25 sd, the edges of the factored form's range, an AR(3)
-    # and two scales
-    @pytest.mark.parametrize("coeffs, sd, m, n", [
-        ((0.9,), 1.0, None, 1600),
-        ((0.3, 0.2), 1.0, None, 200),
-        ((10.0,), 1.0, None, 200),
-        ((-10.0,), 1.0, None, 200),
-        ((0.3, 10.0), 1.0, None, 60),
-        ((2.0,), 1.0, 25.0, 200),
-        ((-2.0,), 1.0, 25.0, 200),
-        ((5.0, -2.0), 1.0, 25.0, 60),
-        ((0.3, 0.2, 0.1), 1.0, None, 20),
-        ((0.5, 0.3), 0.01, None, 60),
-        ((0.5, 0.3), 100.0, None, 60),
-    ], ids=["ar1_0.9", "ar2_0.3_0.2", "ar1_10", "ar1_m10", "ar2_0.3_10", "ar1_2_m25",
-            "ar1_m2_m25", "ar2_5_m2_m25", "ar3", "ar2_sd0.01", "ar2_sd100"])
+    @pytest.mark.parametrize("coeffs, sd, m, n", DENSITY_CASES, ids=DENSITY_IDS)
     def test_entries_and_apply_match_the_dense_table(self, coeffs, sd, m, n):
         model = ARModel(coeffs, Gaussian(sd), IIDInnovation(), GE)
         grid = op.default_grid(model, None if m is None else m * sd, n)
@@ -418,6 +433,31 @@ class TestDensityFactors:
             expected[rows] = _dense_apply(table, g)
         assert worst <= 1e-13 * largest
         assert np.abs(kop.apply(g) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("coeffs, sd, m, n", DENSITY_CASES, ids=DENSITY_IDS)
+    def test_row_block_apply_is_the_table_contraction(self, coeffs, sd, m, n):
+        # each output entry keeps its own sum over z, so the blocks give the
+        # bytes of the whole table, on the operator and on a restricted member
+        model = ARModel(coeffs, Gaussian(sd), IIDInnovation(), GE)
+        grid = op.default_grid(model, None if m is None else m * sd, n)
+        kop = op.assemble_ar(model, grid, delta=op.default_delta(model))
+        rng = np.random.default_rng(7)
+        for member in (kop, op._restrict(kop, 0, 2 * n // 3)):
+            g = rng.random((member.grid.n,) * model.order)
+            assert member.apply(g).tobytes() == _table_apply(member, g).tobytes()
+
+    def test_ar1_solve_holds_no_table(self):
+        # the (N, N) kmat at N = 1600 alone would take 20.5 MB; the row blocks
+        # take 0.5 MB and the solve peaks at about 2 MB
+        m = ARModel((0.9,), Gaussian(), IIDInnovation(), GE)
+        op.solve_operator(m, n=10, delta="auto")
+        tracemalloc.start()
+        try:
+            op.solve_operator(m, n=1600, delta="auto")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_refused_past_its_range(self):
         # |a_d| (M / 2sd)^2 = 781 at a_d = 5, M = 25 sd
@@ -860,17 +900,48 @@ class TestPowerIteration:
         with pytest.raises(ValueError, match="max_iter"):
             op.spectral_radius(kop, max_iter=max_iter)
 
+    @pytest.mark.parametrize("start, message", [
+        (np.ones(3), "got (3,)"),
+        (np.ones((2, 1)), "got (2, 1)"),
+        (np.array([1.0, math.nan]), "got (2,)"),
+        (np.array([1.0, math.inf]), "got (2,)"),
+        (np.array([1.0, -1e-300]), "got (2,)"),
+        (np.zeros(2), "got (2,)"),
+    ], ids=["long", "two_axes", "nan", "inf", "negative", "zero"])
+    def test_start_refused(self, start, message):
+        kop = DenseOperator(op.build_grid(0.0, 1.0, 2), np.array([[0.6, 0.2], [0.1, 0.3]]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"start must be finite, >= 0 and not 0, of shape (2,); {message}")):
+            op.spectral_radius(kop, start=start)
+
+    def test_start_is_copied_not_normalized_or_returned(self):
+        kop = DenseOperator(op.build_grid(0.0, 1.0, 2), np.array([[0.6, 0.2], [0.1, 0.3]]))
+        start = np.array([3.0, 2.0])
+        res = op.spectral_radius(kop, start=start)
+        assert start.tolist() == [3.0, 2.0]
+        assert not np.shares_memory(res.psi, start)
+        assert res.lam == pytest.approx(max(np.linalg.eigvals(kop.kmat).real), abs=1e-12)
+
     @pytest.mark.parametrize("model,delta", [
         (ARModel((0.3,), Gaussian(), IIDInnovation(), GE), "auto"),
         (MAModel((0.5,), Gaussian(), GE), "auto"),
     ], ids=["ar", "ma"])
     def test_spectral_result_payload(self, model, delta):
         payload = op.solve_operator(model, n=60, delta=delta).to_json()
-        assert set(payload) == {"lambda", "residual", "iterations", "converged", "grid", "delta"}
+        assert set(payload) == {"lambda", "residual", "iterations", "converged", "grid", "delta",
+                                "warm_start"}
         assert set(payload["grid"]) == {"lo", "hi", "n", "d"}
         assert payload["grid"]["n"] == 60
         # the AR tilt as resolved from "auto"; the MA kernel takes none
         assert payload["delta"] == (op.default_delta(model) if isinstance(model, ARModel) else 0.0)
+        # N = 60 starts cold; MA always does
+        assert payload["warm_start"] is None
+        warm = op.solve_operator(model, n=2 * op.WARM_N, delta=delta).to_json()["warm_start"]
+        if isinstance(model, ARModel):
+            coarse = op.solve_operator(model, n=op.WARM_N, delta=delta)
+            assert warm == {"n": op.WARM_N, "iterations": coarse.iterations}
+        else:
+            assert warm is None
 
 
 def _dense_kernel(kop):
@@ -900,6 +971,92 @@ class TestDenseReference:
         assert abs(res.lam - lam_dense) <= gate
         assert res.psi.min() >= 0.0
         assert res.psi.max() == 1.0
+
+
+class TestWarmStart:
+    # (coefficients, sd, M in units of sd or None for the default, N, delta):
+    # d = 1-3, delta 0 and "auto", a_d = +-10, M = 25 sd, sd 0.01 and 100
+    @pytest.mark.parametrize("coeffs, sd, m, n, delta", [
+        ((0.9,), 1.0, None, 200, 0.0),
+        ((0.9,), 1.0, None, 200, "auto"),
+        ((0.99,), 1.0, None, 200, "auto"),
+        ((0.9,), 1.0, 20.0, 200, "auto"),
+        ((10.0,), 1.0, None, 200, "auto"),
+        ((-10.0,), 1.0, None, 200, "auto"),
+        ((2.0,), 1.0, 25.0, 200, 0.0),
+        ((-2.0,), 1.0, 25.0, 200, 0.0),
+        ((0.3, 0.2), 1.0, None, 96, 0.0),
+        ((0.3, 0.2), 1.0, None, 96, "auto"),
+        ((0.3, 10.0), 1.0, None, 80, "auto"),
+        ((5.0, -2.0), 1.0, 25.0, 80, 0.0),
+        ((0.5, 0.3), 0.01, None, 80, "auto"),
+        ((0.5, 0.3), 100.0, None, 80, "auto"),
+        ((0.3, 0.2, 0.1), 1.0, None, 80, "auto"),
+    ], ids=["ar1_0.9", "ar1_0.9_auto", "ar1_0.99_auto", "ar1_0.9_m20", "ar1_10", "ar1_m10",
+            "ar1_2_m25", "ar1_m2_m25", "ar2_0.3_0.2", "ar2_0.3_0.2_auto", "ar2_0.3_10",
+            "ar2_5_m2_m25", "ar2_sd0.01", "ar2_sd100", "ar3"])
+    def test_no_more_iterations_and_the_same_root(self, coeffs, sd, m, n, delta):
+        model = ARModel(coeffs, Gaussian(sd), IIDInnovation(), GE)
+        warm = op.solve_operator(model, m=None if m is None else m * sd, n=n, delta=delta)
+        kop = op.assemble(model, warm.grid, delta=delta)
+        cold = op.spectral_radius(kop)
+        assert warm.warm_start["n"] == op.WARM_N
+        assert warm.iterations <= cold.iterations
+        if model.order == 1:
+            # TestDenseReference's LAPACK bound
+            lam_dense = float(np.linalg.eigvals(_dense_kernel(kop)).real.max())
+            assert abs(warm.lam - lam_dense) <= 1e-10
+        else:
+            assert abs(warm.lam - cold.lam) <= 2e-10 * max(1.0, cold.lam)
+
+    def test_cold_below_twice_warm_n(self):
+        # a solve below 2 WARM_N nodes is the cold solve of its operator, bit for bit
+        m = ARModel((0.9,), Gaussian(), IIDInnovation(), GE)
+        res = op.solve_operator(m, n=2 * op.WARM_N - 1, delta="auto")
+        cold = op.spectral_radius(op.assemble(m, res.grid, delta="auto"))
+        assert res.warm_start is None
+        assert (res.lam, res.iterations) == (cold.lam, cold.iterations)
+        assert res.psi.tobytes() == cold.psi.tobytes()
+
+    def test_start_with_zeros_reaches_the_same_root(self):
+        # the Gaussian kernel is positive, so a start that is zero on half
+        # its nodes still reaches the Perron root
+        m = ARModel((0.9,), Gaussian(), IIDInnovation(), GE)
+        kop = op.assemble(m, op.default_grid(m, None, 200), delta="auto")
+        start = np.ones(200)
+        start[100:] = 0.0
+        cold = op.spectral_radius(kop)
+        res = op.spectral_radius(kop, start=start)
+        assert abs(res.lam - cold.lam) <= 2e-10 * max(1.0, cold.lam)
+        assert res.psi.min() >= 0.0 and res.psi.max() == 1.0
+
+    def test_fine_node_on_a_coarse_node_takes_its_value(self, monkeypatch):
+        # a fine grid holding every coarse node and one node below each: the
+        # interpolant takes the coarse psi there, with no division by zero
+        m = ARModel((0.9,), Gaussian(), IIDInnovation(), GE)
+        coarse = op.build_grid(0.0, 8.0, op.WARM_N)
+        below = np.concatenate(([0.5 * coarse.nodes[0]],
+                                0.5 * (coarse.nodes[:-1] + coarse.nodes[1:])))
+        nodes = np.sort(np.concatenate((coarse.nodes, below)))
+        edges = np.concatenate(([0.0], 0.5 * (nodes[:-1] + nodes[1:]), [8.0]))
+        grid = op.QuadratureGrid(1, 0.0, 8.0, 2 * op.WARM_N, nodes, np.diff(edges), edges)
+        kop = op.assemble(m, grid, delta="auto")
+        starts = []
+        solve = op.spectral_radius
+
+        def kept(kop, *args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return solve(kop, *args, **kwargs)
+
+        monkeypatch.setattr(op, "spectral_radius", kept)
+        res = op._solve(m, kop)
+        monkeypatch.undo()
+        psi = op.spectral_radius(op.assemble(m, coarse, delta="auto")).psi
+        start = starts[-1][1::2]
+        assert res.warm_start is not None and np.isfinite(starts[-1]).all()
+        # the start is the interpolant over its maximum, where psi is 1
+        scale = start[np.argmax(psi)]
+        assert start == pytest.approx(np.maximum(psi * scale, 1e-12), rel=1e-15, abs=0.0)
 
 
 class TestReferenceValues:
@@ -979,12 +1136,20 @@ class TestSweeps:
         assembled, ops = [], []
         assemble, solve = op.assemble, op.spectral_radius
 
+        # the density-form operators on WARM_N nodes that warm-start Gaussian
+        # members are left out; no member here has WARM_N nodes
+        def fine(kop):
+            return kop.start is not None or kop.grid.n != op.WARM_N
+
         def counted(*args, **kwargs):
-            assembled.append(args)
-            return assemble(*args, **kwargs)
+            kop = assemble(*args, **kwargs)
+            if fine(kop):
+                assembled.append(kop)
+            return kop
 
         def kept(kop, *args, **kwargs):
-            ops.append(kop)
+            if fine(kop):
+                ops.append(kop)
             return solve(kop, *args, **kwargs)
 
         monkeypatch.setattr(op, "assemble", counted)
@@ -1011,8 +1176,8 @@ class TestSweeps:
                 if isinstance(model, ARModel):
                     _check_against_the_table(kop, model)
                 continue
-            # a Gaussian member's kmat is a view of the largest member's
-            assert np.shares_memory(kop.kmat, largest.kmat)
+            # a Gaussian member's kmat vectors are views of the largest member's
+            assert np.shares_memory(kop.cu, largest.cu) and np.shares_memory(kop.u, largest.u)
             # the Gaussian factors are centred on their box: a member's rows
             # are the largest member's, cut to the box
             box = (slice(i0, i0 + k),) * (d + 1)
@@ -1101,13 +1266,15 @@ class TestSweeps:
 
     def test_sweep_solves_finest_cell_once(self, monkeypatch):
         # 8 table cells plus 3 truncation members; the finest cell is the
-        # family's last member, not a twelfth solve
+        # family's last member, not a twelfth solve. The WARM_N-node solves
+        # that warm-start them are not counted
         calls = []
         solve = op.spectral_radius
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counted(kop, *args, **kwargs):
+            if kop.grid.n != op.WARM_N:
+                calls.append(kop)
+            return solve(kop, *args, **kwargs)
 
         monkeypatch.setattr(op, "spectral_radius", counted)
         m = ARModel((0.4,), Gaussian(), IIDInnovation(), GE)

@@ -37,7 +37,8 @@ def test_instrument_finds_every_wrapped_name():
 
 def test_every_apply_is_traced():
     # one operator.apply span per power iteration, for every kernel form: MA,
-    # the exact AR table, and the drift table of a Gaussian AR(2)
+    # the density form of a Gaussian AR(1) and AR(2), and window sums; at
+    # N = 40 every solve starts cold
     tracing = load_tracing()
     tracer = tracing.Tracer()
     cases = (
@@ -45,6 +46,8 @@ def test_every_apply_is_traced():
         (model.ARModel((0.4,), model.Gaussian(), model.IIDInnovation(),
                        model.SurvivalConvention.NON_NEGATIVE), 40),
         (model.ARModel((0.3, 0.2), model.Gaussian(), model.IIDInnovation(),
+                       model.SurvivalConvention.NON_NEGATIVE), 40),
+        (model.ARModel((-0.5,), model.Exponential(), model.IIDInnovation(),
                        model.SurvivalConvention.NON_NEGATIVE), 40),
     )
     try:
@@ -54,9 +57,29 @@ def test_every_apply_is_traced():
             res = operator.solve_operator(m, n=n)
             applies = [s for s in tracer.spans[seen:] if s.name == "operator.apply"]
             assert res.iterations > 1
+            assert res.warm_start is None
             assert len(applies) == res.iterations
     finally:
         tracer.restore()
+
+
+def test_warm_start_applies_are_traced():
+    # a Gaussian AR solve at N >= 2 WARM_N also applies its WARM_N-node
+    # operator, which iterations leaves out and warm_start counts
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    m = model.ARModel((0.9,), model.Gaussian(), model.IIDInnovation(),
+                      model.SurvivalConvention.NON_NEGATIVE)
+    try:
+        tracing.instrument(tracer)
+        seen = len(tracer.spans)
+        res = operator.solve_operator(m, n=2 * operator.WARM_N, delta="auto")
+        applies = [s for s in tracer.spans[seen:] if s.name == "operator.apply"]
+    finally:
+        tracer.restore()
+    assert res.warm_start["n"] == operator.WARM_N
+    assert len(applies) == res.iterations + res.warm_start["iterations"]
+    assert res.warm_start["iterations"] > res.iterations
 
 
 def test_crude_blocks_record_their_draws():
