@@ -638,7 +638,7 @@ def spectral_radius(op, tol=1e-10, max_iter=50000, start=None):
         raise ValueError(f"max_iter must be a positive count, got {max_iter!r}")
     shape = (op.grid.n,) * op.grid.d
     v = np.ones(shape) if start is None else np.array(start, dtype=float)
-    if v.shape != shape or not (np.isfinite(v).all() and v.min() >= 0.0 < v.max()):
+    if v.shape != shape or not (np.isfinite(v).all() and v.min() >= 0.0 and v.max() > 0.0):
         raise ValueError(f"start must be finite, >= 0 and not 0, of shape {shape}; got {v.shape}")
     # residual and subnormal-mask buffers; each apply returns a fresh w, which
     # is normalized in place into the next iterate
