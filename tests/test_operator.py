@@ -911,6 +911,10 @@ class TestPowerIteration:
         assert start.tolist() == [3.0, 2.0]
         assert not np.shares_memory(res.psi, start)
         assert res.lam == pytest.approx(max(np.linalg.eigvals(kop.kmat).real), abs=1e-12)
+        # an operator that annihilates the start returns the iterate itself
+        # at the first step, which must still be a copy of the caller's array
+        res = op.spectral_radius(DenseOperator(kop.grid, np.zeros((2, 2))), start=start)
+        assert res.lam == 0.0 and not np.shares_memory(res.psi, start)
 
     @pytest.mark.parametrize("model,delta", [
         (ARModel((0.3,), Gaussian(), IIDInnovation(), GE), "auto"),
