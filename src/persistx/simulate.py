@@ -12,7 +12,9 @@ estimator advances its population one step at a time, records the
 per-step survival fraction, and resamples survivors back to the full
 population, so the product of fractions estimates p_n far below the reach
 of crude sampling; each step keeps the survivors with one compress and
-resamples them systematically with one take.
+resamples them systematically with one take. A splitting run draws from
+one stream, and each step draws a fixed count of values whatever the
+population.
 """
 
 from __future__ import annotations
@@ -158,9 +160,12 @@ def estimate_splitting(model, horizons, particles, seed):
     The per-step fractions are kept for diagnostics, and
     var(log p_n) is approximated by sum_t (1 - s_t) / (s_t P).
 
-    Step t draws from its own stream (seed, "split", t): its P innovations
-    (none while an AR population still reads its initial state), then the
-    one uniform of its resampling. The population is a C-ordered (d, P)
+    A run draws from one stream (seed, "split"): the initial state, then
+    at each step t its P innovations (none while an AR population still
+    reads its initial state) and the one uniform of its resampling. Every
+    step draws the same number of values whatever the population, so step
+    t's draws sit at a place in the stream set by the model, P and t
+    alone. The population is a C-ordered (d, P)
     array, one contiguous row per state coordinate, oldest first, so the
     drift reads rows and the survivors are kept and resampled along the
     particle axis in one compress and one take.
@@ -171,11 +176,11 @@ def estimate_splitting(model, horizons, particles, seed):
         raise ValueError("need at least two particles")
     n_max = int(horizons[-1])
     reads_initial = model.order if isinstance(model, ARModel) else 0
-    state = _initial_state(model, particles, substream(seed, "split", "init"))
+    rng = substream(seed, "split")
+    state = _initial_state(model, particles, rng)
 
     fractions = np.empty(n_max + 1)
     for t in range(n_max + 1):
-        rng = substream(seed, "split", t)
         if t < reads_initial:
             z = state[t]
         else:
@@ -238,7 +243,7 @@ class PersistenceEstimate:
             if self.counts is not None:
                 row["count"] = int(self.counts[j])
             table.append(row)
-        return {
+        payload = {
             "method": self.method,
             "effort": int(self.effort),
             "seed": int(self.seed),
@@ -247,6 +252,9 @@ class PersistenceEstimate:
             "lambda_hat": self.lambda_hat,
             "half_width": self.half_width,
         }
+        if self.fractions is not None:
+            payload["fractions"] = self.fractions.tolist()
+        return payload
 
 
 def _check_horizons(horizons):

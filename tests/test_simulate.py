@@ -371,34 +371,34 @@ class TestSplitting:
 # 0..n, pinned from reference_splitting. (model, {P: (n, digest)})
 SPLIT_PINS = {
     "ar1_gauss_0.9": (ARModel((0.9,), Gaussian(), IIDInnovation(), GE), {
-        65_536: (8, "a11c386bd72ae2b06b90d0ccdbe66eef3e500a438afc933b78ef0a19f98d7b24"),
-        2000: (30, "c8a1ac0197abbd70e7b379c3df853f89478dfcd224bfacb10b34b0a6cc53c508")}),
+        65_536: (8, "3caaa5efa8b8ffacb131e489988b09caa072429a0bdb6b2a3e6d2e6339fa6aff"),
+        2000: (30, "b0ad5c3a4accca87069d04f101f99f07939a69b83adb93245f27c1b042f066a2")}),
     "ar2_gauss": (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE), {
-        65_536: (8, "bd1b1aa3ff04704f7ce233d8e50783e390d110cbbadbf711a9c8d8299242913b"),
-        2000: (30, "5c208d69312f057a0a92bb6bd2fe8a0b63e68c02489c6a246ce2cbce6776c8fb")}),
+        65_536: (8, "de8fdd7f9fe79a0d2d9843afd927a758758551116ad05004435c81496de09444"),
+        2000: (30, "c648705427fe0b55f5da9c0d1ec398a0b2bec0f7155a0a5e8b4efc6b8de3b33e")}),
     "ma1_exp_m0.5": (MAModel((-0.5,), Exponential(), GE), {
-        65_536: (8, "7bb90594f2c02cadacff88841ca5e98b9b528d24590a958622e5807765644f09"),
-        2000: (30, "5c454480f489a2e175d88e1632c594f208decd7c7f76e20a7e786d62bfd54e51")}),
+        65_536: (8, "2c01fca7cbb8d337ca058d7d81f97ef3c6ee8f63baf6721af9b9cf92a7ce56b5"),
+        2000: (30, "6670d49fddc5727ae81ff844bcf4121f4e46634e574555a23a37343046e9ce9c")}),
     "ma2_rademacher_gt": (MAModel((0.5, 0.5), Rademacher(), GT), {
-        65_536: (8, "581b434fd6fc2e032f87342e1184fdde7944ec0d3db07ecd22e70b77dd28dc4d"),
-        2000: (30, "a329508cfa4654642fb05cc54cc7dd8c73b5d407c9bef7bd5cc0cb6a18890041")}),
+        65_536: (8, "0bd6e5712be03c9f402d8167c81be20cb81e3f1e3327eab768080276ad91f49e"),
+        2000: (30, "ed4ec8217ca66568e9d938fba39b16e713038119fd58fce221a34c246b9bb51e")}),
 }
 
 
 def reference_splitting(model, n, particles, seed):
-    """Reference splitting loop: a particle-major (P, d) state, survivors
-    picked by a boolean mask, and a plain-loop systematic resampler. Returns
-    p_hat and the fractions over horizons 0..n."""
+    """Reference splitting loop: one stream (seed, "split") per run, a
+    particle-major (P, d) state, survivors picked by a boolean mask, and a
+    plain-loop systematic resampler. Returns p_hat and the fractions over
+    horizons 0..n."""
     d = model.order
     is_ar = isinstance(model, ARModel)
-    init = substream(seed, "split", "init")
+    rng = substream(seed, "split")
     if is_ar:
-        state = model.initial.sample(d, init, size=particles)
+        state = model.initial.sample(d, rng, size=particles)
     else:
-        state = model.innovation.sample(init, (particles, d))
+        state = model.innovation.sample(rng, (particles, d))
     fractions = []
     for t in range(n + 1):
-        rng = substream(seed, "split", t)
         if is_ar and t < d:
             z = state[:, t]
         else:
@@ -442,31 +442,48 @@ class TestSplittingLoop:
         assert hashlib.sha256(p_hat.tobytes() + fractions.tobytes()).hexdigest() == digest
 
     def test_one_uniform_per_step_after_its_innovations(self, monkeypatch):
-        # every draw of a run, by stream: the initial state, then per step its
-        # P innovations (none while AR reads its initial state) and one uniform
-        log = {}
+        # every draw of a run, from its one stream: the initial state, then per
+        # step its P innovations (none while AR reads its initial state) and
+        # one uniform
+        calls, streams = [], []
 
         class Recorded:
-            def __init__(self, rng, calls):
-                self.rng, self.calls = rng, calls
+            def __init__(self, rng):
+                self.rng = rng
 
             def __getattr__(self, name):
                 def draw(size=None):
-                    self.calls.append((name, size))
+                    calls.append((name, size))
                     return getattr(self.rng, name)(size)
                 return draw
 
-        monkeypatch.setattr(sim, "substream", lambda seed, *path: Recorded(
-            substream(seed, *path), log.setdefault(path, [])))
+        def recorded_substream(seed, *path):
+            streams.append(path)
+            return Recorded(substream(seed, *path))
+
+        monkeypatch.setattr(sim, "substream", recorded_substream)
         m = ARModel((0.3, 0.2), Gaussian(), IIDInnovation(), GE)
         est = sim.estimate_splitting(m, range(6), 500, 4)
         monkeypatch.undo()
         assert np.array_equal(est.p_hat, sim.estimate_splitting(m, range(6), 500, 4).p_hat)
-        assert log == {
-            ("split", "init"): [("standard_normal", (500, 2))],
-            **{("split", t): [("random", None)] for t in (0, 1)},
-            **{("split", t): [("standard_normal", 500), ("random", None)] for t in range(2, 6)},
-        }
+        assert streams == [("split",)]
+        assert calls == [("standard_normal", (500, 2)), ("random", None), ("random", None),
+                         *[("standard_normal", 500), ("random", None)] * 4]
+
+    @pytest.mark.parametrize("m", [
+        ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
+        MAModel((0.5, -0.2), Exponential(), GE),
+    ], ids=["ar2_gauss", "ma2_exp"])
+    def test_draws_depend_on_the_step_not_the_horizons(self, m):
+        # step t's draws sit at one place in the run's stream whatever the
+        # last horizon, so a shorter run is a bitwise prefix of a longer one
+        n, short = 30, 12
+        long_run = sim.estimate_splitting(m, range(n + 1), 2000, 5)
+        prefix = sim.estimate_splitting(m, range(short + 1), 2000, 5)
+        assert prefix.p_hat.tobytes() == long_run.p_hat[:short + 1].tobytes()
+        assert prefix.fractions.tobytes() == long_run.fractions[:short + 1].tobytes()
+        alone = sim.estimate_splitting(m, [short], 2000, 5)
+        assert alone.p_hat.tobytes() == prefix.p_hat[[short]].tobytes()
 
     def test_extinct_after_first_step(self):
         # Z_0 = 1 survives; Z_1 = -10 + xi < -9 kills every particle
@@ -506,11 +523,11 @@ class TestSystematicIndices:
 COEFFICIENT_ORDER_CASES = [
     (ARModel((0.5, -0.3), Gaussian(), IIDInnovation(), GE),
      [65648, 32644, 18260, 10394, 5770, 3167, 1748, 947, 532, 296, 165, 98, 51, 24, 10, 8, 5],
-     [0.0013379222315355037, 8.465551682490946e-09, 5.94329120364211e-14],
+     [0.001337020471662565, 8.764355359903876e-09, 6.153120855965642e-14],
      0.5521273970409593),
     (MAModel((0.5, -0.2), Gaussian(), GE),
      [65361, 39261, 21120, 12094, 6795, 3865, 2153, 1191, 652, 333, 183, 93, 50, 27, 17, 8, 4],
-     [0.001620508523458125, 1.3086173669869438e-08, 1.1301430276757393e-13],
+     [0.0016998323245790738, 1.3683257914418703e-08, 1.3144727772474844e-13],
      0.558142203379211),
 ]
 
@@ -641,6 +658,17 @@ class TestEstimateReport:
         assert {"n", "p_hat", "se"} <= set(payload["table"][0])
         assert payload["lambda_hat"] == pytest.approx(0.5, abs=0.05)
         assert payload["window"] is not None
+
+    def test_splitting_payload_carries_its_fractions(self):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        horizons = [0, 3, 7, 12]
+        payload = sim.estimate_splitting(m, horizons, 2000, 1).to_json()
+        fractions = np.array(payload["fractions"])
+        assert len(fractions) == horizons[-1] + 1
+        p_hat = np.exp(np.cumsum(np.log(fractions)))[horizons]
+        assert p_hat.tolist() == [row["p_hat"] for row in payload["table"]]
+        crude = sim.estimate_crude(m, horizons, 20_000, 1).to_json()
+        assert "fractions" not in crude
 
     def test_effort_accounting(self):
         m = MAModel((0.5,), Gaussian(), GE)
