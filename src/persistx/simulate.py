@@ -157,7 +157,7 @@ def estimate_splitting(model, horizons, particles, seed):
     systematically back to the full population (systematic_indices): each
     of the n survivors gets floor(P/n) or ceil(P/n) copies. p_n is the
     product of the fractions up to n, an unbiased estimator for each horizon.
-    The per-step fractions are kept for diagnostics, and
+    The per-step fractions are reported (to_json) as diagnostics, and
     var(log p_n) is approximated by sum_t (1 - s_t) / (s_t P).
 
     A run draws from one stream (seed, "split"): the initial state, then
@@ -165,10 +165,10 @@ def estimate_splitting(model, horizons, particles, seed):
     reads its initial state) and the one uniform of its resampling. Every
     step draws the same number of values whatever the population, so step
     t's draws sit at a place in the stream set by the model, P and t
-    alone. The population is a C-ordered (d, P)
-    array, one contiguous row per state coordinate, oldest first, so the
-    drift reads rows and the survivors are kept and resampled along the
-    particle axis in one compress and one take.
+    alone. The population is a C-ordered (d, P) array, one contiguous row
+    per state coordinate, oldest first, so the drift reads rows and the
+    survivors are kept and resampled along the particle axis in one
+    compress and one take.
     """
     horizons = _check_horizons(horizons)
     particles = as_count(particles, "particles")
