@@ -323,6 +323,15 @@ def compare(case):
 # sweeps
 
 
+def _coeff_vectors(vectors, order):
+    """Coefficient vectors (a scalar is one of length 1) as float tuples of length `order`."""
+    vecs = [tuple(float(c) for c in np.atleast_1d(v)) for v in vectors]
+    for vec in vecs:
+        if len(vec) != order:
+            raise ValueError(f"coefficient vector {vec} does not match order {order}")
+    return vecs
+
+
 def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto", threshold=1e-5):
     """Tilted-operator exponents along a componentwise increasing AR family.
 
@@ -335,12 +344,10 @@ def monotonicity_sweep(model, coeff_grid, m=None, n=200, delta="auto", threshold
 
     if not isinstance(model, ARModel):
         raise ValueError("the monotonicity sweep is for AR families")
-    grid_vecs = [tuple(float(c) for c in np.atleast_1d(v)) for v in coeff_grid]
+    grid_vecs = _coeff_vectors(coeff_grid, model.order)
     if not grid_vecs:
         raise ValueError("empty coefficient grid")
     for vec in grid_vecs:
-        if len(vec) != model.order:
-            raise ValueError(f"coefficient vector {vec} does not match order {model.order}")
         if any(c < 0 for c in vec) or sum(vec) >= 1.0:
             raise ValueError(f"grid point {vec} violates a >= 0 with sum(a) < 1")
     for lo_vec, hi_vec in zip(grid_vecs, grid_vecs[1:]):
@@ -377,8 +384,8 @@ def continuity_sweep(model, path_coeffs, target_coeffs, m=None, n=200, delta=0.0
     """
     from . import operator as operator_mod
 
-    target = tuple(float(c) for c in np.atleast_1d(target_coeffs))
-    path = [tuple(float(c) for c in np.atleast_1d(v)) for v in path_coeffs]
+    (target,) = _coeff_vectors([target_coeffs], model.order)
+    path = _coeff_vectors(path_coeffs, model.order)
     if not path:
         raise ValueError("empty coefficient path")
 
@@ -455,15 +462,17 @@ def _prop_truncation(case, seed):
 
 def _ma_p0(model):
     """P(Z_0 >= 0) for an MA model, computed, not sampled: exact for a
-    Rademacher law (oracle.rademacher_ma_pn), else E[1 - F(-s)], s the drift
-    of xi_{-q}..xi_{-1}, on a q-fold Gauss-Legendre rule in u = F(xi), for
-    the orders 1 to 4 that _check_process admits."""
+    Rademacher law (oracle.rademacher_ma_pn), 1/2 for a continuous law
+    symmetric about 0, else E[1 - F(-s)], s the drift of xi_{-q}..xi_{-1}, on a
+    q-fold Gauss-Legendre rule in u = F(xi), at the orders 1-4 _check_process admits."""
     from . import operator as operator_mod, oracle as oracle_mod
 
     q = model.order
     innov = model.innovation
     if isinstance(innov, Rademacher):
         return oracle_mod.rademacher_ma_pn(model, 0)
+    if isinstance(innov, Gaussian) or (isinstance(innov, Uniform) and innov.lo == -innov.hi):
+        return 0.5
     x, w = operator_mod.leggauss(min(2000, int(2.0 ** (18 / q))))
     xi = innov.quantile((x + 1.0) / 2.0)
     # xi_{k-q} varies along axis k of the tensor grid
@@ -566,8 +575,8 @@ def _check_process(kind, model):
     process, refusal = _CASE_PROCESS.get(kind, (object, None))
     if not isinstance(model, process):
         raise ConfigError(refusal)
-    # _ma_p0's rule takes the largest N with N^q <= 2^18 nodes, at most 2000;
-    # at order 5 that N is 12, too few to beat the error of a Monte Carlo p_0
+    # a law _ma_p0 integrates gets N with N^q <= 2^18 nodes, at most 2000; at
+    # order 5 that N is 12, too few to beat the error of a Monte Carlo p_0
     if kind == "qbound" and model.order > 4:
         raise ConfigError(f"qbound computes p_0 for MA orders 1 to 4, got order {model.order}")
 

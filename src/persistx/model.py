@@ -1,7 +1,7 @@
 """Process-level definitions: innovation laws, initial laws, AR/MA models.
 
-An innovation law enters everywhere through four handles: density, CDF,
-quantile, and a sampler. Every draw goes through
+An innovation law enters everywhere through density, CDF and a sampler;
+all but the Gaussian also have a quantile. Every draw goes through
 InnovationDistribution.sample, which calls the law's _draw: the Gaussian
 and exponential laws use the generator's ziggurat standard_normal and
 standard_exponential, scaled by their parameters, and the uniform and
@@ -13,8 +13,7 @@ seed and numpy version.
 
 Everything here is numpy. The Gaussian law's cdf is the cephes ndtr, the
 form scipy.special.ndtr follows, evaluated in chunks of numpy arithmetic;
-its quantile and tail radius refine a closed-form start by Newton steps on
-that cdf. No law loads scipy.
+its tail radius is a literal. No law loads scipy.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ _Z_UNDERFLOW = math.sqrt(_MAXLOG)
 # from x = a/sqrt2 = 6 on, 0.5 erfc(x) < 1.1e-17 and Phi(a) rounds to 1
 _X_ONE = 6.0
 # points per chunk: its few buffers stay in cache, and its per-chunk numpy
-# calls stay cheap next to the arithmetic; 2^16 would take the 2^18-point
-# call of harness._ma_p0 past its 8 MB memory budget
+# calls stay cheap next to the arithmetic, up to the largest caller, the
+# N^q cut cells of operator.assemble_ma (90,000 points at MA(2) N = 300)
 _NDTR_CHUNK = 1 << 15
 
 
@@ -184,44 +183,14 @@ def _half_erfc(pair, z, w):
     return e
 
 
-# Abramowitz-Stegun 26.2.23: -Phi^-1(p) = t - (c0 + c1 t + c2 t^2) /
-# (1 + d1 t + d2 t^2 + d3 t^3), t = sqrt(-2 log p), within 4.5e-4 for 0 < p <= 0.5
-_AS_C = (2.515517, 0.802853, 0.010328)
-_AS_D = (1.432788, 0.189269, 0.001308)
-# Newton on Phi converges quadratically, about as e -> |x| e^2 / 2: three
-# steps take 4.5e-4 below the last bit even at x = -37
-_NEWTON_STEPS = 3
-
-
-def _ndtri(u):
-    """Phi^-1(u) elementwise, for the lower tail mass p = min(u, 1 - u) and
-    reflected for u > 0.5.
-
-    Phi^-1(0) = -inf, Phi^-1(1) = inf, Phi^-1(0.5) = 0, and nan outside
-    [0, 1]. Below p = 1e-308 or so, where Phi underflows, Newton steps stop
-    and the start is returned.
-    """
-    u = np.asarray(u, dtype=float)
-    p = np.minimum(u, 1.0 - u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sqrt(-2.0 * np.log(p))
-        x = ((_AS_C[2] * t + _AS_C[1]) * t + _AS_C[0]) / (
-            ((_AS_D[2] * t + _AS_D[1]) * t + _AS_D[0]) * t + 1.0) - t
-        for _ in range(_NEWTON_STEPS):
-            f = _ndtr(x)
-            step = (f - p) / (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
-            x -= np.where(f > 0.0, step, 0.0)
-    x = np.where(u > 0.5, -x, x)
-    x = np.where(u == 0.5, 0.0, x)
-    return np.where(p == 0.0, np.where(u == 0.0, -np.inf, np.inf), x)
-
-
 # ---------------------------------------------------------------------------
 # innovation distributions
 
+TAIL_MASS = 1e-10
+
 
 class InnovationDistribution:
-    """Base class; subclasses provide density/cdf/quantile and support bounds."""
+    """Base class; subclasses provide density/cdf and support bounds, all but Gaussian a quantile."""
 
     kind = "base"
     has_density = True
@@ -253,8 +222,8 @@ class InnovationDistribution:
         """Inverse-CDF draw, for laws without a direct sampler."""
         return self.quantile(stream.random(size))
 
-    def tail_radius(self, eps):
-        """Smallest M with P(|xi| > M) <= eps."""
+    def tail_radius(self):
+        """Smallest M with P(|xi| > M) <= TAIL_MASS."""
         raise NotImplementedError
 
     def exponential_decay_rate(self):
@@ -296,7 +265,7 @@ class Uniform(InnovationDistribution):
     def support(self):
         return (self.lo, self.hi)
 
-    def tail_radius(self, eps):
+    def tail_radius(self):
         return max(abs(self.lo), abs(self.hi))
 
     def exponential_decay_rate(self):
@@ -309,8 +278,8 @@ class Gaussian(InnovationDistribution):
 
     Draws are sd times the generator's ziggurat standard normals. The cdf is
     the cephes ndtr in numpy (_ndtr), within a few units in the last place
-    of scipy.special.ndtr; the quantile and tail radius are Newton-refined
-    (_ndtri), within 1e-13 of ndtri for u in [1e-300, 1 - 1e-15].
+    of scipy.special.ndtr. It has no quantile; its tail radius is sd times
+    Phi^-1(1 - TAIL_MASS / 2), the float scipy.special.ndtri gives.
     """
 
     sd: float = 1.0
@@ -329,9 +298,6 @@ class Gaussian(InnovationDistribution):
     def cdf(self, x):
         return _ndtr(x, self.sd)[()]
 
-    def quantile(self, u):
-        return (self.sd * _ndtri(u))[()]
-
     def _draw(self, stream, size):
         return self.sd * stream.standard_normal(size)
 
@@ -339,8 +305,8 @@ class Gaussian(InnovationDistribution):
     def support(self):
         return (-math.inf, math.inf)
 
-    def tail_radius(self, eps):
-        return float(self.sd * _ndtri(1.0 - eps / 2.0))
+    def tail_radius(self):
+        return self.sd * 6.466951074732418
 
     def exponential_decay_rate(self):
         return 1.0 / self.sd
@@ -371,8 +337,8 @@ class Exponential(InnovationDistribution):
     def support(self):
         return (0.0, math.inf)
 
-    def tail_radius(self, eps):
-        return -math.log(eps)
+    def tail_radius(self):
+        return -math.log(TAIL_MASS)
 
     def exponential_decay_rate(self):
         return 1.0
@@ -402,7 +368,7 @@ class Rademacher(InnovationDistribution):
     def support(self):
         return (-1.0, 1.0)
 
-    def tail_radius(self, eps):
+    def tail_radius(self):
         return 1.0
 
     def exponential_decay_rate(self):

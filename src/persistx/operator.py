@@ -65,6 +65,7 @@ from .model import (
     MAModel,
     PersistxError,
     RequestedDensityOfAtomicLaw,
+    TAIL_MASS,
     Uniform,
     as_count,
     drift,
@@ -173,13 +174,12 @@ def _axis_rule(lo, hi, n):
     return nodes, weights, edges
 
 
-TAIL_MASS = 1e-10
 TRUNCATION_MARGIN = 1.5
 
 
 def default_truncation(innovation):
     """Truncation radius: smallest M with tail mass <= TAIL_MASS, times TRUNCATION_MARGIN."""
-    return float(innovation.tail_radius(TAIL_MASS)) * TRUNCATION_MARGIN
+    return float(innovation.tail_radius()) * TRUNCATION_MARGIN
 
 
 def default_delta(model):

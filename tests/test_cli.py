@@ -698,6 +698,17 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize("flags, shown", [
+        (["--path", "0.3,0.1;0.45", "--target", "0.5"], "(0.3, 0.1)"),
+        (["--path", "0.3;0.45", "--target", "0.5,0.1"], "(0.5, 0.1)"),
+    ], ids=["path", "target"])
+    def test_continuity_wrong_order_exits_one(self, capsys, flags, shown):
+        code, out, err = run(capsys, [
+            "sweep", "--kind", "continuity", "--process", "ar", "--coeffs", "0.5",
+            *flags, "--N", "40"])
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: coefficient vector {shown} does not match order 1\n"
+
     def test_suite_exit_codes(self, capsys, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"seed": 0, "cases": [
@@ -841,7 +852,8 @@ SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 
 # command lines that once loaded scipy: the Gaussian cdf and quantile
-# (scipy.special) and the oracle's root finders (scipy.optimize)
+# (scipy.special; the law has no quantile now) and the oracle's root
+# finders (scipy.optimize)
 GAUSSIAN_AND_ROOT_LINES = [
     ["operator", "--process", "ma", "--coeffs", "1", "--innovation", "gaussian:1",
      "--M", "8", "--N", "200"],
@@ -902,8 +914,8 @@ class TestScipyOnFirstUse:
         assert fresh_python(code).strip() == "[]"
 
     def test_gaussian_monte_carlo_loads_no_scipy(self):
-        # Gaussian draws are ziggurat draws: crude at threads 1 and 2, and
-        # splitting, never reach the quantile
+        # Gaussian draws are ziggurat draws, in crude at threads 1 and 2
+        # and in splitting
         code = (
             "import sys\n"
             "from persistx import ARModel, Gaussian, IIDInnovation, SurvivalConvention\n"

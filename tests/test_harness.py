@@ -442,6 +442,17 @@ class TestContinuitySweep:
         with pytest.raises(ValueError):
             harness.continuity_sweep(m, [], (0.3,), n=50)
 
+    def test_wrong_order_path_rejected(self):
+        # an AR(2) point inside an AR(1) path would be solved and its gap printed
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=r"\(0.3, 0.1\) does not match order 1"):
+            harness.continuity_sweep(m, [(0.3, 0.1), (0.45,)], (0.5,), n=40)
+
+    def test_wrong_order_target_rejected(self):
+        m = ARModel((0.5,), Gaussian(), IIDInnovation(), GE)
+        with pytest.raises(ValueError, match=r"\(0.5, 0.1\) does not match order 1"):
+            harness.continuity_sweep(m, [(0.3,), (0.45,)], (0.5, 0.1), n=40)
+
 
 class TestPropertyChecks:
     def test_qbound_at_order_two(self):
@@ -496,25 +507,29 @@ class TestPropertyChecks:
         with pytest.raises(ValueError, match="MA operator takes no tilt"):
             harness.PROPERTY_CHECKS["nonnegativity"](case, 0)
 
-    # P(Z_0 >= 0) against closed forms: 1/2 for a symmetric law, 1/(1 - a1)
-    # for exponential MA(1) with a1 < 0, and 1 - (5/7 + 1.35)/9 = 971/1260 for
-    # uniform(-1, 2) MA(1) 0.7. The tolerance is 1e-12 where the error is at
-    # most 1e-14, else ten times the error measured: the (1 - u)^c integrands
-    # of the exponential law and the kink of the uniform one converge slowest.
+    # a continuous law symmetric about 0 makes Z_0 symmetric too, so
+    # P(Z_0 >= 0) = 1/2 exactly, at any coefficients and either convention
+    @pytest.mark.parametrize("innovation", [Gaussian(0.3), Gaussian(), Gaussian(2.0),
+                                            Uniform(-2.0, 2.0)],
+                             ids=["gaussian_sd0.3", "gaussian", "gaussian_sd2", "uniform_m2_2"])
+    @pytest.mark.parametrize("coeffs", [(1.0,), (0.5, -0.5), (0.3, -0.2, 0.6),
+                                        (0.5, 0.5, 0.5, 0.5)],
+                             ids=["q1", "q2", "q3", "q4"])
+    def test_p0_symmetric_law_is_half(self, coeffs, innovation):
+        for convention in (GE, GT):
+            assert harness._ma_p0(MAModel(coeffs, innovation, convention)) == 0.5
+
+    # P(Z_0 >= 0) against closed forms: 1/(1 - a1) for exponential MA(1) with
+    # a1 < 0, and 1 - (5/7 + 1.35)/9 = 971/1260 for uniform(-1, 2) MA(1) 0.7.
+    # The tolerance is 1e-12 where the error is at most 1e-14, else ten times
+    # the error measured: the (1 - u)^c integrands of the exponential law and
+    # the kink of the uniform one converge slowest.
     @pytest.mark.parametrize("coeffs,innovation,p0,tol", [
-        ((1.0,), Gaussian(), 0.5, 1e-12),
-        ((0.5, 0.5), Gaussian(), 0.5, 1e-12),
-        ((0.5, 0.5, 0.5), Gaussian(), 0.5, 1e-12),
-        ((0.5, 0.5, 0.5, 0.5), Gaussian(), 0.5, 1e-12),
-        ((0.3, -0.2, 0.6), Gaussian(2.0), 0.5, 1e-12),
-        ((0.5, 0.5), Uniform(-1.0, 1.0), 0.5, 1e-12),
         ((-0.5,), Exponential(), 1.0 / 1.5, 1.3e-10),
         ((-0.9,), Exponential(), 1.0 / 1.9, 1e-12),
         ((-0.1,), Exponential(), 1.0 / 1.1, 2.9e-8),
         ((0.7,), Uniform(-1.0, 2.0), 971.0 / 1260.0, 1.1e-7),
-    ], ids=["gaussian_q1", "gaussian_q2", "gaussian_q3", "gaussian_q4", "gaussian_sd2_q3",
-            "uniform_symmetric_q2", "exponential_m0.5", "exponential_m0.9", "exponential_m0.1",
-            "uniform_m1_2"])
+    ], ids=["exponential_m0.5", "exponential_m0.9", "exponential_m0.1", "uniform_m1_2"])
     def test_p0_closed_forms(self, coeffs, innovation, p0, tol):
         assert abs(harness._ma_p0(MAModel(coeffs, innovation, GE)) - p0) <= tol
 
@@ -532,11 +547,12 @@ class TestPropertyChecks:
         ((0.3, 0.7), GT, 3 / 8),
     ], ids=["a1_ge", "a1_gt", "0.3_0.7_ge", "0.3_0.7_gt"])
     def test_p0_rademacher_exact(self, coeffs, convention, p0):
-        # Z_0 = 0 on a tie, which the convention keeps (ge) or kills (gt)
+        # Z_0 = 0 on a tie, which the convention keeps (ge) or kills (gt), so
+        # this symmetric but atomic law does not give 1/2
         assert harness._ma_p0(MAModel(coeffs, Rademacher(), convention)) == p0
 
-    @pytest.mark.parametrize("innovation", [Gaussian(), Exponential()],
-                             ids=["gaussian", "exponential"])
+    @pytest.mark.parametrize("innovation", [Uniform(-1.0, 2.0), Exponential()],
+                             ids=["uniform_m1_2", "exponential"])
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_p0_memory_within_budget(self, q, innovation):
         # at most 2^18 states, so a few 2 MiB arrays at once

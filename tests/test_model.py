@@ -45,7 +45,6 @@ class TestDistributionValues:
     def test_gaussian_sd_scaling(self):
         g = Gaussian(2.0)
         assert g.cdf(2.0) == pytest.approx(Gaussian().cdf(1.0))
-        assert g.quantile(0.975) == pytest.approx(2.0 * Gaussian().quantile(0.975))
 
     def test_exponential(self):
         e = Exponential()
@@ -86,9 +85,9 @@ class TestDistributionValues:
 
     def test_tail_radius_bounds_tail_mass(self):
         for dist in (Uniform(-1.0, 3.0), Gaussian(1.5), Exponential(), Rademacher()):
-            r = dist.tail_radius(1e-6)
+            r = dist.tail_radius()
             tail = (1.0 - dist.cdf(r)) + dist.cdf(-r - 1e-12)
-            assert tail <= 1e-6 + 1e-12
+            assert tail <= model_mod.TAIL_MASS + 1e-12
 
     def test_decay_rates(self):
         assert Uniform(-1.0, 1.0).exponential_decay_rate() == math.inf
@@ -97,8 +96,8 @@ class TestDistributionValues:
 
 
 class TestStandardNormal:
-    """Gaussian() is Phi: the cephes ndtr and a Newton-refined inverse in
-    numpy, held to scipy.special's ndtr and ndtri as references."""
+    """Gaussian() is Phi: the cephes ndtr in numpy, held to scipy.special's
+    ndtr as reference, with a literal tail radius that equals ndtri's."""
 
     def test_cdf_within_8_ulp_of_ndtr(self):
         from scipy.special import ndtr
@@ -114,46 +113,33 @@ class TestStandardNormal:
         want = ndtr(x)
         assert np.all(np.abs(Gaussian().cdf(x) - want) <= 1e-12 * want)
 
-    def test_quantile_within_1e13_of_ndtri(self):
-        from scipy.special import ndtri
-
-        u = np.concatenate([np.geomspace(1e-300, 0.5, 200_001),
-                            1.0 - np.geomspace(1e-15, 0.5, 200_001)])
-        assert np.max(np.abs(Gaussian().quantile(u) - ndtri(u))) <= 1e-13
-
-    def test_cdf_of_quantile_round_trip(self):
-        g = Gaussian()
-        lower = np.geomspace(1e-300, 0.5, 20_001)
-        assert np.all(np.abs(g.cdf(g.quantile(lower)) - lower) <= 1e-12 * lower)
-        u = np.concatenate([np.linspace(0.0, 1.0, 20_001), 1.0 - np.geomspace(1e-15, 0.5, 2001)])
-        assert np.all(np.abs(g.cdf(g.quantile(u)) - u) <= 2.0 ** -52)
-
     @pytest.mark.parametrize("sd", [0.5, 3.0])
     def test_scaled_law_matches_scipy(self, sd):
-        from scipy.special import ndtr, ndtri
+        from scipy.special import ndtr
 
         g = Gaussian(sd)
         x = np.linspace(-40.0, 40.0, 801) * sd
-        u = np.linspace(0.0, 1.0, 801)
         want = ndtr(x / sd)
         assert np.all(np.abs(g.cdf(x) - want) <= 1e-12 * want)
-        assert np.allclose(g.quantile(u), sd * ndtri(u), rtol=0.0, atol=1e-13 * sd)
-        for eps in (0.5, 1e-6, 1e-12):
-            assert g.tail_radius(eps) == pytest.approx(sd * ndtri(1.0 - eps / 2.0),
-                                                       rel=0.0, abs=1e-13 * sd)
+
+    @pytest.mark.parametrize("sd", [0.01, 0.3, 0.7, 1.0, 2.0, 3.0, 100.0])
+    def test_tail_radius_is_ndtri_at_tail_mass(self, sd):
+        from scipy.special import ndtri
+
+        assert model_mod.TAIL_MASS / 2.0 == 5e-11
+        assert Gaussian(sd).tail_radius() == sd * ndtri(1.0 - 5e-11)
+
+    def test_no_quantile(self):
+        with pytest.raises(NotImplementedError):
+            Gaussian().quantile(0.5)
 
     def test_special_values(self):
         g = Gaussian()
         assert g.cdf(-np.inf) == 0.0 and g.cdf(np.inf) == 1.0 and np.isnan(g.cdf(np.nan))
         assert g.cdf(0.0) == 0.5 and g.cdf(-0.0) == 0.5
-        assert g.quantile(0.0) == -np.inf and g.quantile(1.0) == np.inf
-        assert g.quantile(0.5) == 0.0
-        outside = g.quantile([-1.0, -1e-300, 1.0 + 2.0 ** -52, 2.0, np.nan])
-        assert np.all(np.isnan(outside))
 
-    @pytest.mark.parametrize("method", ["cdf", "quantile"])
-    def test_shapes_kept(self, method):
-        f = getattr(Gaussian(), method)
+    def test_shapes_kept(self):
+        f = Gaussian().cdf
         for arg in (0.3, np.float64(0.3), np.array(0.3)):
             assert np.ndim(f(arg)) == 0 and isinstance(f(arg), np.float64)
         for shape in ((0,), (2, 3), (3, 0, 2)):
@@ -190,14 +176,9 @@ class TestQuantileCdfInverse:
         tol = max(1e-12, 2e-16 / math.exp(-x))
         assert e.quantile(e.cdf(x)) == pytest.approx(x, abs=tol)
 
-    @given(st.floats(-5.0, 5.0))
-    def test_gaussian_roundtrip(self, x):
-        g = Gaussian()
-        assert g.quantile(g.cdf(x)) == pytest.approx(x, abs=1e-9)
-
     @given(st.floats(0.0001, 0.9999))
     def test_cdf_of_quantile(self, u):
-        for dist in (Uniform(-2.0, 1.0), Gaussian(0.7), Exponential()):
+        for dist in (Uniform(-2.0, 1.0), Exponential()):
             assert dist.cdf(dist.quantile(u)) == pytest.approx(u, abs=1e-9)
 
 

@@ -97,8 +97,8 @@ class TestGrids:
             op.truncation_lambdas(model, [2.0, m], 10)
 
     def test_default_truncation_tracks_tails(self):
-        m = op.default_truncation(Gaussian())
-        assert m == pytest.approx(1.5 * Gaussian().tail_radius(1e-10))
+        assert op.default_truncation(Gaussian()) == 9.700426612098628
+        assert op.default_truncation(Gaussian(2.0)) == 1.5 * Gaussian(2.0).tail_radius()
         assert op.default_truncation(Uniform(-1.0, 1.0)) == pytest.approx(1.5)
 
     def test_default_grid_clamps_to_support(self):
