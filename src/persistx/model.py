@@ -11,9 +11,10 @@ draw sequence is a fixed function of its tag. Together these make every
 Monte Carlo result bit-reproducible under any thread schedule, for the same
 seed and numpy version.
 
-Everything here is numpy. The Gaussian law's cdf is the cephes ndtr, the
-form scipy.special.ndtr follows, evaluated in chunks of numpy arithmetic;
-its tail radius is a literal. No law loads scipy.
+Everything here is numpy and the standard library. The Gaussian law's cdf
+is 0.5 erfc from the C library (math.erfc), flushed to 0 where cephes and
+scipy.special.ndtr underflow; its tail radius is a literal. No law loads
+scipy.
 """
 
 from __future__ import annotations
@@ -55,132 +56,28 @@ def substream(seed, *path):
 
 
 # ---------------------------------------------------------------------------
-# the standard normal cdf and its inverse
+# the standard normal cdf
 
-# Cephes ndtr: Phi(a) = 0.5 erfc(|a|/sqrt2), reflected to 1 - that for a > 0,
-# with erfc(z) = exp(-z^2) P(z)/Q(z) on [1, 8), exp(-z^2) R(z)/S(z) from 8
-# on, and 1 - erf(z) below 1, where erf(x) = x T(x^2)/U(x^2); for |a| < 1 it
-# is 0.5 + 0.5 erf(a/sqrt2) directly. The operations and their order are
-# cephes', so on standardized input only numpy's exp can part the two, by a
-# few ulp.
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-      1.65666309194161350182e3, 5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-      7.00332514112805075473e3, 5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-      2.26290000613890934246e4, 4.92673942608635921086e4)
-
-
-def _horner_pair(num, den):
-    """A numerator and a monic denominator as one (steps, 2, 1) table of
-    Horner coefficients, the shorter row padded with leading zeros (which
-    leave Horner exact)."""
-    rows = (num, (1.0,) + den)
-    steps = max(map(len, rows))
-    return np.array([(0.0,) * (steps - len(r)) + r for r in rows]).T[:, :, None]
-
-
-_ERFC_NEAR = _horner_pair(_P, _Q)
-_ERFC_FAR = _horner_pair(_R, _S)
-_ERF = _horner_pair(_T, _U)
 _SQRT_HALF = math.sqrt(0.5)
-# erfc(z) is 0 once z^2 > MAXLOG = log(DBL_MAX); sqrt(MAXLOG) is the
-# largest double z with z^2 <= MAXLOG
-_MAXLOG = 7.09782712893383996843e2
-_Z_UNDERFLOW = math.sqrt(_MAXLOG)
-# from x = a/sqrt2 = 6 on, 0.5 erfc(x) < 1.1e-17 and Phi(a) rounds to 1
-_X_ONE = 6.0
-# points per chunk: its few buffers stay in cache, and its per-chunk numpy
-# calls stay cheap next to the arithmetic, up to the largest caller, the
-# N^q cut cells of operator.assemble_ma (90,000 points at MA(2) N = 300)
-_NDTR_CHUNK = 1 << 15
+# erfc(z) is flushed to 0 once z^2 > MAXLOG = log(DBL_MAX), where cephes and
+# scipy.special.ndtr flush it; sqrt(MAXLOG) is the largest double z with
+# z^2 <= MAXLOG
+_Z_UNDERFLOW = math.sqrt(7.09782712893383996843e2)
 
 
 def _ndtr(x, sd=1.0):
-    """Phi(x / sd) elementwise, as a new float array of x's shape.
+    """Phi(x / sd) = 0.5 erfc(-x / (sd sqrt2)) elementwise, as a new float
+    array of x's shape.
 
-    x / sd enters erfc as x * (sqrt(1/2) / sd), in one rounding. Phi(-inf)
-    = 0, Phi(inf) = 1 and Phi(nan) = nan. The points are taken _NDTR_CHUNK
-    at a time, each chunk with buffers allocated by this call, so concurrent
-    calls share nothing and a point's value does not depend on what it is
-    evaluated with.
+    erfc is the C library's, through math.erfc, one point at a time, so a
+    point's value does not depend on what it is evaluated with. Phi(-inf)
+    = 0, Phi(inf) = 1 and Phi(nan) = nan.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.empty(x.shape)
-    src, dst = x.reshape(-1), y.reshape(-1)
-    k = min(src.size, _NDTR_CHUNK)
-    xs, z, w = np.empty(k), np.empty(k), np.empty((2, k))
-    m1, m2 = np.empty(k, dtype=bool), np.empty(k, dtype=bool)
-    for i in range(0, src.size, _NDTR_CHUNK):
-        n = min(k, src.size - i)
-        _ndtr_chunk(src[i:i + n], _SQRT_HALF / sd, dst[i:i + n],
-                    xs[:n], z[:n], w[:, :n], m1[:n], m2[:n])
+    z = np.asarray(x, dtype=float) * (-_SQRT_HALF / sd)
+    y = np.fromiter(map(math.erfc, z.reshape(-1)), float, count=z.size).reshape(z.shape)
+    y *= 0.5
+    y[z > _Z_UNDERFLOW] = 0.0
     return y
-
-
-def _ndtr_chunk(a, scale, y, xs, z, w, m1, m2):
-    np.multiply(a, scale, out=xs)
-    np.abs(xs, out=z)
-    # 1 where x > 0, else 0: Phi where it saturates, and the side to reflect to
-    np.greater(xs, 0.0, out=y)
-    np.greater_equal(z, 1.0, out=m1)
-    near = np.flatnonzero(np.logical_not(m1, out=m2))  # z < 1, and nan
-    # erfc by P/Q, except where Phi rounds to 1
-    np.less(xs, _X_ONE, out=m2)
-    m1 &= m2
-    m1 &= np.greater(xs, -8.0, out=m2)
-    idx = np.flatnonzero(m1)
-    if idx.size:
-        h = y[idx]
-        h -= _half_erfc(_ERFC_NEAR, z[idx], w)
-        y[idx] = np.abs(h, out=h)
-    # erfc by R/S, on the lower side only, up to where exp(-z^2) underflows
-    if np.less_equal(xs, -8.0, out=m1).any():
-        m1 &= np.greater_equal(xs, -_Z_UNDERFLOW, out=m2)
-        idx = np.flatnonzero(m1)
-        y[idx] = _half_erfc(_ERFC_FAR, z[idx], w)
-    if near.size:
-        v = xs[near]
-        num, den = _horner(_ERF, v * v, w[:, :v.size])
-        erf = num
-        erf *= v
-        erf /= den
-        # 0.5 + 0.5 erf(x) for every z < 1: on 1/sqrt2 <= z < 1, where cephes
-        # reflects 0.5 erfc(z) = 0.5 (1 - erf(z)), erf(z) >= 0.68 makes
-        # 1 - erf(z) exact, so both round (1 + erf(x))/2 once, to the same bits
-        erf *= 0.5
-        erf += 0.5
-        y[near] = erf
-
-
-def _horner(pair, v, w):
-    """Numerator and denominator of a Horner pair at v, in place in w (2, v.size)."""
-    np.multiply(pair[0], v, out=w)
-    w += pair[1]
-    for c in pair[2:]:
-        w *= v
-        w += c
-    return w
-
-
-def _half_erfc(pair, z, w):
-    """0.5 erfc(z) = 0.5 exp(-z^2) num(z)/den(z), for z >= 1."""
-    num, den = _horner(pair, z, w[:, :z.size])
-    e = np.multiply(z, z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e *= num
-    e /= den
-    e *= 0.5
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +174,10 @@ class Gaussian(InnovationDistribution):
     """Centered normal with standard deviation sd.
 
     Draws are sd times the generator's ziggurat standard normals. The cdf is
-    the cephes ndtr in numpy (_ndtr), within a few units in the last place
-    of scipy.special.ndtr. It has no quantile; its tail radius is sd times
-    Phi^-1(1 - TAIL_MASS / 2), the float scipy.special.ndtri gives.
+    0.5 erfc(-x / (sd sqrt2)) with the C library's erfc (_ndtr): within a
+    few units in the last place of scipy.special.ndtr from x / sd = -1 up,
+    and within 1e-13 relative below. It has no quantile; its tail radius is
+    sd times Phi^-1(1 - TAIL_MASS / 2), the float scipy.special.ndtri gives.
     """
 
     sd: float = 1.0

@@ -134,12 +134,18 @@ def leggauss(n):
     return x, w
 
 
+# the most states (N^d) a grid may have: solves peak at 81-161 bytes per
+# state, so one at this size peaks at 0.7-1.4 GB
+MAX_STATES = 1 << 23
+
+
 def build_grid(lo, hi, n, d=1):
     """Per-axis Gauss-Legendre rule with n nodes on [lo, hi], tensorized to d axes.
 
     Grids on the same axis share their read-only node, weight and edge
     arrays (_axis_rule), so results of repeated solves do not each hold a
-    copy.
+    copy. A grid of more than MAX_STATES states is a ValueError, raised
+    before anything is allocated.
     """
     lo = float(lo)
     hi = float(hi)
@@ -150,6 +156,9 @@ def build_grid(lo, hi, n, d=1):
         raise ValueError(f"need at least 2 nodes per axis, got {n}")
     if d < 1:
         raise ValueError(f"need dimension >= 1, got {d}")
+    if n ** d > MAX_STATES:
+        raise ValueError(f"a grid of N = {n} nodes per axis in d = {d} dimensions has "
+                         f"N^d = {n ** d} states, more than MAX_STATES = {MAX_STATES}")
     return QuadratureGrid(int(d), lo, hi, n, *_axis_rule(lo, hi, n))
 
 
@@ -469,8 +478,8 @@ def assemble_ma(model, grid):
     # the cell k with e_k <= cut < e_k+1 of each cut strictly inside (lo, hi)
     rows = np.flatnonzero((cut > grid.edges[0]) & (cut < grid.edges[-1]))
     k = np.searchsorted(grid.edges, cut[rows], side="right") - 1
-    f_lo = model.innovation.cdf(grid.edges[k])
-    f_hi = model.innovation.cdf(grid.edges[k + 1])
+    f_edges = model.innovation.cdf(grid.edges)
+    f_lo, f_hi = f_edges[k], f_edges[k + 1]
     f_cut = model.innovation.cdf(cut[rows])
     mass = f_hi - f_lo
     frac = np.where(mass > 0.0, (f_hi - f_cut) / np.where(mass > 0, mass, 1.0), 0.0)

@@ -405,6 +405,15 @@ class TestOperatorCommand:
                 env=env, capture_output=True, text=True, check=True, timeout=120).stdout)
         assert outs[0] == outs[1]
 
+    def test_grid_past_max_states_exits_one(self, capsys):
+        # AR(3) at the default N = 400 is 6.4e7 states, gigabytes of solve;
+        # it ended in a MemoryError traceback or was killed
+        code, out, err = run(capsys, [
+            "operator", "--process", "ar", "--coeffs", "0.3,0.2,0.1"])
+        assert code == 1 and out == ""
+        assert err == ("error: ValueError: a grid of N = 400 nodes per axis in d = 3 dimensions "
+                       "has N^d = 64000000 states, more than MAX_STATES = 8388608\n")
+
     def test_empty_ar_state_axis_exits_one(self, capsys):
         # coefficients <= 0 and y <= -1 leave S at the first step; the axis
         # [0, -1] was refused as invalid bounds, without the reason

@@ -622,6 +622,22 @@ class TestAssembleMa:
         assert abs(lam_cut - target) < abs(lam_plain - target)
         assert abs(lam_cut - target) < 5e-4
 
+    @pytest.mark.parametrize("coeffs, n", [((1.0,), 60), ((0.5, -0.2), 20)], ids=["ma1", "ma2"])
+    def test_cdf_once_at_the_edges_and_once_per_cut_row(self, coeffs, n, monkeypatch):
+        # the cut cells gather F(e_k) and F(e_k+1) from one call on the n + 1
+        # edges; only the cuts themselves take a call of their own
+        m = MAModel(coeffs, Gaussian(), GE)
+        grid = op.default_grid(m, 6.0, n)
+        sizes = []
+        cdf = Gaussian.cdf
+        monkeypatch.setattr(Gaussian, "cdf", lambda law, x: sizes.append(np.size(x)) or cdf(law, x))
+        op.assemble_ma(m, grid)
+        cut = -drift(coeffs, [grid.nodes.reshape((-1,) + (1,) * (m.order - 1 - k))
+                              for k in range(m.order)])
+        rows = np.count_nonzero((cut > grid.lo) & (cut < grid.hi))
+        assert 0 < rows <= n ** m.order
+        assert sizes == [n + 1, rows]
+
     def test_ma2_shape(self):
         m = MAModel((0.4, 0.2), Gaussian(), GE)
         grid = op.build_grid(-5.0, 5.0, 10, d=2)
@@ -736,7 +752,7 @@ class TestMatrixFreeMa:
     # lambda and iterations of the matrix-free apply
     @pytest.mark.parametrize("coeffs,innovation,n,lam,iterations", [
         ((1.0,), Gaussian(), 400, 0.6365503548414224, 23),
-        ((-0.99,), Gaussian(), 400, 0.01559514468294227, 4373),
+        ((-0.99,), Gaussian(), 400, 0.015595144625096697, 4373),
         ((-0.5,), Exponential(), 400, 0.4999998004420251, 25),
         ((0.5, -0.2), Gaussian(), 100, 0.5583245207830102, 25),
         ((0.5, 0.5), Gaussian(), 100, 0.6801429268434205, 29),
@@ -1311,6 +1327,27 @@ class TestRefusals:
     def test_zero_dimension_grid(self):
         with pytest.raises(ValueError, match="need dimension >= 1, got 0"):
             op.build_grid(0.0, 1.0, 8, d=0)
+
+    def test_grid_past_max_states(self):
+        # N^d = MAX_STATES is a grid; N^d above it is not
+        assert op.build_grid(0.0, 1.0, 2, d=23).d == 23 and 2 ** 23 == op.MAX_STATES
+        with pytest.raises(ValueError, match=re.escape(
+                "a grid of N = 3 nodes per axis in d = 15 dimensions has N^d = 14348907 states, "
+                "more than MAX_STATES = 8388608")):
+            op.build_grid(0.0, 1.0, 3, d=15)
+
+    def test_order_3_at_the_default_n_refused_before_allocating(self):
+        # AR(3) at the default N = 400 is 6.4e7 states: solves peak at 81-161
+        # bytes per state, so this asked for gigabytes
+        m = ARModel((0.3, 0.2, 0.1), Gaussian(), IIDInnovation(), GE)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("N^d = 64000000 states")):
+                op.solve_operator(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("model, shape", [
         (ARModel((0.5,), Gaussian(), IIDInnovation(), GE), (5,)),
